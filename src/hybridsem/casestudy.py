@@ -16,8 +16,7 @@ and those findings are reported verbatim, never patched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
 
 from .affine import AffineConstraint, LinExpr, parse_constraint
 from .errors import ParamConstraintViolated, UnknownFixture
@@ -26,17 +25,13 @@ from .flow_config import (
     Configuration,
     PiecewiseConfiguration,
     make_config,
+    overlapping,
+    pieces,
 )
 from .hts import Edge, ExitCondition, HybridTransitionSystem, ModeSchema, semantics_generate
-from .relation import (
-    Clause,
-    TimedStateRelation,
-    _endpoint_env,
-    _forall_window_related,
-    traj_related_timewise,
-)
+from .relation import Clause, TimedStateRelation, config_related, traj_related_timewise
 from .simulation import ConfigGraph, compose_check, config_graph, sim_check, well_nested_check
-from .time_core import INF, Q, TimeInterval, interval_intersect, is_finite
+from .time_core import INF, Q, TimeInterval, is_finite
 from .trajectory import Trajectory, config_var_ranges, trajectory_eval, trajectory_validate
 
 __all__ = [
@@ -151,10 +146,8 @@ def spec_predicate_check(s: Trajectory, zeta) -> tuple:
     Returns (ok, violations) with exact time witnesses."""
     zeta = Q(zeta)
     violations = []
-    pieces = []
-    for c in s.configs:
-        pieces.extend(c.pieces if isinstance(c, PiecewiseConfiguration) else (c,))
-    for pc in pieces:
+    all_pieces = [pc for c in s.configs for pc in pieces(c)]
+    for pc in all_pieces:
         lo, hi = config_var_ranges(pc)["y"]
         if lo is None or lo < 0 or not is_finite(hi) or hi > 3:
             violations.append(("a", pc.b, f"level range [{lo},{hi}] leaves [0,3]"))
@@ -166,7 +159,7 @@ def spec_predicate_check(s: Trajectory, zeta) -> tuple:
     # zero-dwell: at every time the level hits zero it must be positive
     # zeta later (if that instant is still within the trajectory)
     dur = s.duration
-    for pc in pieces:
+    for pc in all_pieces:
         init = dict(pc.flow.initial)["y"]
         rate = dict(pc.flow.rate)["y"]
         zeros = []
@@ -207,17 +200,17 @@ def spec_witness(s: Trajectory) -> Trajectory:
     """Level-and-mode projection of a trajectory, packed as one
     piecewise configuration (the specification side has no mode-change
     transition structure of its own)."""
-    pieces = []
+    level = []
     for c in s.configs:
-        for pc in c.pieces if isinstance(c, PiecewiseConfiguration) else (c,):
+        for pc in pieces(c):
             flow = AffineFlow.make(
                 pc.flow.mode,
                 pc.b,
                 {"y": dict(pc.flow.initial)["y"]},
                 {"y": dict(pc.flow.rate)["y"]},
             )
-            pieces.append(Configuration(flow, pc.interval))
-    cfg = pieces[0] if len(pieces) == 1 else PiecewiseConfiguration(tuple(pieces))
+            level.append(Configuration(flow, pc.interval))
+    cfg = level[0] if len(level) == 1 else PiecewiseConfiguration(tuple(level))
     return Trajectory((cfg,), s.truncated)
 
 
@@ -343,25 +336,6 @@ def abstract_witness(s: Trajectory) -> Trajectory:
     return Trajectory(tuple(out), s.truncated)
 
 
-def _graph_of(trajectories: Iterable) -> ConfigGraph:
-    succ: dict = {}
-    initial = []
-    truncated = set()
-    for s in trajectories:
-        for i, c in enumerate(s.configs):
-            succ.setdefault(c, set())
-            if i == 0 and c not in initial:
-                initial.append(c)
-            if i + 1 < len(s.configs):
-                succ[c].add(s.configs[i + 1])
-        if s.truncated:
-            truncated.add(s.configs[-1])
-    items = tuple(sorted(
-        ((c, tuple(sorted(v, key=repr))) for c, v in succ.items()), key=lambda kv: repr(kv[0])
-    ))
-    return ConfigGraph(tuple(initial), items, frozenset(truncated))
-
-
 def run_refinement_chain(p: TankParams, horizon) -> dict:
     """Three stages: automaton against the specification, implementation
     against the automaton companions, and the composed relation.  Every
@@ -403,28 +377,22 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
         nested, nw = well_nested_check((s,), (w,))
         if not nested and nested_all:
             nested_all, nest_witness = False, nw
-        sim = sim_check(
-            rels["R53"], _graph_of((s,)), _graph_of((w,)),
-            mode="sync" if nested else "async",
-        )
+        G, Gb = (config_graph(replace(sem6, trajectories=frozenset((t,)))) for t in (s, w))
+        sim = sim_check(rels["R53"], G, Gb, mode="sync" if nested else "async")
         sims.append((s, sim))
     verdict = all(sim.verdict for _, sim in sims)
     # window-by-window certification of each published clause
     phase: dict = {}
     for s in sorted(sem6.trajectories, key=repr):
         w = witness1[s]
-        for c in s.configs:
+        for c, cb, _ in overlapping(s.configs, w.configs):
             if s.truncated and c is s.configs[-1]:
                 # horizon artifact: the published endpoint constraints
                 # speak about the full phase, which the cut hides
                 continue
-            for cb in w.configs:
-                ww = interval_intersect(c.interval, cb.interval)
-                if ww is None:
-                    continue
-                ok_here = _forall_window_related(rels["R53"], c, cb, ww, _endpoint_env(c, cb))
-                good, bad = phase.get(c.flow.mode, (0, 0))
-                phase[c.flow.mode] = (good + ok_here, bad + (not ok_here))
+            ok_here = config_related(rels["R53"], c, cb)
+            good, bad = phase.get(c.flow.mode, (0, 0))
+            phase[c.flow.mode] = (good + ok_here, bad + (not ok_here))
     stage2 = {
         "well_nested": nested_all,
         "well_nested_witness": nest_witness,
@@ -480,8 +448,7 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
     documented3 = all(
         (s.truncated and c is s.configs[-1])
         or (ok2 and all(
-            pc.flow.mode in ("shut", "on")
-            for pc in (c.pieces if isinstance(c, PiecewiseConfiguration) else (c,))
+            pc.flow.mode in ("shut", "on") for pc in pieces(c)
         ))
         for (s, c, _, _, _, ok1, ok2) in failures
     )
@@ -600,17 +567,3 @@ def gallery_fixture(name: str, zeta=DEFAULT_ZETA) -> dict:
             "relation": _eq_relation(),
         }
     raise UnknownFixture(name)
-
-
-def load_fixture(name: str, params: Optional[TankParams] = None):
-    """Named systems for the CLI; gallery names are also accepted."""
-    p = params or TankParams.make()
-    if name == "tank-automaton":
-        return build_tank_automaton(p)
-    if name == "tank-impl":
-        return build_tank_impl(p)
-    if name == "tank-spec":
-        return build_tank_spec(p)
-    if name.startswith("gallery/"):
-        return gallery_fixture(name.split("/", 1)[1], zeta=p.zeta)
-    return gallery_fixture(name, zeta=p.zeta)

@@ -30,7 +30,8 @@ from .discretize import (
     theorem6_check,
     timeful_sample,
 )
-from .errors import HybridSemError, ParseError, UnknownFixture
+from .errors import HybridSemError, ParamConstraintViolated, ParseError, UnknownFixture
+from .flow_config import pieces
 from .galois import (
     FinitePoset,
     galois_laws_check,
@@ -50,7 +51,7 @@ from .simulation import (
     sim_check,
 )
 from .time_core import INF, Q, is_finite
-from .trajectory import trajectory_csv, trajectory_timeline
+from .trajectory import grid_step, trajectory_csv, trajectory_timeline
 
 PASS, FAIL, BADINPUT = 0, 1, 2
 
@@ -304,6 +305,9 @@ def _run_theorem7(args):
             ok, wit = milner_sim_check(R, d1, d1)
         else:
             fx = gallery_fixture(short)
+            missing = [k for k in ("concrete", "abstract", "relation", "delta") if k not in fx]
+            if missing:
+                raise UnknownFixture(f"{short} has no {', '.join(missing)} for theorem 7")
             delta = fx["delta"]
             hyp = discretization_hypotheses(
                 fx["relation"], fx["concrete"], fx["abstract"], delta, None
@@ -340,6 +344,9 @@ def cmd_check_theorem(args):
     n = args.number
     if n == 1:
         h = _load_system(args)
+        if h.explicit is None:
+            raise ParseError("theorem 1 needs a system in the explicit presentation, "
+                             "not one given by mode schemas")
         hom = _default_hom(h)
         ok, diff = theorem1_check(hom, h, _horizon(args))
         doc = {"theorem": 1, "ok": ok, "diff": diff}
@@ -427,7 +434,7 @@ def cmd_plot(args):
     if not trajs:
         raise ParseError("no trajectories to plot")
     s = trajs[0]
-    grid = _q(args.grid or "1/10")
+    grid = grid_step(_q(args.grid or "1/10"))
     out = args.out or "plot.svg"
     svg = render_svg(s, grid)
     with open(out, "w") as f:
@@ -445,8 +452,7 @@ def render_svg(s, grid, width=640, panel_h=160, margin=40) -> str:
     vertical rules."""
     from .trajectory import trajectory_eval
 
-    first = s.configs[0]
-    names = (first.pieces[0] if hasattr(first, "pieces") else first).flow.var_names()
+    names = pieces(s.configs[0])[0].flow.var_names()
     dur = s.duration
     dur = dur if is_finite(dur) else Q(1)
     times = []
@@ -525,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
         p.add_argument("--out")
         p.add_argument("--csv")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--sync", action="store_true")
         return p
 
@@ -561,7 +566,7 @@ def main(argv=None) -> int:
     handler = args.handlers[args.command]
     try:
         return handler(args)
-    except (ParseError, UnknownFixture) as exc:
+    except (ParseError, UnknownFixture, ParamConstraintViolated) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return BADINPUT
     except HybridSemError as exc:

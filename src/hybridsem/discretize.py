@@ -14,16 +14,15 @@ by theorem6_check, never silently patched).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import DomainGapAtGridPoint, Misaligned
-from .flow_config import PiecewiseConfiguration, State
-from .relation import TimedStateRelation, state_related
+from .flow_config import State, overlapping, pieces
+from .relation import TimedStateRelation, exists_window_related, state_related
 from .simulation import ConfigGraph, config_graph
-from .time_core import INF, Q, is_finite
-from .trajectory import Trajectory, trajectory_eval
+from .time_core import INF, Q, TimeInterval, is_finite
+from .trajectory import Trajectory, grid_step, trajectory_eval
 
 __all__ = [
     "TimefulState",
@@ -94,7 +93,7 @@ def _graph(h_or_graph, horizon=None) -> ConfigGraph:
 def grid_alignment_check(h_or_graph, delta, horizon=None):
     """Every configuration must start and end on the grid; returns
     (ok, witness configuration or None)."""
-    delta = Q(delta)
+    delta = grid_step(delta)
     G = _graph(h_or_graph, horizon)
     for c in G.configs():
         if (c.b / delta).denominator != 1:
@@ -108,7 +107,7 @@ def timeful_sample(s: Trajectory, delta, horizon=None) -> tuple:
     """Rank-annotated samples at n*delta strictly below the duration
     (matching the published trace sets; the final closed-end state is
     produced only by the closing transition rule, not by sampling)."""
-    delta = Q(delta)
+    delta = grid_step(delta)
     dur = s.duration
     if not is_finite(dur) or (horizon is not None and Q(horizon) < dur):
         dur = Q(horizon) if horizon is not None else None
@@ -129,11 +128,11 @@ def timeless_sample(s: Trajectory, delta, horizon=None) -> tuple:
 def _state_closed(c, t) -> State:
     """State at t with the configuration's interval taken closed (the
     value a right-open configuration approaches at its end)."""
-    pieces = c.pieces if isinstance(c, PiecewiseConfiguration) else (c,)
-    for p in pieces:
+    ps = pieces(c)
+    for p in ps:
         if p.interval.contains(t):
             return p.flow.state_at(t)
-    return pieces[-1].flow.state_at(t)
+    return ps[-1].flow.state_at(t)
 
 
 def relation_discretize(
@@ -166,7 +165,7 @@ def hts_discretize(h_or_graph, delta, horizon=None) -> DiscreteTransitionSystem:
     configuration, (b) the last step jumps to the successor's first
     state, (c) a successor-free configuration closes onto its own final
     state (marked as a closing edge), (d) initial states at rank 0."""
-    delta = Q(delta)
+    delta = grid_step(delta)
     G = _graph(h_or_graph, horizon)
     ok, witness = grid_alignment_check(G, delta)
     if not ok:
@@ -339,44 +338,12 @@ def _grid_points(c, delta, hcap):
         n += 1
 
 
-def _exists_related(r: TimedStateRelation, c, cb, delta, hcap) -> bool:
-    """Exists t in dom(c) cap dom(cb) cap dom(r) with related states.
-
-    Decided at interval breakpoints, constraint roots, and cell
-    midpoints (affine signs are constant in between)."""
-    from .relation import _clause_holds_at, _constraint_roots, _endpoint_env, _pieces
-    from .time_core import interval_intersect
-
-    endpoints = _endpoint_env(c, cb)
-    for cp in _pieces(c):
-        for dp in _pieces(cb):
-            w = interval_intersect(cp.interval, dp.interval)
-            if w is None:
-                continue
-            lo = w.lo
-            hi = w.hi if is_finite(w.hi) else (hcap if hcap is not None else lo + 1)
-            cuts = {lo, hi}
-            for clause in r.clauses:
-                cuts.update(_constraint_roots(clause, cp, dp, endpoints, lo, hi))
-                if clause.window is not None:
-                    for bnd in (clause.window.lo, clause.window.hi):
-                        if is_finite(bnd) and lo < bnd < hi:
-                            cuts.add(bnd)
-            for bnd in r.domain_boundaries():
-                if lo < bnd < hi:
-                    cuts.add(bnd)
-            pts = sorted(cuts)
-            samples = set(p for p in pts if w.contains(p))
-            for a, b in itertools.pairwise(pts):
-                mid = (a + b) / 2
-                if w.contains(mid):
-                    samples.add(mid)
-            for t in samples:
-                if r.in_domain(t) and any(
-                    _clause_holds_at(cl, t, cp, dp, endpoints) for cl in r.clauses
-                ):
-                    return True
-    return False
+def _exists_related(r: TimedStateRelation, c, cb, overlap, hcap) -> bool:
+    """Exists t in the overlap of c and cb, and in dom(r), with related
+    states; an unbounded overlap is cut to the closed window [lo, horizon]."""
+    if hcap is not None and not is_finite(overlap.hi):
+        overlap = TimeInterval(overlap.lo, hcap, True)
+    return exists_window_related(r, c, cb, overlap)
 
 
 def discretization_hypotheses(
@@ -384,7 +351,7 @@ def discretization_hypotheses(
 ) -> dict:
     """Check the four soundness hypotheses over the reachable finite
     universes; violations carry the sub-case label and a witness."""
-    delta = Q(delta)
+    delta = grid_step(delta)
     hcap = Q(horizon) if horizon is not None else None
     G, Gb = _graph(h, horizon), _graph(hb, horizon)
     report = {"(68)": [], "(69)": [], "(70)": [], "(71)": []}
@@ -411,49 +378,48 @@ def discretization_hypotheses(
             for sb in all_abstract:
                 if state_related(r, n * delta, s, sb) and sb not in abstract_states.get(n, ()):
                     report["(69)"].append((n, c, sb))
+    pairs = overlapping(G.configs(), Gb.configs())
     # (70): blocking abstract configurations end with the concrete one
-    for c in G.configs():
-        for cb in Gb.configs():
-            if Gb.succ(cb) or cb in Gb.truncated:
-                continue
-            if _exists_related(r, c, cb, delta, hcap) and cb.e != c.e:
-                report["(70)"].append((c, cb))
+    for c, cb, w in pairs:
+        if Gb.succ(cb) or cb in Gb.truncated:
+            continue
+        if _exists_related(r, c, cb, w, hcap) and cb.e != c.e:
+            report["(70)"].append((c, cb))
     # (71): compatibility of r with the boundary transition rules
-    for c in G.configs():
-        for cb in Gb.configs():
-            if not _exists_related(r, c, cb, delta, hcap):
+    for c, cb, w in pairs:
+        if not _exists_related(r, c, cb, w, hcap):
+            continue
+        ends = {c.e, cb.e}
+        for n in _grid_points(c, delta, hcap):
+            t = n * delta
+            if not (cb.b <= t <= cb.e):
                 continue
-            ends = {c.e, cb.e}
-            for n in _grid_points(c, delta, hcap):
-                t = n * delta
-                if not (cb.b <= t <= cb.e):
-                    continue
-                s, sb = _state_closed(c, t), _state_closed(cb, t)
-                if t not in ends:
-                    if not rel_at(n, s, sb):
-                        report["(71)"].append(("a", n, c, cb))
-                # (b)/(c) fire only when the end lands strictly inside
-                # the other configuration's domain (open ends excluded)
-                if t == c.e and cb.interval.contains(t) and c not in G.truncated:
-                    succs = G.succ(c)
-                    for c2 in succs:
-                        if not rel_at(n, _state_closed(c2, t), sb):
-                            report["(71)"].append(("b.1", n, c, cb, c2))
-                    if succs and all(_state_closed(c2, t) != s for c2 in succs):
-                        if rel_at(n, s, sb):
-                            report["(71)"].append(("b.2", n, c, cb))
-                    if not succs and not rel_at(n, s, sb):
-                        report["(71)"].append(("b.3", n, c, cb))
-                if t == cb.e and c.interval.contains(t) and cb not in Gb.truncated:
-                    succs = Gb.succ(cb)
-                    for cb2 in succs:
-                        if not rel_at(n, s, _state_closed(cb2, t)):
-                            report["(71)"].append(("c.1", n, c, cb, cb2))
-                    if succs and all(_state_closed(cb2, t) != sb for cb2 in succs):
-                        if rel_at(n, s, sb):
-                            report["(71)"].append(("c.2", n, c, cb))
-                    if not succs and not rel_at(n, s, sb):
-                        report["(71)"].append(("c.3", n, c, cb))
+            s, sb = _state_closed(c, t), _state_closed(cb, t)
+            if t not in ends:
+                if not rel_at(n, s, sb):
+                    report["(71)"].append(("a", n, c, cb))
+            # (b)/(c) fire only when the end lands strictly inside
+            # the other configuration's domain (open ends excluded)
+            if t == c.e and cb.interval.contains(t) and c not in G.truncated:
+                succs = G.succ(c)
+                for c2 in succs:
+                    if not rel_at(n, _state_closed(c2, t), sb):
+                        report["(71)"].append(("b.1", n, c, cb, c2))
+                if succs and all(_state_closed(c2, t) != s for c2 in succs):
+                    if rel_at(n, s, sb):
+                        report["(71)"].append(("b.2", n, c, cb))
+                if not succs and not rel_at(n, s, sb):
+                    report["(71)"].append(("b.3", n, c, cb))
+            if t == cb.e and c.interval.contains(t) and cb not in Gb.truncated:
+                succs = Gb.succ(cb)
+                for cb2 in succs:
+                    if not rel_at(n, s, _state_closed(cb2, t)):
+                        report["(71)"].append(("c.1", n, c, cb, cb2))
+                if succs and all(_state_closed(cb2, t) != sb for cb2 in succs):
+                    if rel_at(n, s, sb):
+                        report["(71)"].append(("c.2", n, c, cb))
+                if not succs and not rel_at(n, s, sb):
+                    report["(71)"].append(("c.3", n, c, cb))
     report["ok"] = not any(report[k] for k in ("(68)", "(69)", "(70)", "(71)"))
     return report
 

@@ -43,6 +43,8 @@ __all__ = [
     "config_concat",
     "config_slice",
     "make_config",
+    "pieces",
+    "overlapping",
 ]
 
 
@@ -206,10 +208,42 @@ def make_config(mode, lo, hi, initial, rate, closed_hi=False) -> Configuration:
     return Configuration(flow, TimeInterval(lo, hi, closed_hi))
 
 
-def _pieces(c) -> tuple:
+def pieces(c) -> tuple:
+    """The affine pieces of c: its own pieces if piecewise, else (c,)."""
     if isinstance(c, PiecewiseConfiguration):
         return c.pieces
     return (c,)
+
+
+def overlapping(xs, ys) -> list:
+    """(x, y, window) for every x in xs and y in ys whose intervals meet,
+    window being their intersection, in the order of the nested loop
+    over xs and then ys.
+
+    One sweep over start times: a pair is compared only when the later
+    start is not past the earlier end, so pairs that cannot meet are
+    never compared.
+    """
+    sides = (list(xs), list(ys))
+    starts = sorted(
+        (item.interval.lo, side, k)
+        for side, items in enumerate(sides)
+        for k, item in enumerate(items)
+    )
+    active = ([], [])  # indices per side whose interval may still meet a later start
+    found = []
+    for t, side, k in starts:
+        other = sides[1 - side]
+        waiting = active[1 - side]
+        waiting[:] = [m for m in waiting if not other[m].interval.hi < t]
+        for m in waiting:
+            i, j = (k, m) if side == 0 else (m, k)
+            w = interval_intersect(sides[0][i].interval, sides[1][j].interval)
+            if w is not None:
+                found.append((i, j, w))
+        active[side].append(k)
+    found.sort(key=lambda f: f[:2])
+    return [(sides[0][i], sides[1][j], w) for i, j, w in found]
 
 
 def config_eval(c, t):
@@ -232,7 +266,7 @@ def config_concat(c, d):
         return c
     if cfg_e(c) != cfg_b(d):
         raise NonConsecutive(f"e({c!r}) = {time_str(cfg_e(c))} != b({d!r})")
-    left = list(_pieces(c))
+    left = list(pieces(c))
     # drop the closing bracket of c's last piece: d's state wins at the join
     last = left[-1]
     if last.interval.closed_hi:
@@ -242,7 +276,7 @@ def config_concat(c, d):
             left[-1] = Configuration(
                 last.flow, TimeInterval(last.b, last.e, False)
             )
-    return PiecewiseConfiguration(tuple(left) + _pieces(d))
+    return PiecewiseConfiguration(tuple(left) + pieces(d))
 
 
 def config_slice(c, t1, t2, closed=False, zeta=None):
@@ -260,8 +294,8 @@ def config_slice(c, t1, t2, closed=False, zeta=None):
         raise EmptyIntersection(f"{c!r} sliced at {window!r}")
     if zeta is not None and is_finite(inter.hi) and inter.d < zeta:
         raise DurationBelowZeta(f"slice {inter!r} shorter than {zeta}")
-    pieces = []
-    for piece in _pieces(c):
+    kept = []
+    for piece in pieces(c):
         sub = interval_intersect(piece.interval, inter)
         if sub is None or (is_finite(sub.hi) and sub.d == 0 and not sub.closed_hi):
             continue
@@ -269,9 +303,9 @@ def config_slice(c, t1, t2, closed=False, zeta=None):
             # degenerate point piece: keep only if it is the closing endpoint
             if not (sub.closed_hi and sub.hi == inter.hi):
                 continue
-        pieces.append(Configuration(piece.flow.reanchored(sub.lo), sub))
-    if not pieces:
+        kept.append(Configuration(piece.flow.reanchored(sub.lo), sub))
+    if not kept:
         raise EmptyIntersection(f"{c!r} sliced at {window!r}")
-    if len(pieces) == 1:
-        return pieces[0]
-    return PiecewiseConfiguration(tuple(pieces))
+    if len(kept) == 1:
+        return kept[0]
+    return PiecewiseConfiguration(tuple(kept))

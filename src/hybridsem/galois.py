@@ -24,7 +24,6 @@ __all__ = [
     "powerset_lattice",
     "Connection",
     "transformers",
-    "hom_set_abstraction",
     "connection_to_relation",
     "galois_laws_check",
     "galois_relation_check",
@@ -123,15 +122,6 @@ def transformers(r: frozenset, P: frozenset, which: str, left=None, right=None):
         inner = transformers(r, frozenset(right) - P, "pre")
         return frozenset(left) - inner
     raise ValueError(which)
-
-
-def hom_set_abstraction(h: Callable, xs: frozenset, direction: str) -> frozenset:
-    """Homomorphic set abstraction: images forward, preimages backward."""
-    if direction == "alpha":
-        return frozenset(h(x) for x in xs)
-    if direction == "gamma":
-        raise ValueError("gamma direction needs a carrier; use hom_connection")
-    raise ValueError(direction)
 
 
 def hom_connection(h: Callable, base: Iterable) -> Connection:

@@ -28,6 +28,7 @@ from .errors import (
     InitialNotAtZero,
     NonConsecutiveEdge,
     NotASubset,
+    ParamConstraintViolated,
 )
 from .flow_config import AffineFlow, Configuration, make_config
 from .time_core import INF, Q, TimeInterval, is_finite
@@ -258,6 +259,8 @@ def semantics_generate(
     Finite maximal trajectories end in a final configuration.
     """
     horizon = Q(horizon) if is_finite(horizon) else INF
+    if horizon < 0:
+        raise ParamConstraintViolated(f"horizon {horizon} is negative")
     done: set = set()
 
     if h.explicit is not None:

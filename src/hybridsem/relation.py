@@ -19,7 +19,8 @@ flows substituted, every constraint is affine in t, so the time axis is
 refined at all constraint roots and window/piece boundaries; between
 consecutive breakpoints every constraint has a constant truth value, so
 checking each breakpoint and one interior rational point per cell is a
-complete decision procedure.
+complete decision procedure.  The same points decide the existential
+form ("related at some t in the window").
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, Optional
 
 from .affine import ENDPOINT_SYMBOLS, AffineConstraint, LinExpr, parse_constraint
 from .errors import EndpointSymbolsUnbound, NonOverlappingPair
-from .flow_config import Configuration, PiecewiseConfiguration, State
+from .flow_config import Configuration, State, overlapping, pieces
 from .time_core import INF, Q, TimeInterval, interval_intersect, is_finite
 
 __all__ = [
@@ -39,6 +40,8 @@ __all__ = [
     "ConfigRelation",
     "state_related",
     "config_related",
+    "forall_window_related",
+    "exists_window_related",
     "relation_project",
     "traj_related_timewise",
     "traj_related_rankwise",
@@ -187,12 +190,6 @@ def _endpoint_env(c, d) -> dict:
     return env
 
 
-def _pieces(c):
-    if isinstance(c, PiecewiseConfiguration):
-        return c.pieces
-    return (c,)
-
-
 def _clause_holds_at(clause: Clause, t, cp: Configuration, dp: Configuration, endpoints) -> bool:
     if clause.window is not None and not clause.window.contains(t):
         return False
@@ -244,10 +241,12 @@ def _constraint_roots(clause: Clause, cp, dp, endpoints, lo, hi) -> list:
     return roots
 
 
-def _forall_window_related(
-    r: TimedStateRelation, cp, dp, window: TimeInterval, endpoints
-) -> bool:
-    """Exact decision of: for all t in window, states of cp/dp related by r.
+def _window_points(r: TimedStateRelation, cp, dp, window: TimeInterval, endpoints) -> list:
+    """The decision points of a window, in increasing order: the window
+    ends, clause-window bounds, constraint roots and domain boundaries,
+    one midpoint per cell between them, and a far point past every cut
+    when the window is unbounded (beyond the last breakpoint all truth
+    values are constant).  Only points inside the window are returned.
 
     cp and dp must be plain affine configurations whose intervals cover
     the window.
@@ -266,45 +265,63 @@ def _forall_window_related(
         if lo < bnd < hi:
             cuts.add(bnd)
     if not is_finite(hi):
-        # unbounded window: add one far point past every cut; beyond the
-        # last breakpoint all truth values are constant
-        far = max(cuts) + 1
-        cuts.add(far)
-    points = sorted(cuts)
+        cuts.add(max(cuts) + 1)
+    cuts = sorted(cuts)
+    points = [cuts[0]]
+    for a, b in zip(cuts, cuts[1:]):
+        points += [(a + b) / 2, b]
+    return [t for t in points if window.contains(t)]
 
-    def ok_at(t) -> bool:
-        if not r.in_domain(t):
-            return True  # outside dom(r) nothing is required
-        return any(_clause_holds_at(cl, t, cp, dp, endpoints) for cl in r.clauses)
 
-    for idx, t in enumerate(points):
-        include = window.contains(t)
-        if include and not ok_at(t):
-            return False
-        if idx + 1 < len(points):
-            mid = (t + points[idx + 1]) / 2
-            if window.contains(mid) and not ok_at(mid):
-                return False
-    if not is_finite(hi) and not ok_at(points[-1]):
-        return False
-    return True
+def _related_at(r: TimedStateRelation, t, cp, dp, endpoints) -> bool:
+    return any(_clause_holds_at(cl, t, cp, dp, endpoints) for cl in r.clauses)
+
+
+def _forall_window_related(
+    r: TimedStateRelation, cp, dp, window: TimeInterval, endpoints
+) -> bool:
+    """Exact decision of: for all t in window, states of cp/dp related by
+    r (outside dom(r) nothing is required)."""
+    return all(
+        not r.in_domain(t) or _related_at(r, t, cp, dp, endpoints)
+        for t in _window_points(r, cp, dp, window, endpoints)
+    )
+
+
+def _piece_windows(c, d, window: TimeInterval):
+    """Piece pairs of c and d with their shared window cut to `window`."""
+    for cp, dp, w in overlapping(pieces(c), pieces(d)):
+        w = interval_intersect(w, window)
+        if w is not None:
+            yield cp, dp, w
+
+
+def forall_window_related(r: TimedStateRelation, c, d, window: TimeInterval) -> bool:
+    """For all t in window where both c and d are defined, their states
+    are related by r (inside dom(r)).  c and d may be piecewise."""
+    endpoints = _endpoint_env(c, d)
+    return all(
+        _forall_window_related(r, cp, dp, w, endpoints)
+        for cp, dp, w in _piece_windows(c, d, window)
+    )
+
+
+def exists_window_related(r: TimedStateRelation, c, d, window: TimeInterval) -> bool:
+    """Some t in window, in dom(r), where c and d are both defined and
+    their states are related by r.  c and d may be piecewise."""
+    endpoints = _endpoint_env(c, d)
+    return any(
+        r.in_domain(t) and _related_at(r, t, cp, dp, endpoints)
+        for cp, dp, w in _piece_windows(c, d, window)
+        for t in _window_points(r, cp, dp, w, endpoints)
+    )
 
 
 def config_related(r: TimedStateRelation, c, d) -> bool:
     """Lift of r to configurations: overlapping intervals with related
     states throughout the overlap (intersected with dom(r))."""
     overlap = interval_intersect(c.interval, d.interval)
-    if overlap is None:
-        return False
-    endpoints = _endpoint_env(c, d)
-    for cp in _pieces(c):
-        for dp in _pieces(d):
-            w = interval_intersect(cp.interval, dp.interval)
-            if w is None:
-                continue
-            if not _forall_window_related(r, cp, dp, w, endpoints):
-                return False
-    return True
+    return overlap is not None and forall_window_related(r, c, d, overlap)
 
 
 def relation_project(R: ConfigRelation) -> Callable:
@@ -333,24 +350,10 @@ def traj_related_timewise(r: TimedStateRelation, s, sb) -> bool:
     if is_finite(m) and m == 0:
         return True
     bound = TimeInterval(Q(0), m, False) if is_finite(m) else TimeInterval(Q(0), INF, False)
-    for c in s.configs:
-        if c.b >= m:
-            break
-        for d in sb.configs:
-            if d.b >= m:
-                break
-            endpoints = _endpoint_env(c, d)
-            for cp in _pieces(c):
-                for dp in _pieces(d):
-                    w = interval_intersect(cp.interval, dp.interval)
-                    if w is None:
-                        continue
-                    window = interval_intersect(w, bound)
-                    if window is None:
-                        continue
-                    if not _forall_window_related(r, cp, dp, window, endpoints):
-                        return False
-    return True
+    return all(
+        forall_window_related(r, c, d, bound)
+        for c, d, _ in overlapping(s.configs, sb.configs)
+    )
 
 
 def traj_related_rankwise(r: TimedStateRelation, s, sb) -> bool:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .errors import (
+    HybridSemError,
     LocalSimulationGap,
     MissingIntermediateWitness,
     NoInitialWitness,
@@ -28,13 +29,20 @@ from .errors import (
 from .flow_config import (
     Configuration,
     EPSILON,
-    PiecewiseConfiguration,
     config_concat,
     config_slice,
     is_empty,
+    overlapping,
+    pieces,
 )
-from .relation import TimedStateRelation, config_related, traj_related_rankwise, traj_related_timewise
-from .time_core import INF, Q, TimeInterval, is_finite, tmin
+from .relation import (
+    TimedStateRelation,
+    config_related,
+    forall_window_related,
+    traj_related_rankwise,
+    traj_related_timewise,
+)
+from .time_core import INF, Q, TimeInterval, interval_intersect, is_finite, tmin
 from .trajectory import Trajectory, trajectory_validate
 
 __all__ = [
@@ -131,7 +139,7 @@ def splice(c, c_next, m1, m2):
     closed = cat.interval.closed_hi and cat.interval.hi == m2
     try:
         return config_slice(cat, m1, m2, closed=closed)
-    except Exception:
+    except HybridSemError:
         return None
 
 
@@ -155,12 +163,9 @@ def canonical_key(c):
 
 def normalize_config(c) -> tuple:
     """Pieces of c with affinely-continuing neighbors merged."""
-    if isinstance(c, PiecewiseConfiguration):
-        pieces = list(c.pieces)
-    else:
-        pieces = [c]
-    merged = [pieces[0]]
-    for p in pieces[1:]:
+    ps = pieces(c)
+    merged = [ps[0]]
+    for p in ps[1:]:
         prev = merged[-1]
         same_flow = (
             prev.flow.mode == p.flow.mode
@@ -208,11 +213,10 @@ def sim_transfer(related: Callable, succ_abstract, c, cbar, c_prime) -> list:
     return candidates
 
 
-def _related_pairs(related: Callable, G: ConfigGraph, Gb: ConfigGraph):
-    for c in G.configs():
-        for cb in Gb.configs():
-            if related(c, cb):
-                yield c, cb
+def _related_pairs(related: Callable, G: ConfigGraph, Gb: ConfigGraph) -> list:
+    """Related pairs; `related` must be false off-overlap, so only
+    overlapping pairs are tried."""
+    return [(c, cb) for c, cb, _ in overlapping(G.configs(), Gb.configs()) if related(c, cb)]
 
 
 def _universe_guard(G: ConfigGraph, Gb: ConfigGraph):
@@ -224,14 +228,9 @@ def _universe_guard(G: ConfigGraph, Gb: ConfigGraph):
 def configs_well_nested(G: ConfigGraph, Gb: ConfigGraph):
     """(59) at the configuration level: overlap implies containment of
     the concrete interval in the abstract one.  Returns (ok, witness)."""
-    from .time_core import interval_intersect
-
-    for c in G.configs():
-        for cb in Gb.configs():
-            if interval_intersect(c.interval, cb.interval) is None:
-                continue
-            if not c.interval.subset_of(cb.interval):
-                return False, (c, cb)
+    for c, cb, _ in overlapping(G.configs(), Gb.configs()):
+        if not c.interval.subset_of(cb.interval):
+            return False, (c, cb)
     return True, None
 
 
@@ -240,7 +239,6 @@ def sim_check(
     G: ConfigGraph,
     Gb: ConfigGraph,
     mode: str = "async",
-    related: Optional[Callable] = None,
 ) -> SimReport:
     """Simulation check of gamma(r) over the finite universes.
 
@@ -249,15 +247,15 @@ def sim_check(
     refuses if the universes are not well-nested.
     """
     _universe_guard(G, Gb)
-    if related is None:
-        related = lambda c, d: config_related(r, c, d)
+    related = lambda c, d: config_related(r, c, d)
     report = SimReport(True)
     if mode == "sync":
         nested, witness = configs_well_nested(G, Gb)
         if not nested:
             raise SyncRequiresWellNesting(f"overlap without nesting at {witness!r}")
     violations = []
-    for c, cb in _related_pairs(related, G, Gb):
+    pairs = _related_pairs(related, G, Gb)
+    for c, cb in pairs:
         for c_prime in G.succ(c):
             if mode == "sync":
                 ok = _sync_step_ok(related, Gb, c_prime, cb)
@@ -272,7 +270,7 @@ def sim_check(
             init_ok, init_w = False, c0
             break
     blocking_ok, blocking_w = True, None
-    for c, cb in _related_pairs(related, G, Gb):
+    for c, cb in pairs:
         if c in G.truncated:
             continue  # horizon artifact: blocking status unknown
         if G.blocking(c) and (Gb.succ(cb) or cb in Gb.truncated):
@@ -332,7 +330,7 @@ def slice_closure(configs: Iterable, extra_points: Iterable = ()) -> set:
                             continue
                         try:
                             out.add(config_slice(c, t1, t2, closed=closed))
-                        except Exception:
+                        except HybridSemError:
                             pass
     return out
 
@@ -347,8 +345,6 @@ def greatest_simulation(
     """Greatest fixpoint of R -> R cap F_s(R) over slice-closed
     universes, starting from all overlapping pairs (optionally
     intersected with a configuration relation)."""
-    from .time_core import interval_intersect
-
     universe_c = list(universe_c)
     universe_a = list(universe_a)
     cuts = set()
@@ -362,10 +358,8 @@ def greatest_simulation(
     keys_a = {canonical_key(a) for a in universe_a}
     R = {
         (c, a)
-        for c in universe_c
-        for a in universe_a
-        if interval_intersect(c.interval, a.interval) is not None
-        and (related is None or related(c, a))
+        for c, a, _ in overlapping(universe_c, universe_a)
+        if related is None or related(c, a)
     }
 
     def in_R(sc, sa, current) -> bool:
@@ -406,7 +400,6 @@ def theorem4_match(
     r: TimedStateRelation,
     sigma: Trajectory,
     Gb: ConfigGraph,
-    related: Optional[Callable] = None,
     max_steps: int = 10000,
 ):
     """Constructive matcher: build an abstract trajectory related to
@@ -415,8 +408,7 @@ def theorem4_match(
     the windows align, keep the abstract when it already covers the
     concrete successor).  Returns (abstract Trajectory, certification).
     """
-    if related is None:
-        related = lambda c, d: config_related(r, c, d)
+    related = lambda c, d: config_related(r, c, d)
     first = sigma.configs[0]
     # initialization witness, tie-break: least end time then canonical order
     witnesses = [cb for cb in Gb.initial if related(first, cb)]
@@ -479,26 +471,16 @@ def theorem4_match(
 
 
 def related_overlap(related: Callable, sigma: Trajectory, cb) -> bool:
-    from .time_core import interval_intersect
-
-    return any(
-        interval_intersect(c.interval, cb.interval) is not None and related(c, cb)
-        for c in sigma.configs
-    )
+    return any(related(c, cb) for c, _, _ in overlapping(sigma.configs, (cb,)))
 
 
 def well_nested_check(T: Iterable, Tb: Iterable):
     """(59) over trajectory sets; returns (ok, witness)."""
-    from .time_core import interval_intersect
-
     for s in T:
         for sb in Tb:
-            for j, c in enumerate(s.configs):
-                for k, cb in enumerate(sb.configs):
-                    if interval_intersect(c.interval, cb.interval) is None:
-                        continue
-                    if not c.interval.subset_of(cb.interval):
-                        return False, (s, sb, j, k)
+            for c, cb, _ in overlapping(s.configs, sb.configs):
+                if not c.interval.subset_of(cb.interval):
+                    return False, (s, sb, s.configs.index(c), sb.configs.index(cb))
     return True, None
 
 
@@ -518,9 +500,6 @@ def compose_check(
     intermediate relation forced values at the top level (reported for
     inspection, not as errors).
     """
-    from .relation import _endpoint_env, _forall_window_related, _pieces
-    from .time_core import interval_intersect
-
     failures = []
     observations = []
     for s in T:
@@ -532,42 +511,28 @@ def compose_check(
         top = witness2[mid]
         m = tmin(s.duration, top.duration)
         bound = TimeInterval(Q(0), m, False) if is_finite(m) else TimeInterval(Q(0), INF, False)
-        for c in s.configs:
-            if c.b >= m:
-                break
-            for cmid in mid.configs:
-                w1 = interval_intersect(c.interval, cmid.interval)
-                if w1 is None:
+        for c, cmid, w1 in overlapping(s.configs, mid.configs):
+            w1 = interval_intersect(w1, bound)
+            if w1 is None:
+                continue
+            for ctop in top.configs:
+                w = interval_intersect(w1, ctop.interval)
+                if w is None:
                     continue
-                for ctop in top.configs:
-                    w2 = interval_intersect(w1, ctop.interval)
-                    if w2 is None:
+                for cp, mp, lower in overlapping(pieces(c), pieces(cmid)):
+                    lower = interval_intersect(lower, w)
+                    if lower is None:
                         continue
-                    w = interval_intersect(w2, bound)
-                    if w is None:
-                        continue
-                    for cp in _pieces(c):
-                        for mp in _pieces(cmid):
-                            lower = interval_intersect(cp.interval, mp.interval)
-                            if lower is None:
-                                continue
-                            for tp in _pieces(ctop):
-                                upper = interval_intersect(tp.interval, w)
-                                if upper is None:
-                                    continue
-                                ww = interval_intersect(lower, upper)
-                                if ww is None:
-                                    continue
-                                ok1 = _forall_window_related(
-                                    r1, cp, mp, ww, _endpoint_env(c, cmid)
-                                )
-                                ok2 = _forall_window_related(
-                                    r2, mp, tp, ww, _endpoint_env(cmid, ctop)
-                                )
-                                if not (ok1 and ok2):
-                                    failures.append((s, c, cmid, ctop, ww, ok1, ok2))
-                                elif cp.flow.mode == "off":
-                                    observations.append((s, ww, cp, tp))
+                    for _, tp, upper in overlapping((mp,), pieces(ctop)):
+                        ww = interval_intersect(lower, upper)
+                        if ww is None:
+                            continue
+                        ok1 = forall_window_related(r1, c, cmid, ww)
+                        ok2 = forall_window_related(r2, cmid, ctop, ww)
+                        if not (ok1 and ok2):
+                            failures.append((s, c, cmid, ctop, ww, ok1, ok2))
+                        elif cp.flow.mode == "off":
+                            observations.append((s, ww, cp, tp))
     return (not failures), failures, observations
 
 
@@ -623,12 +588,10 @@ def preservation_check(
     r: TimedStateRelation,
     G: ConfigGraph,
     Gb: ConfigGraph,
-    related: Optional[Callable] = None,
 ) -> SimReport:
     """(74) for-all-successors preservation, plus progress (76)."""
     _universe_guard(G, Gb)
-    if related is None:
-        related = lambda c, d: config_related(r, c, d)
+    related = lambda c, d: config_related(r, c, d)
     report = SimReport(True)
     violations = []
     progress_ok, progress_w = True, None

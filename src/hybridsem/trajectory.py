@@ -20,9 +20,10 @@ from .errors import (
     GapBetweenConfigurations,
     LastNotClosed,
     NotStartingAtZero,
+    ParamConstraintViolated,
     TruncatedInput,
 )
-from .flow_config import EPSILON, UNDEFINED, Configuration, State, config_slice, is_empty
+from .flow_config import EPSILON, UNDEFINED, Configuration, State, config_slice, is_empty, pieces
 from .time_core import INF, Q, TimeInterval, is_finite, time_str
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "trajectory_eval",
     "trajectory_timeline",
     "trajectory_sample",
+    "grid_step",
     "trajectory_slice",
     "prefix_of",
     "maximal_filter",
@@ -107,6 +109,14 @@ def trajectory_timeline(s: Trajectory) -> tuple:
     return (s.configs[0].b,) + tuple(c.e for c in s.configs)
 
 
+def grid_step(delta) -> Fraction:
+    """delta as an exact rational; a grid step must be positive."""
+    delta = Q(delta)
+    if delta <= 0:
+        raise ParamConstraintViolated(f"grid step {delta} must be positive")
+    return delta
+
+
 def trajectory_sample(s: Trajectory, delta, horizon=None) -> DiscreteTrace:
     """h_delta: states at times n*delta up to the duration.
 
@@ -114,7 +124,7 @@ def trajectory_sample(s: Trajectory, delta, horizon=None) -> DiscreteTrace:
     lands on the grid; truncated (or unbounded) ones stop strictly
     before the horizon.
     """
-    delta = Q(delta)
+    delta = grid_step(delta)
     dur = s.duration
     if not is_finite(dur):
         if horizon is None:
@@ -206,17 +216,15 @@ def reach(trajs: Iterable[Trajectory], grid, horizon=None):
         trace = trajectory_sample(s, grid, horizon=horizon)
         states.update(trace.states)
         for c in s.configs:
-            pieces = c.pieces if hasattr(c, "pieces") else (c,)
-            for p in pieces:
+            for p in pieces(c):
                 ranges.append((p.flow.mode, config_var_ranges(p)))
     return states, ranges
 
 
 def trajectory_csv(s: Trajectory, grid) -> str:
     """CSV dump on the grid plus all mode-change times."""
-    grid = Q(grid)
-    first = s.configs[0]
-    names = (first.pieces[0] if hasattr(first, "pieces") else first).flow.var_names()
+    grid = grid_step(grid)
+    names = pieces(s.configs[0])[0].flow.var_names()
     times = set(t for t in trajectory_timeline(s) if is_finite(t))
     dur = s.duration
     if is_finite(dur):

@@ -90,3 +90,59 @@ def test_console_script_entry():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+SYSTEM = {
+    "variables": ["u"],
+    "zeta": "1/1000",
+    "modes": [{"name": "up", "rates": {"u": "1"},
+               "exit": {"type": "duration", "value": "1"}, "terminal": True}],
+    "edges": [],
+    "initial": [{"mode": "up", "values": {"u": "0"}}],
+}
+RELATION = {"clauses": [{"constraints": ["c_u = a_u"]}]}
+
+
+def _bad_input_cases(tmp_path):
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps(SYSTEM))
+    relation = tmp_path / "rel.json"
+    relation.write_text(json.dumps(RELATION))
+    files = ("--system", str(system), "--abstract", str(system), "--relation", str(relation))
+    return [
+        ("sample", "--fixture", "example10", "--delta", "0"),
+        ("sample", "--fixture", "example10", "--delta", "-1"),
+        ("discretize", "--fixture", "example10", "--delta", "0"),
+        ("discretize", "--fixture", "example10", "--delta", "-1"),
+        ("check-theorem", "3", "--fixture", "tank-automaton", "--delta", "0"),
+        ("check-sim", *files, "--horizon", "-1"),
+        ("check-refinement", "--x0", "5"),
+        ("check-refinement", "--epsilon", "0"),
+    ]
+
+
+def _assert_bad_input(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hybridsem.cli", *argv],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2, (argv, proc.stdout, proc.stderr)
+    assert "input error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_out_of_range_parameters_are_bad_input(tmp_path):
+    for argv in _bad_input_cases(tmp_path):
+        _assert_bad_input(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gallery", "example10", "--check-theorem", "7"),
+    ("gallery", "fig6", "--check-theorem", "7"),
+    ("gallery", "fig7", "--check-theorem", "7"),
+    ("gallery", "fig11", "--check-theorem", "7"),
+    ("check-theorem", "1", "--fixture", "tank-automaton"),
+    ("check-theorem", "1", "--fixture", "tank-impl"),
+])
+def test_fixture_lacking_what_a_check_needs_is_bad_input(argv):
+    _assert_bad_input(argv)

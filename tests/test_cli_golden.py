@@ -1,0 +1,75 @@
+"""Golden outputs: the exit code and --json stdout of every subcommand on
+every built-in fixture that supports it, compared byte for byte.
+
+Each file under tests/golden/ holds "exit N" on its first line and the
+command's stdout after it.  Regenerate the files only when an output
+change is intended:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --write
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from hybridsem.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GALLERY_PAIRS = ("fig8-1", "fig8-2", "fig8-3", "fig11")
+SYSTEM_FIXTURES = ("tank-automaton", "tank-impl", "example10")
+TANK = ("--fixture", "tank-automaton", "--x0", "1")
+
+
+def _calls() -> dict:
+    calls = {}
+    for fx in GALLERY_PAIRS:
+        calls[f"check-sim_{fx}"] = ("check-sim", "--fixture", fx)
+        calls[f"check-sim-sync_{fx}"] = ("check-sim", "--fixture", fx, "--sync")
+        calls[f"check-bisim_{fx}"] = ("check-bisim", "--fixture", fx)
+        calls[f"check-preservation_{fx}"] = ("check-preservation", "--fixture", fx)
+        calls[f"greatest-sim_{fx}"] = ("greatest-sim", "--fixture", fx)
+        if fx != "fig11":  # fig11 carries no delta for theorem 7
+            calls[f"gallery-theorem7_{fx}"] = ("gallery", fx, "--check-theorem", "7")
+    for fx in SYSTEM_FIXTURES:
+        calls[f"validate_{fx}"] = ("validate", "--fixture", fx)
+        calls[f"trajectories_{fx}"] = ("trajectories", "--fixture", fx, "--horizon", "9")
+        calls[f"sample_{fx}"] = ("sample", "--fixture", fx, "--delta", "1/2", "--horizon", "9")
+        calls[f"discretize_{fx}"] = (
+            "discretize", "--fixture", fx, "--x0", "1", "--delta", "1/4", "--horizon", "9")
+    for hz in ("6", "10"):
+        calls[f"check-refinement_h{hz}"] = ("check-refinement", "--horizon", hz)
+    calls["check-theorem3_tank"] = ("check-theorem", "3", *TANK, "--horizon", "9")
+    calls["check-theorem5_tank"] = ("check-theorem", "5", "--x0", "1", "--horizon", "10")
+    calls["check-theorem6_tank"] = ("check-theorem", "6", *TANK, "--delta", "1", "--horizon", "9")
+    calls["check-theorem7_tank"] = ("check-theorem", "7", *TANK, "--delta", "1", "--horizon", "9")
+    calls["galois-laws"] = ("galois-laws",)
+    return {name: argv + ("--json",) for name, argv in calls.items()}
+
+
+CALLS = _calls()
+
+
+def render(argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return f"exit {code}\n{out.getvalue()}".encode()
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_golden_output(name):
+    assert render(CALLS[name]) == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def test_every_golden_file_has_a_call():
+    assert {p.stem for p in GOLDEN.glob("*.txt")} == set(CALLS)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CALLS.items():
+        (GOLDEN / f"{name}.txt").write_bytes(render(argv))

@@ -224,3 +224,18 @@ def test_verify_by_simulation_audit():
     assert audit["simulation"] and audit["conclusion"]
     with pytest.raises(PremiseFailed):
         verify_by_simulation(EQ, G, G, [sb], lambda s: False)
+
+
+def test_splice_and_slice_closure_propagate_programming_errors(monkeypatch):
+    import hybridsem.simulation as simulation
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside config_slice")
+
+    monkeypatch.setattr(simulation, "config_slice", broken)
+    c = make_config("m", 0, 1, {"u": 0}, {"u": 1})
+    d = make_config("m", 1, 2, {"u": 1}, {"u": 1}, closed_hi=True)
+    with pytest.raises(TypeError):
+        splice(c, d, Q(1, 2), Q(3, 2))
+    with pytest.raises(TypeError):
+        slice_closure([c, d])
