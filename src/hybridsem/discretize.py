@@ -14,13 +14,14 @@ by theorem6_check, never silently patched).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 from .errors import DomainGapAtGridPoint, Misaligned
 from .flow_config import State, overlapping, pieces
 from .relation import TimedStateRelation, exists_window_related, state_related
-from .simulation import ConfigGraph, config_graph
+from .simulation import ConfigGraph, config_graph, greatest_fixpoint
 from .time_core import INF, Q, TimeInterval, is_finite
 from .trajectory import Trajectory, grid_step, trajectory_eval
 
@@ -66,8 +67,12 @@ class DiscreteTransitionSystem:
         for a, b in self.edges:
             assert b.rank == a.rank + 1, f"edge {a!r}->{b!r} skips a rank"
 
-    def succ(self, u) -> list:
-        return sorted((b for a, b in self.edges if a == u), key=repr)
+    @cached_property
+    def _succ(self) -> dict:
+        return {u: tuple(sorted(vs, key=repr)) for u, vs in _adjacency(self.edges).items()}
+
+    def succ(self, u) -> tuple:  # sorted by repr
+        return self._succ.get(u, ())
 
     def to_dict(self) -> dict:
         def key(u):
@@ -234,21 +239,8 @@ def discrete_traces(
 ) -> frozenset:
     """Maximal rank-annotated traces from the initial states."""
     usable = d.edges if include_closing else d.edges - d.closing
-    out = set()
-    stack = [(u,) for u in d.initial]
-    while stack:
-        path = stack.pop()
-        nexts = [
-            b
-            for a, b in usable
-            if a == path[-1] and (max_rank is None or b.rank <= max_rank)
-        ]
-        if not nexts:
-            out.add(path)
-        else:
-            for b in nexts:
-                stack.append(path + (b,))
-    return frozenset(out)
+    adj = _adjacency((a, b) for a, b in usable if max_rank is None or b.rank <= max_rank)
+    return frozenset(_maximal_paths(d.initial, adj))
 
 
 def theorem6_check(h, delta, horizon):
@@ -288,17 +280,10 @@ def timeless_overapprox_demo(h, delta, horizon, max_len=4):
     sem = semantics_generate(h, horizon)
     sampled = frozenset(timeless_sample(s, delta, horizon) for s in sem.trajectories)
     initial, edges = timeless_discretize(config_graph(sem), delta, horizon)
-    has_cycle = any((s, s) in edges for s in initial) or _digraph_has_cycle(edges)
-    generated = set()
-    stack = [(u,) for u in initial]
-    while stack:
-        path = stack.pop()
-        nexts = [b for a, b in edges if a == path[-1]]
-        if not nexts or len(path) >= max_len:
-            generated.add(path)
-        else:
-            for b in nexts:
-                stack.append(path + (b,))
+    adj = _adjacency(edges)
+    # a cycle exists iff some states each have a successor among them
+    has_cycle = bool(greatest_fixpoint(adj, lambda u: [adj[u]]))
+    generated = _maximal_paths(initial, adj, max_len)
     strict = sampled <= frozenset(
         g[: len(s)] for g in generated for s in sampled if len(g) >= len(s)
     ) and (has_cycle or len(generated) > len(sampled))
@@ -310,22 +295,27 @@ def timeless_overapprox_demo(h, delta, horizon, max_len=4):
     }
 
 
-def _digraph_has_cycle(edges) -> bool:
+def _adjacency(edges) -> dict:
+    """Successor lists of each source of an edge set."""
     adj: dict = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {u: WHITE for u in adj}
-    def visit(u):
-        color[u] = GRAY
-        for v in adj.get(u, ()):
-            if color.get(v, WHITE) == GRAY:
-                return True
-            if color.get(v, WHITE) == WHITE and visit(v):
-                return True
-        color[u] = BLACK
-        return False
-    return any(color[u] == WHITE and visit(u) for u in list(adj))
+    return adj
+
+
+def _maximal_paths(starts, adj: dict, max_len: Optional[int] = None) -> set:
+    """Paths from starts along adj that end where no edge leaves, or
+    once they hold max_len states."""
+    out = set()
+    stack = [(u,) for u in starts]
+    while stack:
+        path = stack.pop()
+        nexts = adj.get(path[-1], ())
+        if not nexts or (max_len is not None and len(path) >= max_len):
+            out.add(path)
+        else:
+            stack.extend(path + (b,) for b in nexts)
+    return out
 
 
 def _grid_points(c, delta, hcap):
@@ -424,12 +414,17 @@ def discretization_hypotheses(
     return report
 
 
+def _step_demands(d1: DiscreteTransitionSystem, d2: DiscreteTransitionSystem, s, sb):
+    """Each step s -> s2 of d1 with its answers (s2, sb2), sb -> sb2 in d2."""
+    return [(s2, {(s2, sb2) for sb2 in d2.succ(sb)}) for s2 in d1.succ(s)]
+
+
 def milner_sim_check(R: frozenset, d1: DiscreteTransitionSystem, d2: DiscreteTransitionSystem):
-    """R^-1 o t1 included in t2 o R^-1, by direct enumeration.
-    Returns (ok, witness or None)."""
+    """R^-1 o t1 included in t2 o R^-1: every step of a pair's concrete
+    state has an answer in R.  Returns (ok, witness or None)."""
     for s, sb in R:
-        for s2 in d1.succ(s):
-            if not any((sb, sb2) in d2.edges and (s2, sb2) in R for sb2 in d2.succ(sb)):
+        for s2, answers in _step_demands(d1, d2, s, sb):
+            if answers.isdisjoint(R):
                 return False, (s, sb, s2)
     return True, None
 
@@ -437,16 +432,9 @@ def milner_sim_check(R: frozenset, d1: DiscreteTransitionSystem, d2: DiscreteTra
 def greatest_discrete_simulation(
     d1: DiscreteTransitionSystem, d2: DiscreteTransitionSystem, start: Optional[frozenset] = None
 ) -> frozenset:
-    """Standard removal iteration from the full (or given) pair set."""
-    R = set(start if start is not None else
-            {(u, v) for u in d1.states for v in d2.states})
-    changed = True
-    while changed:
-        changed = False
-        for s, sb in sorted(R, key=repr):
-            for s2 in d1.succ(s):
-                if not any((sb, sb2) in d2.edges and (s2, sb2) in R for sb2 in d2.succ(sb)):
-                    R.discard((s, sb))
-                    changed = True
-                    break
-    return frozenset(R)
+    """Greatest simulation inside the full (or given) pair set."""
+    if start is None:
+        start = {(u, v) for u in d1.states for v in d2.states}
+    return frozenset(greatest_fixpoint(
+        start, lambda p: [answers for _, answers in _step_demands(d1, d2, *p)]
+    ))

@@ -186,10 +186,13 @@ def state_related(
 
 
 def _endpoint_env(c, d) -> dict:
+    """B/E symbols of the two configurations.  An infinite end stays
+    unbound, so a constraint using it never holds."""
     env = {}
     for name, cfg in (("c", c), ("a", d)):
         env["B_" + name] = cfg.b
-        env["E_" + name] = cfg.e  # may be INF; constraints using it then fail
+        if is_finite(cfg.e):
+            env["E_" + name] = cfg.e
     return env
 
 
@@ -225,7 +228,7 @@ def _constraint_roots(clause: Clause, cp, dp, endpoints, lo, hi) -> list:
     subst.update(_flow_exprs(cp, "c_"))
     subst.update(_flow_exprs(dp, "a_"))
     if endpoints:
-        subst.update({k: v for k, v in endpoints.items() if is_finite(v)})
+        subst.update(endpoints)
     cons = clause.effective_constraints(endpoints)
     if cons is None:
         return []
@@ -475,7 +478,7 @@ def traj_related_rankwise(r: TimedStateRelation, s, sb) -> bool:
     common = _span(Q(0), True, _min_duration(s, sb), False)
     for c in s.configs:
         for d in sb.configs:
-            endpoints = {k: v for k, v in _endpoint_env(c, d).items() if is_finite(v)}
+            endpoints = _endpoint_env(c, d)
             for cp in pieces(c):
                 for dp in pieces(d):
                     need = _span_meet(common, _interval_span(cp.interval))

@@ -13,6 +13,7 @@ ends within the staying side's current configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -54,6 +55,7 @@ __all__ = [
     "normalize_config",
     "sim_transfer",
     "sim_check",
+    "greatest_fixpoint",
     "greatest_simulation",
     "slice_closure",
     "theorem4_match",
@@ -79,11 +81,12 @@ class ConfigGraph:
     def configs(self) -> tuple:
         return tuple(c for c, _ in self.succ_map)
 
+    @cached_property
+    def _succ(self) -> dict:
+        return dict(self.succ_map)
+
     def succ(self, c) -> tuple:
-        for k, v in self.succ_map:
-            if k == c:
-                return v
-        return ()
+        return self._succ.get(c, ())
 
     def blocking(self, c) -> bool:
         return not self.succ(c) and c not in self.truncated
@@ -313,26 +316,52 @@ def slice_closure(configs: Iterable, extra_points: Iterable = ()) -> set:
     extra_points adds cut times from a partner universe so that splices
     against it stay inside the closure."""
     configs = list(configs)
-    points = set(extra_points)
-    for c in configs:
-        points.add(c.b)
-        if is_finite(c.e):
-            points.add(c.e)
+    points = sorted(_cut_points(configs) | set(extra_points))
     out = set(configs)
     for c in configs:
-        for t1 in sorted(points):
-            for t2 in sorted(points):
-                if t2 <= t1:
-                    continue
-                if c.b <= t1 and (t2 < c.e or (t2 == c.e)):
-                    for closed in (False, True):
-                        if closed and not (c.interval.closed_hi and t2 == c.e):
-                            continue
+        for i, t1 in enumerate(points):
+            for t2 in points[i + 1:]:
+                if c.b <= t1 and t2 <= c.e:
+                    closings = (False, True) if c.interval.closed_hi and t2 == c.e else (False,)
+                    for closed in closings:
                         try:
                             out.add(config_slice(c, t1, t2, closed=closed))
                         except HybridSemError:
                             pass
     return out
+
+
+def _cut_points(configs) -> set:
+    """Start times and finite end times of configs."""
+    return {c.b for c in configs} | {c.e for c in configs if is_finite(c.e)}
+
+
+def greatest_fixpoint(start: Iterable, demands: Callable) -> set:
+    """Largest R within start in which every pair meets each of its
+    demands: demands(p) yields sets of pairs, each of which must meet R.
+
+    Worklist refinement after Henzinger, Henzinger & Kopke (FOCS 1995):
+    each demand keeps its members still in R, and a pair leaves R when
+    one of its demands runs empty."""
+    R = set(start)
+    met_by: dict = {}  # pair -> (owner, demand) for each demand it is in
+    dead = []
+    for p in R:
+        for d in demands(p):
+            d = R.intersection(d)
+            if not d:
+                dead.append(p)
+            for q in d:
+                met_by.setdefault(q, []).append((p, d))
+    while dead:
+        p = dead.pop()
+        if p in R:
+            R.remove(p)
+            for q, d in met_by.get(p, ()):
+                d.discard(p)
+                if not d:
+                    dead.append(q)
+    return R
 
 
 def greatest_simulation(
@@ -344,56 +373,38 @@ def greatest_simulation(
 ) -> set:
     """Greatest fixpoint of R -> R cap F_s(R) over slice-closed
     universes, starting from all overlapping pairs (optionally
-    intersected with a configuration relation)."""
-    universe_c = list(universe_c)
-    universe_a = list(universe_a)
-    cuts = set()
-    for c in universe_c + universe_a:
-        cuts.add(c.b)
-        if is_finite(c.e):
-            cuts.add(c.e)
-    universe_c = sorted(slice_closure(universe_c, cuts), key=repr)
-    universe_a = sorted(slice_closure(universe_a, cuts), key=repr)
-    keys_c = {canonical_key(c) for c in universe_c}
-    keys_a = {canonical_key(a) for a in universe_a}
-    R = {
+    intersected with a configuration relation).  Each concrete step
+    demands a sim_transfer response, which stands for the starting pairs
+    with its canonical keys; a response outside the universes raises
+    NotSliceClosed."""
+    universe_c, universe_a = list(universe_c), list(universe_a)
+    key_c, key_a = (
+        {c: canonical_key(c) for c in sorted(slice_closure(own, _cut_points(other)), key=repr)}
+        for own, other in ((universe_c, universe_a), (universe_a, universe_c))
+    )
+    keys_c, keys_a = set(key_c.values()), set(key_a.values())
+    start = [
         (c, a)
-        for c, a, _ in overlapping(universe_c, universe_a)
+        for c, a, _ in overlapping(list(key_c), list(key_a))
         if related is None or related(c, a)
-    }
+    ]
+    by_key: dict = {}
+    for c, a in start:
+        by_key.setdefault((key_c[c], key_a[a]), []).append((c, a))
 
-    def in_R(sc, sa, current) -> bool:
+    def pairs_of(sc, sa) -> list:
         kc, ka = canonical_key(sc), canonical_key(sa)
         if kc not in keys_c or ka not in keys_a:
             raise NotSliceClosed(f"splice {sc!r}/{sa!r} leaves the universe")
-        return any(canonical_key(c) == kc and canonical_key(a) == ka for c, a in current)
+        return by_key.get((kc, ka), [])
 
-    changed = True
-    while changed:
-        changed = False
-        for c, a in sorted(R, key=repr):
-            ok = True
-            for c_prime in succ_c(c):
-                found = False
-                for a_prime in succ_a(a):
-                    m1 = tmin(c_prime.b, a_prime.b)
-                    m2 = tmin(c_prime.e, a_prime.e)
-                    sc, sa = splice(c, c_prime, m1, m2), splice(a, a_prime, m1, m2)
-                    if sc is not None and sa is not None and in_R(sc, sa, R):
-                        found = True
-                        break
-                if not found and c_prime.e <= a.e:
-                    sc = splice(c, c_prime, c_prime.b, c_prime.e)
-                    sa = splice(a, EPSILON, c_prime.b, c_prime.e)
-                    if sc is not None and sa is not None and in_R(sc, sa, R):
-                        found = True
-                if not found:
-                    ok = False
-                    break
-            if not ok:
-                R.discard((c, a))
-                changed = True
-    return R
+    def demands(pair):
+        c, a = pair
+        for c_prime in succ_c(c):
+            responses = sim_transfer(lambda *_: True, succ_a, c, a, c_prime)
+            yield {q for _, sc, sa in responses for q in pairs_of(sc, sa)}
+
+    return greatest_fixpoint(start, demands)
 
 
 def theorem4_match(
@@ -414,8 +425,7 @@ def theorem4_match(
     witnesses = [cb for cb in Gb.initial if related(first, cb)]
     if not witnesses:
         raise NoInitialWitness("no related abstract initial configuration")
-    witnesses.sort(key=lambda cb: (not is_finite(cb.e), cb.e if is_finite(cb.e) else 0, repr(cb)))
-    abstract = [witnesses[0]]
+    abstract = [min(witnesses, key=_end_order)]
     j = 0
     steps = 0
     while j + 1 < len(sigma.configs) and steps < max_steps:
@@ -427,16 +437,9 @@ def theorem4_match(
             raise LocalSimulationGap(
                 f"no abstract response for {c!r} -> {c_prime!r} against {cb!r}"
             )
-
-        def cand_order(item):
-            cb_prime = item[0]
-            if is_empty(cb_prime):
-                return (0, 0, "")
-            return (1, cb_prime.e if is_finite(cb_prime.e) else INF_ORDER, repr(cb_prime))
-
-        INF_ORDER = 10 ** 9
-        cands.sort(key=cand_order)
-        cb_prime = cands[0][0]
+        # staying first, then the least end
+        responses = [resp for resp, _, _ in cands]
+        cb_prime = EPSILON if EPSILON in responses else min(responses, key=_end_order)
         if is_empty(cb_prime):
             j += 1  # abstract already covers the concrete step
         elif cb_prime.e <= c.e:
@@ -453,7 +456,7 @@ def theorem4_match(
             break
         chosen = min(
             (n for n in nexts if related_overlap(related, sigma, n)),
-            key=lambda n: (n.e if is_finite(n.e) else INF, repr(n)),
+            key=_end_order,
             default=None,
         )
         if chosen is None:
@@ -468,6 +471,11 @@ def theorem4_match(
         "rankwise": traj_related_rankwise(r, sigma, sbar),
     }
     return sbar, cert
+
+
+def _end_order(c) -> tuple:
+    """Least end first, unbounded ends last, then canonical order."""
+    return (not is_finite(c.e), c.e if is_finite(c.e) else 0, repr(c))
 
 
 def related_overlap(related: Callable, sigma: Trajectory, cb) -> bool:

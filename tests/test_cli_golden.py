@@ -2,8 +2,9 @@
 every built-in fixture that supports it, compared byte for byte.
 
 Each file under tests/golden/ holds "exit N" on its first line and the
-command's stdout after it.  Regenerate the files only when an output
-change is intended:
+command's stdout after it.  Calls that read systems or relations from
+files take them from tests/golden/inputs/.  Regenerate the outputs only
+when an output change is intended:
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
 """
@@ -18,10 +19,15 @@ import pytest
 from hybridsem.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
 
 GALLERY_PAIRS = ("fig8-1", "fig8-2", "fig8-3", "fig11")
 SYSTEM_FIXTURES = ("tank-automaton", "tank-impl", "example10")
 TANK = ("--fixture", "tank-automaton", "--x0", "1")
+
+
+def _input(name: str) -> str:
+    return str(INPUTS / f"{name}.json")
 
 
 def _calls() -> dict:
@@ -47,6 +53,11 @@ def _calls() -> dict:
     calls["check-theorem6_tank"] = ("check-theorem", "6", *TANK, "--delta", "1", "--horizon", "9")
     calls["check-theorem7_tank"] = ("check-theorem", "7", *TANK, "--delta", "1", "--horizon", "9")
     calls["galois-laws"] = ("galois-laws",)
+    # a generated pair (3 unit-dwell modes; the abstract side lacks m0 -> m1)
+    calls["greatest-sim_branching-k3"] = (
+        "greatest-sim", "--system", _input("branching-k3"),
+        "--abstract", _input("branching-k3-drop0"), "--relation", _input("eq-u"),
+        "--horizon", "4")
     return {name: argv + ("--json",) for name, argv in calls.items()}
 
 

@@ -2,6 +2,7 @@
 four soundness hypotheses of the relation transfer, and the discrete
 simulation checks."""
 
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -164,6 +165,42 @@ def test_tank_discrete_simulation_passes():
     assert ok
     # the greatest discrete simulation contains the sampled relation
     assert R <= greatest_discrete_simulation(d, d)
+
+
+def _small_discrete_systems():
+    """Every system whose ranks hold (1, 1), (1, 2), (2, 1) or (1, 1, 1)
+    states, with any set of edges between consecutive ranks."""
+    out = []
+    for sizes in ((1, 1), (1, 2), (2, 1), (1, 1, 1)):
+        levels = [
+            [TimefulState(State.make("m", {"u": Q(i)}), n) for i in range(k)]
+            for n, k in enumerate(sizes)
+        ]
+        steps = [(a, b) for lo, hi in zip(levels, levels[1:]) for a in lo for b in hi]
+        states = frozenset(u for level in levels for u in level)
+        for bits in itertools.product((0, 1), repeat=len(steps)):
+            edges = frozenset(e for e, bit in zip(steps, bits) if bit)
+            out.append(DiscreteTransitionSystem(states, frozenset(levels[0]), edges))
+    return out
+
+
+def test_greatest_discrete_simulation_matches_brute_force():
+    """The greatest simulation is the union of every relation inside the
+    start set that the Milner check accepts, and it is accepted itself."""
+    systems = _small_discrete_systems()
+    for d1, d2 in itertools.product(systems, repeat=2):
+        full = sorted(((u, v) for u in d1.states for v in d2.states), key=repr)
+        same_rank = [(u, v) for u, v in full if u.rank == v.rank]
+        for start in (None, frozenset(same_rank)):
+            cand = full if start is None else same_rank
+            union = set()
+            for bits in itertools.product((0, 1), repeat=len(cand)):
+                R = frozenset(p for p, bit in zip(cand, bits) if bit)
+                if milner_sim_check(R, d1, d2)[0]:
+                    union |= R
+            gsim = greatest_discrete_simulation(d1, d2, start)
+            assert gsim == union, (d1, d2, start)
+            assert milner_sim_check(gsim, d1, d2) == (True, None)
 
 
 def test_relation_domain_gap_refused():

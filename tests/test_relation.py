@@ -75,6 +75,21 @@ def test_endpoint_symbols_bound_from_intervals():
     assert not config_related(r, c3, d)
 
 
+def test_infinite_endpoint_constraint_fails_closed():
+    """E_c/E_a of an unbounded configuration stay unbound, so a
+    constraint using them does not hold; other clauses still decide."""
+    bounded = make_config("m", 0, 2, {"u": 0}, {"u": 1}, closed_hi=True)
+    unbounded = make_config("m", 0, INF, {"u": 0}, {"u": 1})
+    for c, d, sym in ((unbounded, unbounded, "E_c"), (bounded, unbounded, "E_a")):
+        ends = Clause((parse_constraint(f"t <= {sym}"),))
+        s, sb = trajectory_validate([c]), trajectory_validate([d])
+        for clauses, want in (((ends,), False), ((ends,) + EQ.clauses, True)):
+            r = TimedStateRelation(clauses)
+            assert config_related(r, c, d) == want
+            assert traj_related_timewise(r, s, sb) == want
+            assert traj_related_rankwise(r, s, sb) == want
+
+
 def test_dynamic_clause_inapplicable_means_unrelated():
     r = TimedStateRelation(
         (Clause((), dynamic=lambda ep: None),)

@@ -6,7 +6,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hybridsem.casestudy import gallery_fixture
+from hybridsem.casestudy import (
+    TankParams,
+    build_tank_automaton,
+    gallery_fixture,
+    tank_relations,
+)
 from hybridsem.errors import NotSliceClosed, PremiseFailed
 from hybridsem.flow_config import EPSILON, PiecewiseConfiguration, make_config
 from hybridsem.relation import (
@@ -16,11 +21,13 @@ from hybridsem.relation import (
     traj_related_timewise,
 )
 from hybridsem.affine import parse_constraint
+from hybridsem.hts import semantics_generate
 from hybridsem.simulation import (
     ConfigGraph,
     bisim_check,
     canonical_key,
     compose_check,
+    config_graph,
     configs_well_nested,
     greatest_simulation,
     preservation_check,
@@ -33,6 +40,7 @@ from hybridsem.simulation import (
     verify_by_simulation,
     well_nested_check,
 )
+from hybridsem.time_core import INF
 from hybridsem.trajectory import trajectory_validate
 
 EQ = TimedStateRelation((Clause((parse_constraint("c_u = a_u"),)),))
@@ -167,6 +175,44 @@ def test_greatest_simulation_empty_when_values_disagree():
     a = make_config("m", 0, 1, {"u": 7}, {"u": 0}, closed_hi=True)
     R = greatest_simulation([c], [a], lambda _: (), lambda _: (), related=rel)
     assert R == set()
+
+
+def test_greatest_simulation_tank_pinned():
+    """The tank automaton against itself under r39 (x0 in {0, 1, 2},
+    horizon 12); the count was taken with the round-robin removal loop
+    that the worklist engine replaced."""
+    p = TankParams.make(x0_samples=(0, 1, 2))
+    r = tank_relations(p)["r39"]
+    G = config_graph(semantics_generate(build_tank_automaton(p), 12))
+    R = greatest_simulation(G.configs(), G.configs(), G.succ, G.succ,
+                            related=lambda c, d: config_related(r, c, d))
+    assert len(R) == 497
+
+
+def test_greatest_simulation_splice_across_flows_leaves_universe():
+    # c $ c' cut to [1, 3] runs through mode m and then mode n: no
+    # slice of a single universe configuration has that key
+    c = make_config("m", 0, 2, {"u": 0}, {"u": 0})
+    c2 = make_config("n", 2, 3, {"u": 0}, {"u": 0}, closed_hi=True)
+    a = make_config("m", 0, 1, {"u": 0}, {"u": 0})
+    a2 = make_config("n", 1, 3, {"u": 0}, {"u": 0}, closed_hi=True)
+    succ_c, succ_a = {c: (c2,)}, {a: (a2,)}
+    with pytest.raises(NotSliceClosed):
+        greatest_simulation([c, c2], [a, a2], lambda x: succ_c.get(x, ()),
+                            lambda x: succ_a.get(x, ()))
+
+
+def test_theorem4_match_prefers_finite_end_past_1e9():
+    """Responses order by least end with unbounded ends last, so a
+    finite end beyond 10**9 still comes before an unbounded one."""
+    c1 = make_config("m", 0, 1, {"u": 0}, {"u": 0})
+    c2 = make_config("m", 1, 2, {"u": 0}, {"u": 0}, closed_hi=True)
+    a1 = make_config("m", 0, 1, {"u": 0}, {"u": 0})
+    far = make_config("m", 1, 10 ** 9 + 1, {"u": 0}, {"u": 0}, closed_hi=True)
+    unbounded = make_config("m", 1, INF, {"u": 0}, {"u": 0})
+    Gb = ConfigGraph((a1,), ((a1, (far, unbounded)), (far, ()), (unbounded, ())))
+    sb, _ = theorem4_match(EQ, trajectory_validate([c1, c2]), Gb)
+    assert list(sb.configs) == [a1, far]
 
 
 def test_theorem4_match_builds_related_trajectory():
