@@ -62,6 +62,7 @@ from .simulation import (
     greatest_simulation,
     preservation_check,
     sim_check,
+    system_graph,
     theorem4_match,
     well_nested_check,
 )

@@ -17,6 +17,7 @@ and those findings are reported verbatim, never patched.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from .affine import AffineConstraint, LinExpr, parse_constraint
 from .errors import ParamConstraintViolated, UnknownFixture
@@ -468,6 +469,8 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
 # named gallery fixtures
 
 GALLERY_NAMES = (
+    "tank-automaton",
+    "tank-impl",
     "fig8-1",
     "fig8-2",
     "fig8-3",
@@ -482,8 +485,27 @@ def _eq_relation(var="u") -> TimedStateRelation:
     return TimedStateRelation((Clause((parse_constraint(f"c_{var} = a_{var}"),)),))
 
 
-def gallery_fixture(name: str, zeta=DEFAULT_ZETA) -> dict:
-    """Built-in counterexample layouts, loadable by name."""
+def gallery_fixture(name: str, params: Optional[TankParams] = None) -> dict:
+    """Built-in systems and counterexample layouts, loadable by name.
+
+    An entry holds a standalone "system", or a pair ("concrete",
+    "abstract", "relation", optionally "extra_abstract"), or both, and
+    "delta" when it is laid out on a grid.  The tank parameters (default
+    TankParams.make()) shape the tank systems, and their zeta is the
+    minimum dwell of example10."""
+    p = params or TankParams.make()
+    if name == "tank-automaton":
+        # checked against itself under r39
+        auto = build_tank_automaton(p)
+        return {
+            "system": auto,
+            "concrete": auto,
+            "abstract": auto,
+            "relation": tank_relations(p)["r39"],
+            "delta": Q(1),
+        }
+    if name == "tank-impl":
+        return {"system": build_tank_impl(p)}
     if name == "fig8-1":
         # related abstract configuration blocks early: its end time
         # differs from the concrete one
@@ -527,7 +549,7 @@ def gallery_fixture(name: str, zeta=DEFAULT_ZETA) -> dict:
     if name == "example10":
         c = make_config("m", 0, 2, {"u": 1}, {"u": 0}, closed_hi=True)
         return {
-            "system": HybridTransitionSystem.from_explicit(("u",), zeta, (c,), (), (0,)),
+            "system": HybridTransitionSystem.from_explicit(("u",), p.zeta, (c,), (), (0,)),
             "delta": Q(1),
         }
     if name == "fig6":
@@ -566,4 +588,4 @@ def gallery_fixture(name: str, zeta=DEFAULT_ZETA) -> dict:
             "abstract": ConfigGraph((a1,), ((a1, (a2, a3)), (a2, ()), (a3, ()))),
             "relation": _eq_relation(),
         }
-    raise UnknownFixture(name)
+    raise UnknownFixture(f"unknown fixture {name!r}")

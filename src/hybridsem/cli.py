@@ -13,15 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .casestudy import (
-    GALLERY_NAMES,
-    TankParams,
-    build_tank_automaton,
-    build_tank_impl,
-    gallery_fixture,
-    run_refinement_chain,
-    tank_relations,
-)
+from .affine import ENDPOINT_SYMBOLS
+from .casestudy import TankParams, gallery_fixture, run_refinement_chain
 from .discretize import (
     discretization_hypotheses,
     hts_discretize,
@@ -38,17 +31,16 @@ from .galois import (
     galois_relation_check,
     hom_connection,
     powerset_lattice,
-    relation_to_connection,
 )
 from .homomorphism import StateHom, theorem1_check, theorem3_check
 from .hts import HybridTransitionSystem, hts_from_json, hts_validate, semantics_generate
-from .relation import relation_from_json
+from .relation import config_related, relation_from_json
 from .simulation import (
     bisim_check,
-    config_graph,
     greatest_simulation,
     preservation_check,
     sim_check,
+    system_graph,
 )
 from .time_core import INF, Q, is_finite
 from .trajectory import grid_step, trajectory_csv, trajectory_timeline
@@ -104,78 +96,104 @@ def _pretty(doc, depth):
         print(f"{pad}{jsonable(doc)}")
 
 
+# ---------------------------------------------------------------------------
+# input: one registry lookup and one loader
+
+
 def _params(args) -> TankParams:
     kw = {}
-    if getattr(args, "epsilon", None):
+    if args.epsilon:
         kw["epsilon"] = _q(args.epsilon)
-    if getattr(args, "zeta", None):
+    if args.zeta:
         kw["zeta"] = _q(args.zeta)
-    if getattr(args, "x0", None):
+    if args.x0:
         kw["x0_samples"] = tuple(_q(v) for v in args.x0.split(","))
     return TankParams.make(**kw)
 
 
-def _load_system(args, which="system"):
-    path = getattr(args, which.replace("-", "_"), None)
-    if path:
-        try:
-            with open(path) as f:
-                return hts_from_json(json.load(f))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+def _fixture(args):
+    """The registry entry --fixture names (None without one)."""
     name = getattr(args, "fixture", None)
-    if not name:
-        raise ParseError(f"need --{which} FILE or --fixture NAME")
-    return _fixture_system(name, args)
+    return gallery_fixture(name, _params(args)) if name else None
 
 
-def _fixture_system(name, args):
-    p = _params(args)
-    if name in ("tank", "tank-automaton"):
-        return build_tank_automaton(p)
-    if name == "tank-impl":
-        return build_tank_impl(p)
-    short = name.split("/", 1)[1] if name.startswith("gallery/") else name
-    fx = gallery_fixture(short, zeta=p.zeta)
-    if "system" in fx:
-        return fx["system"]
-    raise UnknownFixture(f"{name} is not a standalone system")
+def _read(path, parse):
+    try:
+        with open(path) as f:
+            return parse(json.load(f))
+    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
-def _load_relation(args):
-    if getattr(args, "relation", None):
-        try:
-            with open(args.relation) as f:
-                return relation_from_json(json.load(f))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise ParseError(f"{args.relation}: {exc}") from exc
-    raise ParseError("need --relation FILE")
+# part of an input -> the file flag that gives it and that file's parser
+_FILE_PARTS = {
+    "system": ("system", hts_from_json),
+    "concrete": ("system", hts_from_json),
+    "abstract": ("abstract", hts_from_json),
+    "relation": ("relation", relation_from_json),
+}
 
 
-def _horizon(args, default=30):
-    return _q(args.horizon) if getattr(args, "horizon", None) else Q(default)
+def _load(args, *keys, **defaults) -> list:
+    """The parts `keys` of a command's input.  Each comes from its flag
+    if one is given (a file flag of _FILE_PARTS, else --delta or
+    --horizon), otherwise from the --fixture entry, otherwise from
+    `defaults`; input from files has delta 1.  A file named twice is
+    read once, so a system checked against itself is one object."""
+    entry = _fixture(args)
+    entry = dict(entry) if entry is not None else {"delta": Q(1)}
+    read: dict = {}
+    for k in keys:
+        if k in _FILE_PARTS:
+            flag, parse = _FILE_PARTS[k]
+            path = getattr(args, flag, None)
+            if path:
+                if (path, parse) not in read:
+                    read[path, parse] = _read(path, parse)
+                entry[k] = read[path, parse]
+        elif getattr(args, k, None):
+            entry[k] = _q(getattr(args, k))
+    missing = [k for k in keys if k not in entry and k not in defaults]
+    if missing:
+        if getattr(args, "fixture", None):
+            raise ParseError(f"{args.fixture} has no {', '.join(missing)}")
+        flags = dict.fromkeys(f"--{_FILE_PARTS[k][0]} FILE" for k in missing)
+        raise ParseError(f"need {', '.join(flags)} or --fixture NAME")
+    return [entry[k] if k in entry else defaults[k] for k in keys]
 
 
-def _graph_pair(args):
-    """Concrete/abstract config graphs plus relation, from files or a
-    gallery fixture."""
-    name = getattr(args, "fixture", None)
-    if name:
-        short = name.split("/", 1)[1] if name.startswith("gallery/") else name
-        fx = gallery_fixture(short)
-        if "concrete" in fx:
-            return fx["concrete"], fx["abstract"], fx["relation"], fx
-        raise UnknownFixture(f"{name} has no concrete/abstract pair")
-    h = _load_system(args, "system")
-    hb = _load_system(args, "abstract")
-    r = _load_relation(args)
-    hz = _horizon(args)
-    return (
-        config_graph(semantics_generate(h, hz)),
-        config_graph(semantics_generate(hb, hz)),
-        r,
-        None,
+def _variables(side) -> set:
+    if isinstance(side, HybridTransitionSystem):
+        return set(side.variables)
+    return {v for c in side.configs() for p in pieces(c) for v in p.flow.var_names()}
+
+
+def _check_symbols(r, concrete, abstract):
+    """Every symbol of r must be bound: t, an endpoint symbol, or c_<v>
+    and a_<v> for a variable v of the concrete and the abstract side.  A
+    clause naming any other symbol never holds, so a check could pass
+    vacuously."""
+    known = {"t", *ENDPOINT_SYMBOLS}
+    known |= {f"c_{v}" for v in _variables(concrete)}
+    known |= {f"a_{v}" for v in _variables(abstract)}
+    for clause in r.clauses:
+        for con in clause.constraints:
+            unknown = sorted(con.symbols() - known)
+            if unknown:
+                raise ParseError(
+                    f"relation symbol(s) {', '.join(unknown)} name no variable of the pair"
+                )
+
+
+def _pair(args, *more, **defaults) -> list:
+    """Concrete and abstract configuration graphs (one graph when both
+    sides are one system), the relation, the horizon, then `more`."""
+    c, a, r, hz, *rest = _load(
+        args, "concrete", "abstract", "relation", "horizon", *more, horizon=Q(30), **defaults
     )
+    _check_symbols(r, c, a)
+    G = system_graph(c, hz)
+    return [G, G if a is c else system_graph(a, hz), r, hz, *rest]
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +201,15 @@ def _graph_pair(args):
 
 
 def cmd_validate(args):
-    h = _load_system(args)
-    issues = hts_validate(h, horizon=_horizon(args))
+    h, hz = _load(args, "system", "horizon", horizon=Q(30))
+    issues = hts_validate(h, horizon=hz)
     emit({"issues": issues, "ok": not issues}, args.json)
     return PASS if not issues else FAIL
 
 
 def cmd_trajectories(args):
-    h = _load_system(args)
-    sem = semantics_generate(h, _horizon(args), depth=args.depth)
+    h, hz = _load(args, "system", "horizon", horizon=Q(30))
+    sem = semantics_generate(h, hz, depth=args.depth)
     out = []
     for s in sorted(sem.trajectories, key=repr):
         out.append(
@@ -206,9 +224,7 @@ def cmd_trajectories(args):
 
 
 def cmd_sample(args):
-    h = _load_system(args)
-    delta = _q(args.delta or "1")
-    hz = _horizon(args)
+    h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1), horizon=Q(30))
     sem = semantics_generate(h, hz)
     out = []
     for s in sorted(sem.trajectories, key=repr):
@@ -219,9 +235,8 @@ def cmd_sample(args):
 
 
 def cmd_discretize(args):
-    h = _load_system(args)
-    d = hts_discretize(h, _q(args.delta or "1"), _horizon(args))
-    doc = d.to_dict()
+    h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1), horizon=Q(30))
+    doc = hts_discretize(h, delta, hz).to_dict()
     if args.out:
         with open(args.out, "w") as f:
             json.dump(jsonable(doc), f, indent=2, sort_keys=True)
@@ -232,30 +247,28 @@ def cmd_discretize(args):
 
 
 def cmd_check_sim(args):
-    G, Gb, r, _ = _graph_pair(args)
+    G, Gb, r, _ = _pair(args)
     rep = sim_check(r, G, Gb, mode="sync" if args.sync else "async")
     emit(rep.to_dict(), args.json)
     return PASS if rep.verdict else FAIL
 
 
 def cmd_check_bisim(args):
-    G, Gb, r, _ = _graph_pair(args)
+    G, Gb, r, _ = _pair(args)
     rep = bisim_check(r, G, Gb)
     emit(rep.to_dict(), args.json)
     return PASS if rep.verdict else FAIL
 
 
 def cmd_check_preservation(args):
-    G, Gb, r, _ = _graph_pair(args)
+    G, Gb, r, _ = _pair(args)
     rep = preservation_check(r, G, Gb)
     emit(rep.to_dict(), args.json)
     return PASS if rep.verdict else FAIL
 
 
 def cmd_greatest_sim(args):
-    G, Gb, r, _ = _graph_pair(args)
-    from .relation import config_related
-
+    G, Gb, r, _ = _pair(args)
     R = greatest_simulation(
         G.configs(), Gb.configs(), G.succ, Gb.succ,
         related=lambda c, cb: config_related(r, c, cb),
@@ -265,9 +278,13 @@ def cmd_greatest_sim(args):
     return PASS
 
 
+def _refinement(args) -> dict:
+    (hz,) = _load(args, "horizon", horizon=Q(30))
+    return run_refinement_chain(_params(args), hz)
+
+
 def cmd_check_refinement(args):
-    p = _params(args)
-    rep = run_refinement_chain(p, _horizon(args))
+    rep = _refinement(args)
     doc = {
         "ok": rep["ok"],
         "acceptable": rep["acceptable"],
@@ -289,46 +306,14 @@ def cmd_check_refinement(args):
     return PASS if rep["acceptable"] else FAIL
 
 
-def _run_theorem7(args):
-    name = getattr(args, "fixture", None)
-    if name:
-        short = name.split("/", 1)[1] if name.startswith("gallery/") else name
-        if short.startswith("tank"):
-            p = _params(args)
-            auto = build_tank_automaton(p)
-            r = tank_relations(p)["r39"]
-            delta = _q(args.delta or "1")
-            hz = _horizon(args, 9)
-            hyp = discretization_hypotheses(r, auto, auto, delta, hz)
-            d1 = hts_discretize(auto, delta, hz)
-            R = relation_discretize(r, delta, d1, d1)
-            ok, wit = milner_sim_check(R, d1, d1)
-        else:
-            fx = gallery_fixture(short)
-            missing = [k for k in ("concrete", "abstract", "relation", "delta") if k not in fx]
-            if missing:
-                raise UnknownFixture(f"{short} has no {', '.join(missing)} for theorem 7")
-            delta = fx["delta"]
-            hyp = discretization_hypotheses(
-                fx["relation"], fx["concrete"], fx["abstract"], delta, None
-            )
-            d1 = hts_discretize(fx["concrete"], delta)
-            d2 = hts_discretize(fx["abstract"], delta)
-            R = relation_discretize(
-                fx["relation"], delta, d1, d2, fx.get("extra_abstract", ())
-            )
-            ok, wit = milner_sim_check(R, d1, d2)
-    else:
-        h = _load_system(args, "system")
-        hb = _load_system(args, "abstract")
-        r = _load_relation(args)
-        delta = _q(args.delta or "1")
-        hz = _horizon(args)
-        hyp = discretization_hypotheses(r, h, hb, delta, hz)
-        d1 = hts_discretize(h, delta, hz)
-        d2 = hts_discretize(hb, delta, hz)
-        R = relation_discretize(r, delta, d1, d2)
-        ok, wit = milner_sim_check(R, d1, d2)
+def _theorem7(args):
+    """Hypotheses (68)-(71), one discretization per distinct side, the
+    discretized relation and the Milner check."""
+    G, Gb, r, hz, delta, extra = _pair(args, "delta", "extra_abstract", extra_abstract=())
+    hyp = discretization_hypotheses(r, G, Gb, delta, hz)
+    d1 = hts_discretize(G, delta, hz)
+    d2 = d1 if Gb is G else hts_discretize(Gb, delta, hz)
+    ok, wit = milner_sim_check(relation_discretize(r, delta, d1, d2, extra), d1, d2)
     violated = [k for k in ("(68)", "(69)", "(70)", "(71)") if hyp[k]]
     doc = {
         "milner": ok,
@@ -343,25 +328,21 @@ def _run_theorem7(args):
 def cmd_check_theorem(args):
     n = args.number
     if n == 1:
-        h = _load_system(args)
+        h, hz = _load(args, "system", "horizon", horizon=Q(30))
         if h.explicit is None:
             raise ParseError("theorem 1 needs a system in the explicit presentation, "
                              "not one given by mode schemas")
-        hom = _default_hom(h)
-        ok, diff = theorem1_check(hom, h, _horizon(args))
-        doc = {"theorem": 1, "ok": ok, "diff": diff}
-        emit(doc, args.json)
+        ok, diff = theorem1_check(_default_hom(h), h, hz)
+        emit({"theorem": 1, "ok": ok, "diff": diff}, args.json)
         return PASS if ok else FAIL
     if n == 3:
-        h = _load_system(args)
-        hom = _default_hom(h)
-        sem = semantics_generate(h, _horizon(args))
-        ok, wit = theorem3_check(hom, sem.trajectories, _q(args.delta or "1"), _horizon(args))
+        h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1), horizon=Q(30))
+        sem = semantics_generate(h, hz)
+        ok, wit = theorem3_check(_default_hom(h), sem.trajectories, delta, hz)
         emit({"theorem": 3, "ok": ok, "witness": wit}, args.json)
         return PASS if ok else FAIL
     if n == 5:
-        p = _params(args)
-        rep = run_refinement_chain(p, _horizon(args))
+        rep = _refinement(args)
         st = rep["stages"]["iii"]
         emit(
             {
@@ -375,16 +356,14 @@ def cmd_check_theorem(args):
         )
         return PASS if rep["acceptable"] else FAIL
     if n == 6:
-        h = _load_system(args)
-        ok, diff, notes = theorem6_check(h, _q(args.delta or "1"), _horizon(args))
+        h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1), horizon=Q(30))
+        ok, diff, notes = theorem6_check(h, delta, hz)
         emit({"theorem": 6, "ok": ok, "diff": diff, "notes": notes}, args.json)
         return PASS if ok else FAIL
-    if n == 7:
-        code, doc = _run_theorem7(args)
-        doc["theorem"] = 7
-        emit(doc, args.json)
-        return code
-    raise ParseError(f"no theorem check numbered {n}")
+    code, doc = _theorem7(args)
+    doc["theorem"] = 7
+    emit(doc, args.json)
+    return code
 
 
 def _default_hom(h: HybridTransitionSystem) -> StateHom:
@@ -412,23 +391,17 @@ def cmd_galois_laws(args):
 
 
 def cmd_gallery(args):
-    name = args.name
-    if name not in GALLERY_NAMES:
-        raise UnknownFixture(name)
     if args.check_theorem == 7:
-        setattr(args, "fixture", name)
-        code, doc = _run_theorem7(args)
-        doc["fixture"] = name
+        code, doc = _theorem7(args)
+        doc["fixture"] = args.fixture
         emit(doc, args.json)
         return code
-    fx = gallery_fixture(name)
-    emit({"fixture": name, "contents": sorted(fx.keys())}, args.json)
+    emit({"fixture": args.fixture, "contents": sorted(_fixture(args))}, args.json)
     return PASS
 
 
 def cmd_plot(args):
-    h = _load_system(args)
-    hz = _horizon(args, 9)
+    h, hz = _load(args, "system", "horizon", horizon=Q(9))
     sem = semantics_generate(h, hz)
     trajs = sorted(sem.trajectories, key=repr)
     if not trajs:
@@ -512,60 +485,65 @@ def render_svg(s, grid, width=640, panel_h=160, margin=40) -> str:
     return "\n".join(parts)
 
 
+# argparse keywords of every flag; each subcommand takes only the flags
+# its handler reads, and any other flag is a usage error (exit 2)
+_FLAGS = {
+    "--system": dict(metavar="FILE", help="system file; the concrete side of a pair"),
+    "--abstract": dict(metavar="FILE", help="abstract system file"),
+    "--relation": dict(metavar="FILE", help="timed state relation file"),
+    "--fixture": dict(metavar="NAME", help="built-in fixture"),
+    "--x0": dict(help="tank initial clock samples, a comma list (default 0,1,2)"),
+    "--epsilon": dict(help="tank valve delay (default 1/4)"),
+    "--zeta": dict(help="minimum dwell of the tank and example10 (default 1/100)"),
+    "--horizon": dict(help="generation horizon"),
+    "--delta": dict(help="grid step"),
+    "--depth": dict(type=int, default=64, help="bound on configurations per trajectory"),
+    "--grid": dict(help="sampling step of the plot (default 1/10)"),
+    "--out": dict(metavar="FILE", help="output file"),
+    "--csv": dict(metavar="FILE", help="also write the sampled trajectory as CSV"),
+    "--sync": dict(action="store_true", help="synchronous simulation"),
+    "--json": dict(action="store_true", help="one JSON document on stdout"),
+    "--check-theorem": dict(type=int, choices=(7,), help="run theorem 7 on the fixture"),
+    "number": dict(type=int, choices=(1, 3, 5, 6, 7)),
+    "fixture": dict(metavar="name"),
+}
+_TANK = ("--x0", "--epsilon", "--zeta")
+_SYSTEM = ("--system", "--fixture", *_TANK)
+_PAIR = (*_SYSTEM, "--abstract", "--relation")
+_COMMANDS = {
+    "validate": (cmd_validate, (*_SYSTEM, "--horizon", "--json")),
+    "trajectories": (cmd_trajectories, (*_SYSTEM, "--horizon", "--depth", "--json")),
+    "sample": (cmd_sample, (*_SYSTEM, "--delta", "--horizon", "--json")),
+    "discretize": (cmd_discretize, (*_SYSTEM, "--delta", "--horizon", "--out", "--json")),
+    "check-sim": (cmd_check_sim, (*_PAIR, "--horizon", "--sync", "--json")),
+    "check-bisim": (cmd_check_bisim, (*_PAIR, "--horizon", "--json")),
+    "check-preservation": (cmd_check_preservation, (*_PAIR, "--horizon", "--json")),
+    "greatest-sim": (cmd_greatest_sim, (*_PAIR, "--horizon", "--json")),
+    "check-refinement": (cmd_check_refinement, (*_TANK, "--horizon", "--json")),
+    "galois-laws": (cmd_galois_laws, ("--json",)),
+    "plot": (cmd_plot, (*_SYSTEM, "--horizon", "--grid", "--out", "--csv")),
+    "check-theorem": (cmd_check_theorem, ("number", *_PAIR, "--delta", "--horizon", "--json")),
+    "gallery": (
+        cmd_gallery, ("fixture", *_TANK, "--check-theorem", "--delta", "--horizon", "--json")
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hybridsem", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, plot=False):
-        p.add_argument("--system")
-        p.add_argument("--abstract")
-        p.add_argument("--relation")
-        p.add_argument("--fixture")
-        p.add_argument("--horizon")
-        p.add_argument("--depth", type=int, default=64)
-        p.add_argument("--delta")
-        p.add_argument("--zeta")
-        p.add_argument("--epsilon")
-        p.add_argument("--x0")
-        p.add_argument("--grid")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--out")
-        p.add_argument("--csv")
-        p.add_argument("--sync", action="store_true")
-        return p
-
-    handlers = {
-        "validate": cmd_validate,
-        "trajectories": cmd_trajectories,
-        "sample": cmd_sample,
-        "discretize": cmd_discretize,
-        "check-sim": cmd_check_sim,
-        "check-bisim": cmd_check_bisim,
-        "check-preservation": cmd_check_preservation,
-        "greatest-sim": cmd_greatest_sim,
-        "check-refinement": cmd_check_refinement,
-        "galois-laws": cmd_galois_laws,
-        "plot": cmd_plot,
-    }
-    for name in handlers:
-        common(sub.add_parser(name))
-    p = common(sub.add_parser("check-theorem"))
-    p.add_argument("number", type=int, choices=(1, 3, 5, 6, 7))
-    p = common(sub.add_parser("gallery"))
-    p.add_argument("name")
-    p.add_argument("--check-theorem", type=int, dest="check_theorem")
-    handlers["check-theorem"] = cmd_check_theorem
-    handlers["gallery"] = cmd_gallery
-    ap.set_defaults(handlers=handlers)
+    for name, (handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    handler = args.handlers[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
+        return args.handler(args)
     except (ParseError, UnknownFixture, ParamConstraintViolated) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return BADINPUT

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .errors import DomainGapAtGridPoint, Misaligned
+from .errors import DomainGapAtGridPoint, Misaligned, TruncatedInput
 from .flow_config import State, overlapping, pieces
 from .relation import TimedStateRelation, exists_window_related, state_related
-from .simulation import ConfigGraph, config_graph, greatest_fixpoint
-from .time_core import INF, Q, TimeInterval, is_finite
+from .hts import semantics_generate
+from .simulation import config_graph, greatest_fixpoint, system_graph
+from .time_core import Q, TimeInterval, is_finite
 from .trajectory import Trajectory, grid_step, trajectory_eval
 
 __all__ = [
@@ -87,19 +88,11 @@ class DiscreteTransitionSystem:
         }
 
 
-def _graph(h_or_graph, horizon=None) -> ConfigGraph:
-    if isinstance(h_or_graph, ConfigGraph):
-        return h_or_graph
-    from .hts import semantics_generate
-
-    return config_graph(semantics_generate(h_or_graph, INF if horizon is None else horizon))
-
-
 def grid_alignment_check(h_or_graph, delta, horizon=None):
     """Every configuration must start and end on the grid; returns
     (ok, witness configuration or None)."""
     delta = grid_step(delta)
-    G = _graph(h_or_graph, horizon)
+    G = system_graph(h_or_graph, horizon)
     for c in G.configs():
         if (c.b / delta).denominator != 1:
             return False, c
@@ -117,7 +110,7 @@ def timeful_sample(s: Trajectory, delta, horizon=None) -> tuple:
     if not is_finite(dur) or (horizon is not None and Q(horizon) < dur):
         dur = Q(horizon) if horizon is not None else None
         if dur is None:
-            raise ValueError("unbounded trajectory needs a horizon")
+            raise TruncatedInput("unbounded trajectory needs an explicit horizon")
     out = []
     n = 0
     while n * delta < dur:
@@ -171,7 +164,7 @@ def hts_discretize(h_or_graph, delta, horizon=None) -> DiscreteTransitionSystem:
     state, (c) a successor-free configuration closes onto its own final
     state (marked as a closing edge), (d) initial states at rank 0."""
     delta = grid_step(delta)
-    G = _graph(h_or_graph, horizon)
+    G = system_graph(h_or_graph, horizon)
     ok, witness = grid_alignment_check(G, delta)
     if not ok:
         raise Misaligned(repr(witness))
@@ -246,8 +239,6 @@ def discrete_traces(
 def theorem6_check(h, delta, horizon):
     """Dual computation: sample the generated trajectories vs generate
     the discretized system.  Returns (ok, diff, notes)."""
-    from .hts import semantics_generate
-
     delta = Q(delta)
     sem = semantics_generate(h, horizon)
     lhs = frozenset(timeful_sample(s, delta, horizon) for s in sem.trajectories)
@@ -274,8 +265,6 @@ def theorem6_check(h, delta, horizon):
 def timeless_overapprox_demo(h, delta, horizon, max_len=4):
     """The rank-free discretization overapproximates: it may introduce
     cycles absent from the sampled traces.  Returns a report dict."""
-    from .hts import semantics_generate
-
     delta = Q(delta)
     sem = semantics_generate(h, horizon)
     sampled = frozenset(timeless_sample(s, delta, horizon) for s in sem.trajectories)
@@ -343,7 +332,7 @@ def discretization_hypotheses(
     universes; violations carry the sub-case label and a witness."""
     delta = grid_step(delta)
     hcap = Q(horizon) if horizon is not None else None
-    G, Gb = _graph(h, horizon), _graph(hb, horizon)
+    G, Gb = system_graph(h, horizon), system_graph(hb, horizon)
     report = {"(68)": [], "(69)": [], "(70)": [], "(71)": []}
 
     def rel_at(n, s, sb) -> bool:

@@ -29,6 +29,7 @@ from .errors import (
     NonConsecutiveEdge,
     NotASubset,
     ParamConstraintViolated,
+    ParseError,
 )
 from .flow_config import AffineFlow, Configuration, make_config
 from .time_core import INF, Q, TimeInterval, is_finite
@@ -355,11 +356,24 @@ def blocking_check(tau: HybridTransitionSystem, tau_prime: HybridTransitionSyste
 
 
 def hts_from_json(doc: dict) -> HybridTransitionSystem:
-    """System description file: variables, modes, edges, initial, zeta."""
+    """System description file: variables, modes, edges, initial, zeta.
+
+    Fails closed with ParseError on an unknown exit type, on an edge or
+    initial state naming an undeclared mode, on a rate, reset, initial
+    value, exit or constraint naming an undeclared variable, and on an
+    initial state that leaves a declared variable without a value."""
     variables = tuple(doc["variables"])
+    declared = set(variables)
+
+    def known(names, what):
+        unknown = sorted(set(names) - declared)
+        if unknown:
+            raise ParseError(f"{what} names undeclared variable(s) {', '.join(unknown)}")
+
     zeta = Q(doc.get("zeta", "1/1000"))
     schemas = []
     for m in doc["modes"]:
+        where = f"mode {m['name']}"
         exit_doc = m.get("exit")
         exit_cond = None
         if exit_doc is not None:
@@ -369,25 +383,40 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
                 exit_cond = ExitCondition(
                     "reach", parse_expr(str(exit_doc["target"])), exit_doc["var"]
                 )
-        schemas.append(
-            ModeSchema.make(
-                m["name"],
-                {k: Q(v) for k, v in m.get("rates", {}).items()},
-                tuple(parse_constraint(c) for c in m.get("entry", [])),
-                exit_cond,
-                bool(m.get("terminal", False)),
-            )
-        )
-    edges = tuple(
-        Edge.make(
-            e["src"],
-            e["dst"],
-            {k: parse_expr(str(v)) for k, v in e.get("reset", {}).items()},
-        )
-        for e in doc.get("edges", [])
-    )
-    initial = [
-        (i["mode"], {k: Q(v) for k, v in i["values"].items()})
-        for i in doc["initial"]
-    ]
-    return HybridTransitionSystem.from_schemas(variables, zeta, schemas, edges, initial)
+                known([exit_cond.var], f"{where} exit")
+            else:
+                raise ParseError(f"{where}: unknown exit type {exit_doc['type']!r}")
+            known(exit_cond.value.symbols(), f"{where} exit")
+        rates = {k: Q(v) for k, v in m.get("rates", {}).items()}
+        known(rates, f"{where} rates")
+        entry = tuple(parse_constraint(c) for c in m.get("entry", []))
+        for c in entry:
+            known(c.symbols(), f"{where} entry")
+        terminal = bool(m.get("terminal", False))
+        schemas.append(ModeSchema.make(m["name"], rates, entry, exit_cond, terminal))
+    modes = {s.mode for s in schemas}
+
+    def declared_mode(name, what):
+        if name not in modes:
+            raise ParseError(f"{what} names undeclared mode {name!r}")
+        return name
+
+    edges = []
+    for e in doc.get("edges", []):
+        where = f"edge {e['src']} -> {e['dst']}"
+        reset = {k: parse_expr(str(v)) for k, v in e.get("reset", {}).items()}
+        known(reset, f"{where} reset")
+        for expr in reset.values():
+            known(expr.symbols(), f"{where} reset")
+        src, dst = (declared_mode(e[k], where) for k in ("src", "dst"))
+        edges.append(Edge.make(src, dst, reset))
+    initial = []
+    for i in doc["initial"]:
+        where = f"initial state in {declared_mode(i['mode'], 'initial state')}"
+        values = {k: Q(v) for k, v in i["values"].items()}
+        known(values, where)
+        unset = sorted(declared - set(values))
+        if unset:
+            raise ParseError(f"{where} gives no value to {', '.join(unset)}")
+        initial.append((i["mode"], values))
+    return HybridTransitionSystem.from_schemas(variables, zeta, schemas, tuple(edges), initial)

@@ -36,6 +36,7 @@ from .flow_config import (
     overlapping,
     pieces,
 )
+from .hts import semantics_generate
 from .relation import (
     TimedStateRelation,
     config_related,
@@ -50,6 +51,7 @@ __all__ = [
     "ConfigGraph",
     "SimReport",
     "config_graph",
+    "system_graph",
     "splice",
     "canonical_key",
     "normalize_config",
@@ -110,6 +112,14 @@ def config_graph(semantics) -> ConfigGraph:
         ((c, tuple(sorted(v, key=repr))) for c, v in succ.items()), key=lambda kv: repr(kv[0])
     ))
     return ConfigGraph(tuple(initial), items, frozenset(truncated))
+
+
+def system_graph(h_or_graph, horizon=None) -> ConfigGraph:
+    """The configuration graph of a system generated up to the horizon
+    (unbounded when None); a ConfigGraph is returned as it is."""
+    if isinstance(h_or_graph, ConfigGraph):
+        return h_or_graph
+    return config_graph(semantics_generate(h_or_graph, INF if horizon is None else horizon))
 
 
 @dataclass

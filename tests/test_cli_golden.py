@@ -53,6 +53,8 @@ def _calls() -> dict:
     calls["check-theorem6_tank"] = ("check-theorem", "6", *TANK, "--delta", "1", "--horizon", "9")
     calls["check-theorem7_tank"] = ("check-theorem", "7", *TANK, "--delta", "1", "--horizon", "9")
     calls["galois-laws"] = ("galois-laws",)
+    # the tank automaton against itself under r39 (same output as TANK_FILES)
+    calls["check-sim_tank-automaton"] = ("check-sim", *TANK, "--horizon", "9")
     # a generated pair (3 unit-dwell modes; the abstract side lacks m0 -> m1)
     calls["greatest-sim_branching-k3"] = (
         "greatest-sim", "--system", _input("branching-k3"),
@@ -74,6 +76,15 @@ def render(argv) -> bytes:
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_golden_output(name):
     assert render(CALLS[name]) == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def test_tank_fixture_pair_equals_files():
+    """The tank-automaton pair fixture is the tank read from a file,
+    checked against itself under r39."""
+    tank = _input("tank-automaton-x0-1")
+    argv = ("check-sim", "--system", tank, "--abstract", tank, "--relation", _input("r39"),
+            "--horizon", "9", "--json")
+    assert render(argv) == (GOLDEN / "check-sim_tank-automaton.txt").read_bytes()
 
 
 def test_every_golden_file_has_a_call():

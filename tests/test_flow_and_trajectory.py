@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridsem.discretize import timeful_sample
 from hybridsem.errors import (
     EmptyIntersection,
     GapBetweenConfigurations,
@@ -18,6 +19,7 @@ from hybridsem.flow_config import (
     config_slice,
     make_config,
 )
+from hybridsem.time_core import INF
 from hybridsem.trajectory import (
     config_var_ranges,
     maximal_filter,
@@ -105,6 +107,14 @@ def test_prefix_and_maximal():
     trunc = chain(("a", 0, 1, 0, 1), truncated=True)
     with pytest.raises(TruncatedInput):
         maximal_filter({trunc})
+
+
+def test_unbounded_sampling_needs_a_horizon():
+    s = trajectory_validate([make_config("a", 0, INF, {"u": 0}, {"u": 1})])
+    for sample in (trajectory_sample, timeful_sample):
+        with pytest.raises(TruncatedInput):
+            sample(s, Q(1))
+    assert len(timeful_sample(s, Q(1), 3)) == 3  # 0, 1, 2: strict at the horizon
 
 
 def test_var_ranges_exact():
