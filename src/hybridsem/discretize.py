@@ -355,7 +355,7 @@ def discretization_hypotheses(
                 continue
             s = _state_closed(c, n * delta)
             for sb in all_abstract:
-                if state_related(r, n * delta, s, sb) and sb not in abstract_states.get(n, ()):
+                if sb not in abstract_states.get(n, ()) and state_related(r, n * delta, s, sb):
                     report["(69)"].append((n, c, sb))
     pairs = overlapping(G.configs(), Gb.configs())
     # (70): blocking abstract configurations end with the concrete one

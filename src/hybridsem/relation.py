@@ -14,26 +14,28 @@ constraints over the symbols
 A state pair is related at time t iff some clause whose window contains
 t and whose guards match has all constraints satisfied.
 
-All for-all-over-an-interval verdicts are decided exactly: with affine
-flows substituted, every constraint is affine in t, so the time axis is
-refined at all constraint roots and window/piece boundaries; between
-consecutive breakpoints every constraint has a constant truth value, so
-checking each breakpoint and one interior rational point per cell is a
-complete decision procedure.  The same points decide the existential
-form ("related at some t in the window").  traj_related_rankwise decides
-its for-all by an exact cover of solution spans instead, so that
-comparing it with traj_related_timewise cross-checks this procedure.
+Window verdicts (for all, or for some, t in a window) are decided
+exactly, once per pair of affine pieces.  Modes and endpoints are
+constant on a piece pair, so each clause is compiled once: it is dropped
+if its guards miss the modes or it can never hold there, and each of its
+constraints becomes a*t + b along the two flows.  Between consecutive
+breakpoints (window, clause-window and domain bounds, and the roots
+-b/a) every constraint keeps its truth value, so the breakpoints, one
+rational point per cell and one past the last cut of an unbounded window
+decide it, at one multiply-add per constraint and point (the linear-sign
+method for linear hybrid automata).  traj_related_rankwise decides its
+for-all by an exact cover of solution spans instead, so that comparing
+it with traj_related_timewise cross-checks the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .affine import ENDPOINT_SYMBOLS, AffineConstraint, LinExpr, parse_constraint
-from .errors import EndpointSymbolsUnbound, NonOverlappingPair
-from .flow_config import Configuration, State, overlapping, pieces
+from .errors import EndpointSymbolsUnbound, NonOverlappingPair, ParseError
+from .flow_config import State, overlapping, pieces
 from .time_core import INF, NEG_INF, Q, TimeInterval, interval_intersect, is_finite
 
 __all__ = [
@@ -196,77 +198,67 @@ def _endpoint_env(c, d) -> dict:
     return env
 
 
-def _clause_holds_at(clause: Clause, t, cp: Configuration, dp: Configuration, endpoints) -> bool:
-    if clause.window is not None and not clause.window.contains(t):
-        return False
-    s, sbar = cp.flow.state_at(t), dp.flow.state_at(t)
-    if not clause.guards_match(s.mode, sbar.mode):
-        return False
-    cons = clause.effective_constraints(endpoints)
-    if cons is None:
-        return False
-    env = _state_env(t, s, sbar, endpoints)
-    try:
-        return all(con.holds(env) for con in cons)
-    except KeyError:
-        return False
-
-
-def _flow_exprs(cp: Configuration, prefix: str) -> dict:
-    """Variable symbols of one side as affine expressions of t."""
-    out = {}
-    rates = dict(cp.flow.rate)
-    for name, init in cp.flow.initial:
-        rate = rates[name]
-        out[prefix + name] = LinExpr.make({"t": rate}, init - rate * cp.flow.anchor)
+def _compile(r: TimedStateRelation, cp, dp, endpoints) -> list:
+    """The clauses of r that can hold on the piece pair cp, dp, each as
+    (window, ((con, a, b), ...)) with a*t + b the left side of con along
+    the two flows.  Modes are constant on a piece, so a clause whose
+    guards miss them is dropped; so is one that `dynamic` declines, or
+    that names a symbol the pair does not bind, such as a variable it
+    lacks or the infinite end of an unbounded configuration."""
+    table = None
+    out = []
+    for clause in r.clauses:
+        if not clause.guards_match(cp.flow.mode, dp.flow.mode):
+            continue
+        cons = clause.effective_constraints(endpoints)
+        if cons is None:
+            continue
+        if table is None:
+            table = {"t": (1, 0)}
+            table.update((k, (0, v)) for k, v in endpoints.items())
+            for prefix, flow in (("c_", cp.flow), ("a_", dp.flow)):
+                rates = dict(flow.rate)
+                for name, init in flow.initial:
+                    table[prefix + name] = (rates[name], init - rates[name] * flow.anchor)
+        try:
+            out.append((clause.window, tuple((con, *_in_t(con.lhs, table)) for con in cons)))
+        except KeyError:
+            continue
     return out
 
 
-def _constraint_roots(clause: Clause, cp, dp, endpoints, lo, hi) -> list:
-    """Roots in (lo, hi) of the clause's constraints as functions of t."""
-    subst = {}
-    subst.update(_flow_exprs(cp, "c_"))
-    subst.update(_flow_exprs(dp, "a_"))
-    if endpoints:
-        subst.update(endpoints)
-    cons = clause.effective_constraints(endpoints)
-    if cons is None:
-        return []
-    roots = []
-    for con in cons:
-        g = con.lhs.subst(subst)
-        extra = g.symbols() - {"t"}
-        if extra:
-            continue  # unbound symbol; clause will fail pointwise anyway
-        coef = dict(g.coefs).get("t", Q(0))
-        if coef == 0:
-            continue
-        root = -g.const / coef
-        if lo < root < hi:
-            roots.append(root)
-    return roots
+def _in_t(lhs: LinExpr, table: dict) -> tuple:
+    """(a, b) with lhs = a*t + b, each symbol read from table as (rate, offset)."""
+    a, b = 0, lhs.const
+    for sym, coef in lhs.coefs:
+        rate, offset = table[sym]
+        a, b = a + coef * rate, b + coef * offset
+    return a, b
 
 
-def _window_points(r: TimedStateRelation, cp, dp, window: TimeInterval, endpoints) -> list:
-    """The decision points of a window, in increasing order: the window
-    ends, clause-window bounds, constraint roots and domain boundaries,
-    one midpoint per cell between them, and a far point past every cut
-    when the window is unbounded (beyond the last breakpoint all truth
-    values are constant).  Only points inside the window are returned.
+def _constraint_roots(clause, lo, hi) -> list:
+    """Roots in (lo, hi) of the constraints of one compiled clause."""
+    roots = (-b / a for _, a, b in clause[1] if a)
+    return [t for t in roots if lo < t < hi]
 
-    cp and dp must be plain affine configurations whose intervals cover
-    the window.
-    """
+
+def _window_points(r: TimedStateRelation, clauses, window: TimeInterval) -> list:
+    """The decision points of a window for the compiled clauses, in
+    increasing order: the window ends, clause-window bounds, constraint
+    roots and domain boundaries, one midpoint per cell between them, and
+    a far point past every cut when the window is unbounded (beyond the
+    last breakpoint all truth values are constant).  Only points inside
+    the window are returned."""
     lo, hi = window.lo, window.hi
     cuts = {lo}
     if is_finite(hi):
         cuts.add(hi)
-    for clause in r.clauses:
-        if clause.window is not None:
-            for bnd in (clause.window.lo, clause.window.hi):
+    for clause in clauses:
+        if clause[0] is not None:
+            for bnd in (clause[0].lo, clause[0].hi):
                 if is_finite(bnd) and lo < bnd < hi:
                     cuts.add(bnd)
-        cuts.update(_constraint_roots(clause, cp, dp, endpoints, lo, hi))
+        cuts.update(_constraint_roots(clause, lo, hi))
     for bnd in r.domain_boundaries():
         if lo < bnd < hi:
             cuts.add(bnd)
@@ -279,19 +271,23 @@ def _window_points(r: TimedStateRelation, cp, dp, window: TimeInterval, endpoint
     return [t for t in points if window.contains(t)]
 
 
-def _related_at(r: TimedStateRelation, t, cp, dp, endpoints) -> bool:
-    return any(_clause_holds_at(cl, t, cp, dp, endpoints) for cl in r.clauses)
+def _decisions(r: TimedStateRelation, cp, dp, window: TimeInterval, endpoints):
+    """Whether the states of the plain affine configurations cp and dp
+    are related, at each decision point of the window inside dom(r)."""
+    clauses = _compile(r, cp, dp, endpoints)
+    for t in _window_points(r, clauses, window):
+        if r.in_domain(t):
+            yield any(
+                (w is None or w.contains(t))
+                and all(con.check_value(a * t + b) for con, a, b in cons)
+                for w, cons in clauses
+            )
 
 
-def _forall_window_related(
-    r: TimedStateRelation, cp, dp, window: TimeInterval, endpoints
-) -> bool:
+def _forall_window_related(r, cp, dp, window: TimeInterval, endpoints) -> bool:
     """Exact decision of: for all t in window, states of cp/dp related by
     r (outside dom(r) nothing is required)."""
-    return all(
-        not r.in_domain(t) or _related_at(r, t, cp, dp, endpoints)
-        for t in _window_points(r, cp, dp, window, endpoints)
-    )
+    return all(_decisions(r, cp, dp, window, endpoints))
 
 
 def _piece_windows(c, d, window: TimeInterval):
@@ -317,9 +313,9 @@ def exists_window_related(r: TimedStateRelation, c, d, window: TimeInterval) -> 
     their states are related by r.  c and d may be piecewise."""
     endpoints = _endpoint_env(c, d)
     return any(
-        r.in_domain(t) and _related_at(r, t, cp, dp, endpoints)
+        related
         for cp, dp, w in _piece_windows(c, d, window)
-        for t in _window_points(r, cp, dp, w, endpoints)
+        for related in _decisions(r, cp, dp, w, endpoints)
     )
 
 
@@ -534,34 +530,38 @@ def compose_relations(r1: TimedStateRelation, r2: TimedStateRelation):
     return member
 
 
+def _known_keys(doc, keys, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected an object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ParseError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    return doc
+
+
+def _window_from_json(w, where: str) -> TimeInterval:
+    hi = _known_keys(w, ("lo", "hi", "closed_hi"), where).get("hi", "inf")
+    return TimeInterval(
+        Q(w["lo"]), INF if hi in ("inf", None) else Q(hi), bool(w.get("closed_hi", False))
+    )
+
+
 def relation_from_json(doc: dict) -> TimedStateRelation:
+    """The relation of a relation file.  A key it does not know is a
+    ParseError: a misspelt guard would otherwise match every mode."""
     clauses = []
-    for cl in doc["clauses"]:
-        window = None
-        if "window" in cl:
-            w = cl["window"]
-            hi = w.get("hi", "inf")
-            window = TimeInterval(
-                Q(w["lo"]),
-                INF if hi in ("inf", None) else Q(hi),
-                bool(w.get("closed_hi", False)),
-            )
+    for i, cl in enumerate(_known_keys(doc, ("clauses", "domain"), "relation")["clauses"]):
+        where = f"clause {i}"
+        _known_keys(cl, ("constraints", "window", "concrete_mode", "abstract_mode"), where)
         clauses.append(
             Clause(
                 tuple(parse_constraint(c) for c in cl.get("constraints", [])),
-                window,
+                _window_from_json(cl["window"], f"{where} window") if "window" in cl else None,
                 cl.get("concrete_mode"),
                 cl.get("abstract_mode"),
             )
         )
     domain = None
     if "domain" in doc:
-        domain = tuple(
-            TimeInterval(
-                Q(w["lo"]),
-                INF if w.get("hi", "inf") in ("inf", None) else Q(w["hi"]),
-                bool(w.get("closed_hi", False)),
-            )
-            for w in doc["domain"]
-        )
+        domain = tuple(_window_from_json(w, "domain window") for w in doc["domain"])
     return TimedStateRelation(tuple(clauses), domain)

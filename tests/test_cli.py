@@ -128,6 +128,14 @@ BAD_SYSTEMS = {
     "initial-var": _variant(initial=[{"mode": "up", "values": {"u": "0", "w": "0"}}]),
     "unset-var": _variant(variables=["u", "w"]),
 }
+# misspelt keys; dropped silently, a misspelt guard would match every
+# mode and check-sim would answer true with exit 0
+BAD_RELATIONS = {
+    "clause-key": {"clauses": [{"constraints": ["c_u = a_u"], "concrete_mod": "down"}]},
+    "document-key": {"clauses": RELATION["clauses"], "domian": [{"lo": "5"}]},
+    "window-key": {"clauses": [{"constraints": ["c_u = a_u"],
+                                "window": {"lo": "0", "hi": "5", "closed": True}}]},
+}
 
 
 def _bad_input_cases(tmp_path):
@@ -144,6 +152,11 @@ def _bad_input_cases(tmp_path):
     # c_v names no variable of the system: the clause could never hold
     foreign = tmp_path / "foreign.json"
     foreign.write_text(json.dumps({"clauses": [{"constraints": ["c_v = a_u"]}]}))
+    for name, doc in BAD_RELATIONS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        bad_files.append(("check-sim", "--system", str(system), "--abstract", str(system),
+                          "--relation", str(path)))
     return [
         *bad_files,
         ("check-sim", "--system", str(system), "--abstract", str(system),

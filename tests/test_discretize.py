@@ -30,7 +30,7 @@ from hybridsem.discretize import (
     timeless_discretize,
     timeless_overapprox_demo,
 )
-from hybridsem.errors import DomainGapAtGridPoint, Misaligned
+from hybridsem.errors import DomainGapAtGridPoint, EndpointSymbolsUnbound, Misaligned
 from hybridsem.flow_config import State, make_config
 from hybridsem.hts import HybridTransitionSystem
 from hybridsem.relation import Clause, TimedStateRelation
@@ -123,6 +123,18 @@ def test_hypotheses_pass_on_identity():
     r = tank_relations(p)["r39"]
     rep = discretization_hypotheses(r, h, h, 1, horizon=9)
     assert rep["ok"], rep
+
+
+@pytest.mark.parametrize("name", ["E_c", "R53"])
+def test_hypotheses_refuse_endpoint_symbols(name):
+    """Hypothesis (69) relates bare state pairs, which bind no B_*/E_*,
+    so a relation using them is refused, not decided."""
+    p = TankParams.make(x0_samples=(1,))
+    h = build_tank_automaton(p)
+    ends = (parse_constraint("c_y = a_y"), parse_constraint("t <= E_c"))
+    relations = {"E_c": TimedStateRelation((Clause(ends),)), **tank_relations(p)}
+    with pytest.raises(EndpointSymbolsUnbound):
+        discretization_hypotheses(relations[name], h, h, 1, horizon=9)
 
 
 @pytest.mark.parametrize(

@@ -6,12 +6,19 @@ from fractions import Fraction as Q
 
 from hybridsem.affine import parse_constraint
 from hybridsem.flow_config import State, config_concat, make_config
+from hybridsem.flow_config import overlapping, pieces
 from hybridsem.relation import (
     Clause,
     ConfigRelation,
     TimedStateRelation,
+    _clause_spans,
+    _endpoint_env,
+    _interval_span,
+    _span_meet,
     compose_relations,
     config_related,
+    exists_window_related,
+    forall_window_related,
     relation_from_json,
     relation_project,
     sem_related,
@@ -376,3 +383,109 @@ def test_gap_between_clause_windows_is_unrelated():
     s = trajectory_validate([make_config("m", 0, 4, {"u": 1}, {"u": 1}, closed_hi=True)])
     assert not traj_related_timewise(r, s, s)
     assert not traj_related_rankwise(r, s, s)
+
+
+def _clauses(*clauses):
+    """A relation of (constraint texts, keyword arguments of Clause) pairs."""
+    return TimedStateRelation(
+        tuple(Clause(tuple(map(parse_constraint, cons)), **kw) for cons, kw in clauses)
+    )
+
+
+def test_compiled_kernel_edge_cases():
+    """Verdicts of the kernel compiled per piece pair where a clause can
+    never hold on the pair, or where piece and configuration differ."""
+    rise = make_config("m", 0, 2, {"u": 0}, {"u": 1}, closed_hi=True)  # u = t
+    steep = make_config("m", 0, 2, {"u": 0}, {"u": 2}, closed_hi=True)  # u = 2t
+    endless = make_config("m", 0, INF, {"u": 0}, {"u": 1})
+    # mode m with u = t on [0, 1), then mode n with u = 2 - t on [1, 2]
+    bent = config_concat(
+        make_config("m", 0, 1, {"u": 0}, {"u": 1}),
+        make_config("n", 1, 2, {"u": 1}, {"u": -1}, closed_hi=True),
+    )
+
+    def closed(lo, hi):
+        return TimeInterval(Q(lo), Q(hi), True)
+
+    whole, upper = closed(0, 2), closed(1, 2)
+    eq = (["c_u = a_u"], {})
+    # a guard that misses mode m, on a constraint with its root t = 1
+    # inside the window: ignoring the guard would relate t = 1
+    off_guard = (["c_u = 1"], {"concrete_mode": "n"})
+    rows = [
+        # relation, c, d, window, forall, exists
+        (_clauses(off_guard), rise, rise, whole, False, False),
+        (_clauses(off_guard, (["c_u < 1"], {})), rise, rise, whole, False, True),
+        (_clauses(off_guard, (["c_u < 1"], {})), rise, rise, upper, False, False),
+        (_clauses(off_guard, (["c_u < 1"], {})), rise, rise, TimeInterval(Q(0), Q(1)), True, True),
+        # c_v names a variable neither side has
+        (_clauses((["c_v = 0"], {})), rise, rise, whole, False, False),
+        (_clauses((["c_v = 0"], {}), eq), rise, rise, whole, True, True),
+        (_clauses((["c_v = 0"], {}), eq), rise, steep, whole, False, True),
+        (_clauses((["c_v = 0"], {}), eq), rise, steep, upper, False, False),
+        # `dynamic` declines: the clause fails although c_u = a_u holds
+        (_clauses((["c_u = a_u"], {"dynamic": lambda ep: None})), rise, rise, whole, False, False),
+        (_clauses((["c_u = a_u"], {"dynamic": lambda ep: None}), (["t <= 1"], {})),
+         rise, rise, whole, False, True),
+        # E_c of an unbounded configuration is unbound; B_c is bound
+        (_clauses((["t <= E_c"], {})), endless, endless, TimeInterval(Q(0), INF), False, False),
+        (_clauses((["t <= E_c"], {})), rise, rise, whole, True, True),
+        (_clauses((["t >= B_c + 1"], {})), endless, endless, TimeInterval(Q(0), INF), False, True),
+        (_clauses((["t >= B_c"], {})), endless, endless, TimeInterval(Q(0), INF), True, True),
+        # decided past the last cut, t = 3, of an unbounded window
+        (_clauses((["c_u > 3"], {})), endless, endless, TimeInterval(Q(0), INF), False, True),
+        (_clauses((["c_u <= 3"], {})), endless, endless, TimeInterval(Q(0), INF), False, True),
+        # piecewise: equal on [0, 1], apart after; E_c is the whole
+        # configuration's end, 2, not the first piece's, 1
+        (_clauses(eq), bent, rise, whole, False, True),
+        (_clauses(eq), bent, rise, closed(0, 1), True, True),
+        (_clauses(eq), bent, rise, closed(Q(3, 2), 2), False, False),
+        (_clauses((["c_u = a_u", "E_c = 2"], {})), bent, rise, closed(0, 1), True, True),
+        (_clauses((["c_u = a_u"], {"concrete_mode": "n"})), bent, rise, whole, False, True),
+        (_clauses((["c_u = a_u"], {"concrete_mode": "n"})), bent, rise, closed(0, 1), False, True),
+        (_clauses((["c_u = a_u"], {"concrete_mode": "m"})), bent, rise, closed(0, 1), False, True),
+    ]
+    for i, (r, c, d, window, want_forall, want_exists) in enumerate(rows):
+        assert forall_window_related(r, c, d, window) == want_forall, i
+        assert exists_window_related(r, c, d, window) == want_exists, i
+
+
+def _exists_by_spans(r, c, d, window):
+    """exists_window_related decided from solution spans, without the
+    kernel: some clause span meets the window, both pieces and dom(r)."""
+    endpoints = _endpoint_env(c, d)
+    for cp in pieces(c):
+        for dp in pieces(d):
+            need = _span_meet(_interval_span(window), _interval_span(cp.interval))
+            need = _span_meet(need, _interval_span(dp.interval))
+            if r.domain is None:
+                parts = [need]
+            else:
+                parts = [_span_meet(need, _interval_span(w)) for w in r.domain]
+            for clause in r.clauses:
+                for y in _clause_spans(clause, cp, dp, endpoints):
+                    if any(_span_meet(x, y) for x in parts):
+                        return True
+    return False
+
+
+def test_exists_window_matches_spans_randomized():
+    """The existential window verdict against an independent procedure,
+    as test_05 checks the universal one: clause windows, domains, guards,
+    strict comparisons, endpoint symbols (also of unbounded ends),
+    piecewise configurations and windows of every shape."""
+    rng = random.Random(61)
+    verdicts = []
+    for _ in range(300):
+        unbounded = rng.random() < 0.15
+        r = _rich_relation(rng, endpoints=True)
+        s, sb = _rich_trajectory(rng, unbounded), _rich_trajectory(rng, unbounded)
+        for c, d, w in overlapping(s.configs, sb.configs):
+            # a window near the overlap: overlapping it, inside it or apart
+            lo = max(Q(0), w.lo + Q(rng.randint(-2, 3), 2))
+            hi = INF if rng.random() < 0.2 else lo + Q(rng.randint(0, 4), 2)
+            window = TimeInterval(lo, hi, hi != INF and rng.random() < 0.5)
+            got = exists_window_related(r, c, d, window)
+            assert got == _exists_by_spans(r, c, d, window), (r, c, d, window)
+            verdicts.append(got)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50
