@@ -414,11 +414,13 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
 
     # stage iii: composition through the companions down to the spec view
     witness2 = {w: spec_witness(w) for w in witness1.values()}
-    ok3, failures, observations = compose_check(
+    ok3, failures, certified = compose_check(
         rels["R53"], rels["r39"], sorted(sem6.trajectories, key=repr), witness1, witness2
     )
     off_obs = []
-    for s, ww, cp, tp in observations:
+    for s, ww, cp, tp in certified:
+        if cp.flow.mode != "off":
+            continue
         # during the off phase the spec-level trace reads t - t1 while
         # the implementation level is exactly zero
         t_mid = (ww.lo + (ww.hi if is_finite(ww.hi) else ww.lo + 1)) / 2

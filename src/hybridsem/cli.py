@@ -121,7 +121,7 @@ def _read(path, parse):
     try:
         with open(path) as f:
             return parse(json.load(f))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -325,8 +325,17 @@ def _theorem7(args):
     return (PASS if ok and hyp["ok"] else FAIL), doc
 
 
+# the file flags each theorem reads; giving another one is bad input
+_THEOREM_FILES = {1: ("system",), 3: ("system",), 5: (), 6: ("system",),
+                  7: ("system", "abstract", "relation")}
+
+
 def cmd_check_theorem(args):
     n = args.number
+    unread = [f"--{f}" for f in ("system", "abstract", "relation")
+              if getattr(args, f) and f not in _THEOREM_FILES[n]]
+    if unread:
+        raise ParseError(f"theorem {n} reads no {', '.join(unread)}")
     if n == 1:
         h, hz = _load(args, "system", "horizon", horizon=Q(30))
         if h.explicit is None:

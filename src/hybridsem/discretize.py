@@ -21,8 +21,8 @@ from typing import Optional
 from .errors import DomainGapAtGridPoint, Misaligned, TruncatedInput
 from .flow_config import State, overlapping, pieces
 from .relation import TimedStateRelation, exists_window_related, state_related
-from .hts import semantics_generate
-from .simulation import config_graph, greatest_fixpoint, system_graph
+from .hts import maximal_paths, semantics_generate
+from .simulation import greatest_fixpoint, system_graph
 from .time_core import Q, TimeInterval, is_finite
 from .trajectory import Trajectory, grid_step, trajectory_eval
 
@@ -233,7 +233,7 @@ def discrete_traces(
     """Maximal rank-annotated traces from the initial states."""
     usable = d.edges if include_closing else d.edges - d.closing
     adj = _adjacency((a, b) for a, b in usable if max_rank is None or b.rank <= max_rank)
-    return frozenset(_maximal_paths(d.initial, adj))
+    return frozenset(maximal_paths(d.initial, adj))
 
 
 def theorem6_check(h, delta, horizon):
@@ -242,8 +242,7 @@ def theorem6_check(h, delta, horizon):
     delta = Q(delta)
     sem = semantics_generate(h, horizon)
     lhs = frozenset(timeful_sample(s, delta, horizon) for s in sem.trajectories)
-    G = config_graph(sem)
-    d = hts_discretize(G, delta, horizon)
+    d = hts_discretize(h, delta, horizon)
     max_rank = int(Q(horizon) / delta)
     rhs = frozenset(
         t for t in discrete_traces(d, include_closing=False, max_rank=max_rank)
@@ -268,11 +267,11 @@ def timeless_overapprox_demo(h, delta, horizon, max_len=4):
     delta = Q(delta)
     sem = semantics_generate(h, horizon)
     sampled = frozenset(timeless_sample(s, delta, horizon) for s in sem.trajectories)
-    initial, edges = timeless_discretize(config_graph(sem), delta, horizon)
+    initial, edges = timeless_discretize(h, delta, horizon)
     adj = _adjacency(edges)
     # a cycle exists iff some states each have a successor among them
     has_cycle = bool(greatest_fixpoint(adj, lambda u: [adj[u]]))
-    generated = _maximal_paths(initial, adj, max_len)
+    generated = maximal_paths(initial, adj, max_len)
     strict = sampled <= frozenset(
         g[: len(s)] for g in generated for s in sampled if len(g) >= len(s)
     ) and (has_cycle or len(generated) > len(sampled))
@@ -290,21 +289,6 @@ def _adjacency(edges) -> dict:
     for a, b in edges:
         adj.setdefault(a, []).append(b)
     return adj
-
-
-def _maximal_paths(starts, adj: dict, max_len: Optional[int] = None) -> set:
-    """Paths from starts along adj that end where no edge leaves, or
-    once they hold max_len states."""
-    out = set()
-    stack = [(u,) for u in starts]
-    while stack:
-        path = stack.pop()
-        nexts = adj.get(path[-1], ())
-        if not nexts or (max_len is not None and len(path) >= max_len):
-            out.add(path)
-        else:
-            stack.extend(path + (b,) for b in nexts)
-    return out
 
 
 def _grid_points(c, delta, hcap):

@@ -39,7 +39,6 @@ __all__ = [
     "is_empty",
     "cfg_b",
     "cfg_e",
-    "config_eval",
     "config_concat",
     "config_slice",
     "make_config",
@@ -244,14 +243,6 @@ def overlapping(xs, ys) -> list:
         active[side].append(k)
     found.sort(key=lambda f: f[:2])
     return [(sides[0][i], sides[1][j], w) for i, j, w in found]
-
-
-def config_eval(c, t):
-    """State at time t, or UNDEFINED outside the interval."""
-    if c is EPSILON:
-        return UNDEFINED
-    s = c.state_at(t)
-    return UNDEFINED if s is None else s
 
 
 def config_concat(c, d):

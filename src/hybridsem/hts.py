@@ -17,8 +17,10 @@ or unbounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .affine import AffineConstraint, LinExpr, parse_constraint, parse_expr
@@ -33,7 +35,7 @@ from .errors import (
 )
 from .flow_config import AffineFlow, Configuration, make_config
 from .time_core import INF, Q, TimeInterval, is_finite
-from .trajectory import Trajectory, trajectory_validate
+from .trajectory import trajectory_validate
 
 __all__ = [
     "ExitCondition",
@@ -43,9 +45,12 @@ __all__ = [
     "HybridTransitionSystem",
     "Semantics",
     "hts_validate",
+    "successors",
+    "Reached",
+    "reach",
+    "maximal_paths",
     "semantics_generate",
     "blocking_check",
-    "explicit_successors",
     "config_is_final",
 ]
 
@@ -137,6 +142,14 @@ class ExplicitSystem:
     edges: tuple  # (i, j) index pairs
     initial: tuple  # indices
 
+    @cached_property
+    def succ(self) -> dict:
+        """Successor indices of each configuration index."""
+        out = {i: [] for i in range(len(self.configs))}
+        for i, j in self.edges:
+            out[i].append(j)
+        return out
+
 
 @dataclass(frozen=True)
 class HybridTransitionSystem:
@@ -180,14 +193,6 @@ def config_is_final(c: Configuration) -> bool:
     return c.interval.closed_hi or not is_finite(c.e)
 
 
-def explicit_successors(h: HybridTransitionSystem):
-    """Successor index map of the explicit presentation."""
-    succ = {i: [] for i in range(len(h.explicit.configs))}
-    for i, j in h.explicit.edges:
-        succ[i].append(j)
-    return succ
-
-
 def hts_validate(h: HybridTransitionSystem, horizon=None, depth: int = 32) -> list:
     """Report of violated transition-system conditions (empty = valid).
 
@@ -197,7 +202,6 @@ def hts_validate(h: HybridTransitionSystem, horizon=None, depth: int = 32) -> li
     report = []
     if h.explicit is not None:
         ex = h.explicit
-        succ = explicit_successors(h)
         for i in ex.initial:
             if ex.configs[i].b != 0:
                 report.append(("InitialNotAtZero", ex.configs[i]))
@@ -208,7 +212,7 @@ def hts_validate(h: HybridTransitionSystem, horizon=None, depth: int = 32) -> li
             if config_is_final(c):
                 report.append(("FinalNotClosed", ("edge out of final configuration", c)))
         for i, c in enumerate(ex.configs):
-            if not succ[i] and not config_is_final(c):
+            if not ex.succ[i] and not config_is_final(c):
                 report.append(("FinalNotClosed", c))
         return report
     # schema presentation: instantiate from the sampled initial points
@@ -218,121 +222,130 @@ def hts_validate(h: HybridTransitionSystem, horizon=None, depth: int = 32) -> li
             report.append(("InitialNotAtZero", (mode, vals)))
     if horizon is not None:
         try:
-            semantics_generate(h, horizon, depth)
-        except (BranchingExplosion, FinalNotClosed) as exc:
+            reach(h, horizon, depth)
+        except FinalNotClosed as exc:
             report.append((type(exc).__name__, str(exc)))
     return report
 
 
-def _truncate_at(configs: list, horizon) -> Optional[Trajectory]:
-    """Prefix strictly before the horizon, flagged truncated."""
-    from .flow_config import config_slice
+def successors(h: HybridTransitionSystem, p) -> tuple:
+    """The one successor step.  A position is an index into the explicit
+    configurations (two indices may hold equal configurations), or a
+    schema configuration itself.  A non-terminal schema configuration
+    without an admissible successor raises FinalNotClosed."""
+    if h.explicit is not None:
+        return h.explicit.succ[p]
+    schema = h.schema(p.flow.mode)
+    if schema.terminal:
+        return ()
+    exit_values = p.flow.state_at(p.e).as_dict()
+    out = []
+    for edge in h.edges:
+        if edge.src == p.flow.mode:
+            nxt = h.schema(edge.dst).instantiate(p.e, edge.apply(exit_values), h.zeta)
+            if nxt is not None:
+                out.append(nxt)
+    if not out:
+        raise FinalNotClosed(f"non-terminal configuration {p!r} has no admissible successor")
+    return tuple(out)
 
-    kept = []
-    for c in configs:
-        if c.b >= horizon:
-            break
-        if is_finite(c.e) and c.e <= horizon and not c.interval.closed_hi:
-            kept.append(c)
+
+@dataclass(frozen=True)
+class Reached:
+    """Positions reached from the initial ones, with their successors
+    (none at a leaf) and configurations (cut at the horizon)."""
+
+    initial: tuple
+    succ: dict
+    config: dict
+    truncated: frozenset  # leaves cut by the horizon or the depth bound
+    horizon: object
+
+
+def reach(h: HybridTransitionSystem, horizon, depth: int = 64) -> Reached:
+    """Breadth-first worklist over positions.  A reached position is
+    a leaf cut at the horizon when it ends after it, complete when final,
+    cut at the horizon when it ends on it, and cut by depth when first
+    reached at rank `depth`; otherwise its successors are reached.  A
+    position starting at or after the horizon is not reached."""
+    horizon = Q(horizon) if is_finite(horizon) else INF
+    if horizon < 0:
+        raise ParamConstraintViolated(f"horizon {horizon} is negative")
+    ex = h.explicit
+    if ex is not None:
+        starts, value = [i for i in ex.initial if ex.configs[i].b == 0], ex.configs.__getitem__
+    else:
+        starts = [h.schema(m).instantiate(Q(0), dict(v), h.zeta) for m, v in h.initial]
+        starts, value = [c for c in starts if c is not None], (lambda c: c)
+    bounded = is_finite(horizon)
+    rank, config, succ, truncated = {}, {}, {}, set()
+    queue = deque()
+
+    def visit(p, n) -> bool:
+        if p not in rank:
+            c = value(p)
+            if c.b >= horizon:
+                return False
+            rank[p], config[p] = n, c
+            queue.append(p)
+        return True
+
+    initial = tuple(p for p in dict.fromkeys(starts) if visit(p, 1))
+    while queue:
+        p = queue.popleft()
+        c = config[p]
+        crosses = bounded and (not is_finite(c.e) or c.e > horizon)
+        # an instantiated schema configuration is final iff its mode is terminal
+        if (not ex.succ[p] if ex is not None else config_is_final(c)) and not crosses:
+            succ[p] = ()
+        elif crosses or bounded and c.e >= horizon or rank[p] >= depth:
+            # kept when it ends open by the horizon, else sliced to [b, horizon)
+            if not (is_finite(c.e) and c.e <= horizon and not c.interval.closed_hi):
+                config[p] = Configuration(c.flow, TimeInterval(c.b, horizon, False))
+            truncated.add(p)
+            succ[p] = ()
         else:
-            kept.append(
-                Configuration(
-                    c.flow, TimeInterval(c.b, Q(horizon), False)
-                )
-                if c.b < horizon
-                else c
-            )
-            break
-    if not kept:
-        return None
-    return trajectory_validate(kept, truncated=True)
+            nexts = dict.fromkeys(successors(h, p))
+            succ[p] = tuple(q for q in nexts if visit(q, rank[p] + 1))
+    return Reached(initial, succ, config, frozenset(truncated), horizon)
 
 
-def semantics_generate(
-    h: HybridTransitionSystem,
-    horizon,
-    depth: int = 64,
-    max_trajectories: int = 10000,
-) -> Semantics:
-    """Maximal trajectories up to the horizon and depth bound.
+def maximal_paths(starts, adj: dict, max_len: Optional[int] = None,
+                  max_trajectories: Optional[int] = None) -> set:
+    """Paths from starts along adj that end where no edge leaves, or
+    once they hold max_len states; more than max_trajectories paths
+    raise BranchingExplosion."""
+    out = set()
+    stack = [(u,) for u in starts]
+    while stack:
+        path = stack.pop()
+        nexts = adj.get(path[-1], ())
+        if not nexts or (max_len is not None and len(path) >= max_len):
+            out.add(path)
+            continue
+        stack.extend(path + (b,) for b in nexts)
+        if max_trajectories is not None and len(stack) + len(out) > max_trajectories:
+            raise BranchingExplosion(f"more than {max_trajectories} trajectories")
+    return out
+
+
+def semantics_generate(h: HybridTransitionSystem, horizon, depth: int = 64,
+                       max_trajectories: int = 10000) -> Semantics:
+    """Maximal trajectories up to the horizon and depth bound: the
+    maximal paths of the reached positions.
 
     Trajectories still extendable at a bound are flagged truncated.
     Finite maximal trajectories end in a final configuration.
     """
-    horizon = Q(horizon) if is_finite(horizon) else INF
-    if horizon < 0:
-        raise ParamConstraintViolated(f"horizon {horizon} is negative")
-    done: set = set()
-
-    if h.explicit is not None:
-        succ = explicit_successors(h)
-        ex = h.explicit
-        stack = [[i] for i in ex.initial if ex.configs[i].b == 0]
-        while stack:
-            path = stack.pop()
-            last = ex.configs[path[-1]]
-            configs = [ex.configs[i] for i in path]
-            nexts = succ[path[-1]]
-            over = is_finite(horizon) and (not is_finite(last.e) or last.e > horizon)
-            if over:
-                t = _truncate_at(configs, horizon)
-                if t is not None:
-                    done.add(t)
-                continue
-            if not nexts:
-                done.add(trajectory_validate(configs, truncated=False))
-                continue
-            if (is_finite(horizon) and last.e >= horizon) or len(path) >= depth:
-                t = _truncate_at(configs, horizon)
-                if t is not None:
-                    done.add(t)
-                continue
-            for j in nexts:
-                stack.append(path + [j])
-            if len(stack) + len(done) > max_trajectories:
-                raise BranchingExplosion(f"more than {max_trajectories} trajectories")
-        return Semantics(frozenset(done), horizon, depth)
-
-    # schema presentation
-    stack = []
-    for mode, vals in h.initial:
-        cfg = h.schema(mode).instantiate(Q(0), dict(vals), h.zeta)
-        if cfg is not None:
-            stack.append([cfg])
-    while stack:
-        path = stack.pop()
-        last = path[-1]
-        schema = h.schema(last.flow.mode)
-        if schema.terminal:
-            if is_finite(horizon) and (not is_finite(last.e) or last.e > horizon):
-                t = _truncate_at(path, horizon)
-                if t is not None:
-                    done.add(t)
-            else:
-                done.add(trajectory_validate(path, truncated=False))
-            continue
-        if is_finite(horizon) and last.e >= horizon or len(path) >= depth:
-            t = _truncate_at(path, horizon)
-            if t is not None:
-                done.add(t)
-            continue
-        exit_values = last.flow.state_at(last.e).as_dict()
-        extended = False
-        for edge in h.edges:
-            if edge.src != last.flow.mode:
-                continue
-            entry = edge.apply(exit_values)
-            nxt = h.schema(edge.dst).instantiate(last.e, entry, h.zeta)
-            if nxt is not None:
-                stack.append(path + [nxt])
-                extended = True
-        if not extended:
-            raise FinalNotClosed(
-                f"non-terminal configuration {last!r} has no admissible successor"
-            )
-        if len(stack) + len(done) > max_trajectories:
-            raise BranchingExplosion(f"more than {max_trajectories} trajectories")
-    return Semantics(frozenset(done), horizon, depth)
+    g = reach(h, horizon, depth)
+    trajectories = frozenset(
+        trajectory_validate(
+            [g.config[p] for p in path],
+            truncated=path[-1] in g.truncated or bool(g.succ[path[-1]]),
+        )
+        for path in maximal_paths(g.initial, g.succ, depth, max_trajectories)
+    )
+    return Semantics(trajectories, g.horizon, depth)
 
 
 def blocking_check(tau: HybridTransitionSystem, tau_prime: HybridTransitionSystem) -> bool:
@@ -347,8 +360,7 @@ def blocking_check(tau: HybridTransitionSystem, tau_prime: HybridTransitionSyste
         raise NotASubset("configuration universes differ")
     if not set(tau.explicit.edges) <= set(tau_prime.explicit.edges):
         raise NotASubset("tau is not a subset of tau_prime")
-    succ = explicit_successors(tau)
-    succ_p = explicit_successors(tau_prime)
+    succ, succ_p = tau.explicit.succ, tau_prime.explicit.succ
     for i in range(len(tau.explicit.configs)):
         if not succ[i] and succ_p[i]:
             return False

@@ -36,7 +36,7 @@ from .flow_config import (
     overlapping,
     pieces,
 )
-from .hts import semantics_generate
+from .hts import reach
 from .relation import (
     TimedStateRelation,
     config_related,
@@ -94,32 +94,37 @@ class ConfigGraph:
         return not self.succ(c) and c not in self.truncated
 
 
-def config_graph(semantics) -> ConfigGraph:
-    """Successor structure observed in a generated semantics."""
-    succ: dict = {}
-    initial = []
-    truncated = set()
-    for s in semantics.trajectories:
-        for i, c in enumerate(s.configs):
-            succ.setdefault(c, set())
-            if i == 0 and c not in initial:
-                initial.append(c)
-            if i + 1 < len(s.configs):
-                succ[c].add(s.configs[i + 1])
-        if s.truncated:
-            truncated.add(s.configs[-1])
+def _graph(initial, succ: dict, truncated) -> ConfigGraph:
+    """ConfigGraph of successor sets, listed by repr."""
     items = tuple(sorted(
         ((c, tuple(sorted(v, key=repr))) for c, v in succ.items()), key=lambda kv: repr(kv[0])
     ))
-    return ConfigGraph(tuple(initial), items, frozenset(truncated))
+    return ConfigGraph(tuple(dict.fromkeys(initial)), items, frozenset(truncated))
+
+
+def config_graph(semantics) -> ConfigGraph:
+    """Successor structure observed in given trajectories."""
+    succ: dict = {}
+    for s in semantics.trajectories:
+        for i, c in enumerate(s.configs):
+            succ.setdefault(c, set()).update(s.configs[i + 1 : i + 2])
+    return _graph(
+        (s.configs[0] for s in semantics.trajectories), succ,
+        (s.configs[-1] for s in semantics.trajectories if s.truncated),
+    )
 
 
 def system_graph(h_or_graph, horizon=None) -> ConfigGraph:
-    """The configuration graph of a system generated up to the horizon
-    (unbounded when None); a ConfigGraph is returned as it is."""
+    """The configuration graph of a system reached up to the horizon
+    (unbounded when None) by `hts.reach`; positions holding equal
+    configurations are merged.  A ConfigGraph is returned as it is."""
     if isinstance(h_or_graph, ConfigGraph):
         return h_or_graph
-    return config_graph(semantics_generate(h_or_graph, INF if horizon is None else horizon))
+    g = reach(h_or_graph, INF if horizon is None else horizon)
+    succ: dict = {}
+    for p, nexts in g.succ.items():
+        succ.setdefault(g.config[p], set()).update(g.config[q] for q in nexts)
+    return _graph((g.config[p] for p in g.initial), succ, (g.config[p] for p in g.truncated))
 
 
 @dataclass
@@ -514,12 +519,11 @@ def compose_check(
 
     witness1 maps each member of T to its intermediate trajectory,
     witness2 maps intermediates to top-level trajectories.  Returns
-    (ok, failures, observations); observations record windows where the
-    intermediate relation forced values at the top level (reported for
-    inspection, not as errors).
+    (ok, failures, certified); certified lists every window where both
+    relations hold as (s, window, concrete piece, top-level piece).
     """
     failures = []
-    observations = []
+    certified = []
     for s in T:
         if s not in witness1:
             raise MissingIntermediateWitness(repr(s))
@@ -549,9 +553,9 @@ def compose_check(
                         ok2 = forall_window_related(r2, cmid, ctop, ww)
                         if not (ok1 and ok2):
                             failures.append((s, c, cmid, ctop, ww, ok1, ok2))
-                        elif cp.flow.mode == "off":
-                            observations.append((s, ww, cp, tp))
-    return (not failures), failures, observations
+                        else:
+                            certified.append((s, ww, cp, tp))
+    return (not failures), failures, certified
 
 
 def relation_inverse(r: TimedStateRelation) -> TimedStateRelation:

@@ -30,7 +30,6 @@ __all__ = [
     "Trajectory",
     "DiscreteTrace",
     "trajectory_validate",
-    "trajectory_duration",
     "trajectory_eval",
     "trajectory_timeline",
     "trajectory_sample",
@@ -90,11 +89,6 @@ def trajectory_validate(configs: Sequence, truncated: bool = False) -> Trajector
         if is_finite(last.e) and not last.interval.closed_hi:
             raise LastNotClosed("complete finite trajectory must end in a closed configuration")
     return Trajectory(configs, truncated)
-
-
-def trajectory_duration(s: Trajectory):
-    """e of the last configuration; a lower bound when truncated."""
-    return s.duration
 
 
 def trajectory_eval(s: Trajectory, t):

@@ -135,6 +135,9 @@ BAD_RELATIONS = {
     "document-key": {"clauses": RELATION["clauses"], "domian": [{"lo": "5"}]},
     "window-key": {"clauses": [{"constraints": ["c_u = a_u"],
                                 "window": {"lo": "0", "hi": "5", "closed": True}}]},
+    # malformed numbers
+    "window-number": {"clauses": [{"constraints": ["c_u = a_u"], "window": {"lo": "abc"}}]},
+    "zero-division": {"clauses": [{"constraints": ["c_u = 1/0"]}]},
 }
 
 
@@ -166,6 +169,10 @@ def _bad_input_cases(tmp_path):
         ("discretize", "--fixture", "example10", "--delta", "0"),
         ("discretize", "--fixture", "example10", "--delta", "-1"),
         ("check-theorem", "3", "--fixture", "tank-automaton", "--delta", "0"),
+        # a file flag the theorem does not read
+        ("check-theorem", "5", "--x0", "1", "--horizon", "3", "--system", "/nonexistent"),
+        ("check-theorem", "6", "--fixture", "tank-automaton", "--x0", "1", "--delta", "1",
+         "--horizon", "3", "--relation", "/nonexistent"),
         ("check-sim", *files, "--horizon", "-1"),
         ("check-refinement", "--x0", "5"),
         ("check-refinement", "--epsilon", "0"),

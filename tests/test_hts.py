@@ -4,7 +4,7 @@ import pytest
 
 from hybridsem.affine import LinExpr, parse_constraint
 from hybridsem.errors import BranchingExplosion, FinalNotClosed
-from hybridsem.flow_config import make_config
+from hybridsem.flow_config import Configuration, make_config
 from hybridsem.hts import (
     Edge,
     ExitCondition,
@@ -13,7 +13,9 @@ from hybridsem.hts import (
     hts_validate,
     semantics_generate,
 )
-from hybridsem.trajectory import trajectory_timeline
+from hybridsem.simulation import system_graph
+from hybridsem.time_core import TimeInterval
+from hybridsem.trajectory import trajectory_timeline, trajectory_validate
 
 from conftest import random_explicit
 
@@ -132,3 +134,60 @@ def test_branching_cap():
     )
     with pytest.raises(BranchingExplosion):
         semantics_generate(h, 20)
+    # the graph has 28 configurations and lists no trajectory
+    G = system_graph(h, 20)
+    assert len(G.configs()) == 28 and not G.truncated
+
+
+def _reference_semantics(h, horizon, depth):
+    """Brute force: every path of explicit indices from an initial
+    configuration, grown until its last configuration crosses the
+    horizon (cut there), has no successor (complete), ends on the
+    horizon or holds `depth` configurations (truncated)."""
+    ex = h.explicit
+    out = set()
+
+    def grow(path):
+        configs = [ex.configs[i] for i in path]
+        last, nexts = configs[-1], [j for i, j in ex.edges if i == path[-1]]
+        if last.e > horizon:
+            cut = Configuration(last.flow, TimeInterval(last.b, horizon, False))
+            out.add(trajectory_validate(configs[:-1] + [cut], truncated=True))
+        elif not nexts:
+            out.add(trajectory_validate(configs, truncated=False))
+        elif last.e == horizon or len(path) == depth:
+            out.add(trajectory_validate(configs, truncated=True))
+        else:
+            for j in nexts:
+                grow(path + [j])
+
+    for i in ex.initial:
+        grow([i])
+    return frozenset(out)
+
+
+def test_semantics_are_the_maximal_paths_of_the_reached_graph(rng):
+    seen = {"duplicates": 0, "mid-configuration cut": 0, "depth cut": 0}
+    for _ in range(200):
+        h = random_explicit(rng, max_levels=5, max_width=3)
+        ex = h.explicit
+        # some configurations take the value of the first one of their
+        # level, so equal configurations sit at distinct indices with
+        # distinct successors
+        first = {}
+        configs = tuple(
+            first.setdefault(c.b, c) if rng.random() < 0.5 else c for c in ex.configs
+        )
+        h = HybridTransitionSystem.from_explicit(
+            h.variables, h.zeta, configs, ex.edges, ex.initial
+        )
+        horizon = rng.choice((Q(3, 2), Q(5, 2), 3, 10))
+        depth = rng.choice((2, 3, 64))
+        got = semantics_generate(h, horizon, depth).trajectories
+        assert got == _reference_semantics(h, horizon, depth)
+        seen["duplicates"] += len(set(configs)) < len(configs)
+        seen["mid-configuration cut"] += any(
+            s.truncated and s.duration == horizon and horizon.denominator > 1 for s in got
+        )
+        seen["depth cut"] += any(s.truncated and len(s.configs) == depth for s in got)
+    assert all(seen.values()), seen

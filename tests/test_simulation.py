@@ -20,8 +20,8 @@ from hybridsem.relation import (
     config_related,
     traj_related_timewise,
 )
-from hybridsem.affine import parse_constraint
-from hybridsem.hts import semantics_generate
+from hybridsem.affine import LinExpr, parse_constraint
+from hybridsem.hts import Edge, ExitCondition, HybridTransitionSystem, ModeSchema, semantics_generate
 from hybridsem.simulation import (
     ConfigGraph,
     bisim_check,
@@ -36,6 +36,7 @@ from hybridsem.simulation import (
     sim_transfer,
     slice_closure,
     splice,
+    system_graph,
     theorem4_match,
     verify_by_simulation,
     well_nested_check,
@@ -187,6 +188,33 @@ def test_greatest_simulation_tank_pinned():
     R = greatest_simulation(G.configs(), G.configs(), G.succ, G.succ,
                             related=lambda c, d: config_related(r, c, d))
     assert len(R) == 497
+
+
+def _branching(k, dropped=None):
+    """k unit-dwell modes, all initial at time 0; mode i steps to i or
+    i+1 mod k and sets u to the target's index.  `dropped` removes the
+    edge dropped -> dropped+1."""
+    modes = tuple(
+        ModeSchema.make(f"m{i}", {"u": 0}, exit=ExitCondition("duration", LinExpr.constant(1)))
+        for i in range(k)
+    )
+    edges = tuple(
+        Edge.make(f"m{i}", f"m{j}", {"u": LinExpr.constant(j)})
+        for i in range(k) for j in (i, (i + 1) % k) if not (i == dropped and j != i)
+    )
+    initial = [(f"m{i}", {"u": i}) for i in range(k)]
+    return HybridTransitionSystem.from_schemas(("u",), Q(1, 100), modes, edges, initial)
+
+
+def test_greatest_simulation_branching_pair_past_the_trajectory_cap():
+    """C against C minus m -> m+1 under equal u.  Mode i at time t is
+    simulated unless C walks from i to m in d = (m - i) mod k steps and
+    steps on before the horizon, so min(d + 1, h) start times survive.
+    Listing the trajectories would exceed the trajectory cap."""
+    k, m, h = 6, 2, 30
+    G, Gb = system_graph(_branching(k), h), system_graph(_branching(k, dropped=m), h)
+    R = greatest_simulation(G.configs(), Gb.configs(), G.succ, Gb.succ, related=rel)
+    assert len(R) == sum(min((m - i) % k + 1, h) for i in range(k))
 
 
 def test_greatest_simulation_splice_across_flows_leaves_universe():
