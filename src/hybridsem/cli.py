@@ -325,17 +325,16 @@ def _theorem7(args):
     return (PASS if ok and hyp["ok"] else FAIL), doc
 
 
-# the file flags each theorem reads; giving another one is bad input
-_THEOREM_FILES = {1: ("system",), 3: ("system",), 5: (), 6: ("system",),
-                  7: ("system", "abstract", "relation")}
-
-
 def cmd_check_theorem(args):
     n = args.number
-    unread = [f"--{f}" for f in ("system", "abstract", "relation")
-              if getattr(args, f) and f not in _THEOREM_FILES[n]]
+    flags = _COMMANDS["check-theorem"][1]
+    given = [f for f in flags if f.startswith("--") and getattr(args, f[2:])]
+    unread = [f for f in given if f not in _THEOREM_FLAGS[n]]
     if unread:
         raise ParseError(f"theorem {n} reads no {', '.join(unread)}")
+    tank = [f for f in given if f in _TANK]
+    if tank and n != 5 and not args.fixture:
+        raise ParseError(f"theorem {n} reads {', '.join(tank)} only with --fixture")
     if n == 1:
         h, hz = _load(args, "system", "horizon", horizon=Q(30))
         if h.explicit is None:
@@ -519,6 +518,14 @@ _FLAGS = {
 _TANK = ("--x0", "--epsilon", "--zeta")
 _SYSTEM = ("--system", "--fixture", *_TANK)
 _PAIR = (*_SYSTEM, "--abstract", "--relation")
+# the flags each theorem reads; giving another one is bad input
+_THEOREM_FLAGS = {
+    1: (*_SYSTEM, "--horizon", "--json"),
+    3: (*_SYSTEM, "--delta", "--horizon", "--json"),
+    5: (*_TANK, "--horizon", "--json"),
+    6: (*_SYSTEM, "--delta", "--horizon", "--json"),
+    7: (*_PAIR, "--delta", "--horizon", "--json"),
+}
 _COMMANDS = {
     "validate": (cmd_validate, (*_SYSTEM, "--horizon", "--json")),
     "trajectories": (cmd_trajectories, (*_SYSTEM, "--horizon", "--depth", "--json")),

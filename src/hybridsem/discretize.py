@@ -20,7 +20,12 @@ from typing import Optional
 
 from .errors import DomainGapAtGridPoint, Misaligned, TruncatedInput
 from .flow_config import State, overlapping, pieces
-from .relation import TimedStateRelation, exists_window_related, state_related
+from .relation import (
+    TimedStateRelation,
+    exists_window_related,
+    related_candidates,
+    state_related,
+)
 from .hts import maximal_paths, semantics_generate
 from .simulation import greatest_fixpoint, system_graph
 from .time_core import Q, TimeInterval, is_finite
@@ -144,15 +149,15 @@ def relation_discretize(
     when r has a domain gap at an inhabited grid point.  extra_abstract
     admits abstract candidates that the sampled system never reaches."""
     delta = Q(delta)
-    abstract = d2.states | set(extra_abstract)
-    for u in d1.states | abstract:
-        if not r.in_domain(u.rank * delta):
-            raise DomainGapAtGridPoint(f"rank {u.rank} (t={u.rank * delta})")
+    by_rank: dict = {}
+    for v in d2.states | set(extra_abstract):
+        by_rank.setdefault(v.rank, []).append(v)
+    for n in sorted({u.rank for u in d1.states} | set(by_rank)):
+        if not r.in_domain(n * delta):
+            raise DomainGapAtGridPoint(f"rank {n} (t={n * delta})")
     pairs = set()
     for u in d1.states:
-        for v in abstract:
-            if u.rank != v.rank:
-                continue
+        for v in by_rank.get(u.rank, ()):
             if state_related(r, u.rank * delta, u.state, v.state):
                 pairs.add((u, v))
     return frozenset(pairs)
@@ -313,7 +318,17 @@ def discretization_hypotheses(
     r: TimedStateRelation, h, hb, delta, horizon=None
 ) -> dict:
     """Check the four soundness hypotheses over the reachable finite
-    universes; violations carry the sub-case label and a witness."""
+    universes; violations carry the sub-case label and a witness.
+
+    (69) asks, at each concrete grid point (n, state s of c), whether r
+    relates s to an abstract state that no abstract configuration
+    reaches at rank n.  The candidates are every abstract grid state, in
+    repr order; relation.related_candidates evaluates the abstract part
+    of each constraint once per candidate and the rest once per grid
+    point, so a candidate costs one comparison per constraint, and the
+    states reached at rank n are skipped.  The verdicts are those of
+    state_related, and a relation with B/E symbols is refused with
+    EndpointSymbolsUnbound, since a bare state pair binds none."""
     delta = grid_step(delta)
     hcap = Q(horizon) if horizon is not None else None
     G, Gb = system_graph(h, horizon), system_graph(hb, horizon)
@@ -332,15 +347,13 @@ def discretization_hypotheses(
     for cb in Gb.configs():
         for n in _grid_points(cb, delta, hcap):
             abstract_states.setdefault(n, set()).add(_state_closed(cb, n * delta))
-    all_abstract = set().union(*abstract_states.values()) if abstract_states else set()
+    candidates = sorted(set().union(*abstract_states.values()), key=repr)
+    related_at = related_candidates(r, candidates)
     for c in G.configs():
         for n in _grid_points(c, delta, hcap):
-            if not r.in_domain(n * delta):
-                continue
-            s = _state_closed(c, n * delta)
-            for sb in all_abstract:
-                if sb not in abstract_states.get(n, ()) and state_related(r, n * delta, s, sb):
-                    report["(69)"].append((n, c, sb))
+            t = n * delta
+            for sb in related_at(t, _state_closed(c, t), skip=abstract_states.get(n, ())):
+                report["(69)"].append((n, c, sb))
     pairs = overlapping(G.configs(), Gb.configs())
     # (70): blocking abstract configurations end with the concrete one
     for c, cb, w in pairs:

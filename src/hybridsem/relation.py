@@ -30,6 +30,7 @@ it with traj_related_timewise cross-checks the kernel.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -43,6 +44,7 @@ __all__ = [
     "TimedStateRelation",
     "ConfigRelation",
     "state_related",
+    "related_candidates",
     "config_related",
     "forall_window_related",
     "exists_window_related",
@@ -185,6 +187,101 @@ def state_related(
         except KeyError:
             continue  # clause mentions a symbol this pair cannot bind
     return False
+
+
+# con.lhs OP 0 read as (abstract part) OP -(the rest)
+_COMPARE = {"=": operator.eq, "<=": operator.le, ">=": operator.ge,
+            "<": operator.lt, ">": operator.gt}
+
+
+def _split_clause(clause: Clause):
+    """The constraints of a clause without endpoint symbols, each as
+    (comparison, a_* terms, t and c_* terms, constant); None when some
+    symbol is none of these, so the clause never holds."""
+    out = []
+    for con in clause.constraints:
+        abstract, rest = [], []
+        for sym, coef in con.lhs.coefs:
+            if sym.startswith("a_"):
+                abstract.append((sym, coef))
+            elif sym.startswith("c_") or sym == "t":
+                rest.append((sym, coef))
+            else:
+                return None
+        out.append((_COMPARE[con.op], abstract, rest, con.lhs.const))
+    return out
+
+
+def related_candidates(r: TimedStateRelation, candidates) -> Callable:
+    """Membership in r for one state against a fixed sequence of
+    candidate abstract states: at(t, s, skip) lists the candidates sb
+    with state_related(r, t, s, sb), in candidate order, leaving out
+    those in skip.  A clause with B/E symbols or a `dynamic` part raises
+    EndpointSymbolsUnbound as soon as it is reached for a candidate not
+    in skip, as state_related does without endpoints.
+
+    Each constraint's left side is split in two: the a_* terms are
+    evaluated here once per candidate, and t, the c_* terms and the
+    constant once per call, so a candidate costs one exact comparison
+    per constraint.  Clause windows, concrete guards and dom(r) are
+    decided once per call.  A clause naming a variable that one side
+    lacks never holds for that side."""
+    candidates = tuple(candidates)
+    compiled = []  # (clause, split constraints or None, [(index, a_* values)])
+    for clause in r.clauses:
+        matching = [j for j, sb in enumerate(candidates)
+                    if clause.abstract_mode is None or clause.abstract_mode == sb.mode]
+        if clause.uses_endpoints():
+            compiled.append((clause, None, [(j, None) for j in matching]))
+            continue
+        split = _split_clause(clause)
+        if split is None:
+            continue
+        rows = []
+        for j in matching:
+            env = {"a_" + k: v for k, v in candidates[j].vars}
+            try:
+                rows.append((j, tuple(
+                    sum(coef * env[sym] for sym, coef in abstract)
+                    for _, abstract, _, _ in split
+                )))
+            except KeyError:
+                continue
+        compiled.append((clause, split, rows))
+
+    def at(t, s: State, skip=frozenset()) -> list:
+        if not r.in_domain(t):
+            return []
+        env = {"t": Q(t)}
+        env.update(("c_" + k, v) for k, v in s.vars)
+        related = set()
+        for clause, split, rows in compiled:
+            if clause.window is not None and not clause.window.contains(t):
+                continue
+            if clause.concrete_mode is not None and clause.concrete_mode != s.mode:
+                continue
+            if split is None:
+                for j, _ in rows:
+                    if j not in related and candidates[j] not in skip:
+                        raise EndpointSymbolsUnbound(
+                            "clause uses B/E symbols; supply endpoints or a catalog"
+                        )
+                continue
+            try:
+                checks = [
+                    (cmp, -(const + sum(coef * env[sym] for sym, coef in rest)))
+                    for cmp, _, rest, const in split
+                ]
+            except KeyError:
+                continue  # the concrete state lacks a variable of the clause
+            for j, avals in rows:
+                if j not in related and all(
+                    cmp(a, bound) for (cmp, bound), a in zip(checks, avals)
+                ):
+                    related.add(j)
+        return [candidates[j] for j in sorted(related) if candidates[j] not in skip]
+
+    return at
 
 
 def _endpoint_env(c, d) -> dict:

@@ -173,6 +173,12 @@ def _bad_input_cases(tmp_path):
         ("check-theorem", "5", "--x0", "1", "--horizon", "3", "--system", "/nonexistent"),
         ("check-theorem", "6", "--fixture", "tank-automaton", "--x0", "1", "--delta", "1",
          "--horizon", "3", "--relation", "/nonexistent"),
+        # any other flag the theorem does not read
+        ("check-theorem", "5", "--fixture", "fig8-1", "--x0", "1", "--horizon", "3",
+         "--delta", "7"),
+        ("check-theorem", "1", "--fixture", "tank-automaton", "--delta", "1"),
+        # the tank flags shape a fixture, so without one nothing reads them
+        ("check-theorem", "6", "--system", str(system), "--x0", "1"),
         ("check-sim", *files, "--horizon", "-1"),
         ("check-refinement", "--x0", "5"),
         ("check-refinement", "--epsilon", "0"),

@@ -52,6 +52,11 @@ def _calls() -> dict:
     calls["check-theorem5_tank"] = ("check-theorem", "5", "--x0", "1", "--horizon", "10")
     calls["check-theorem6_tank"] = ("check-theorem", "6", *TANK, "--delta", "1", "--horizon", "9")
     calls["check-theorem7_tank"] = ("check-theorem", "7", *TANK, "--delta", "1", "--horizon", "9")
+    # every pair related: (69) lists abstract states of other ranks, and
+    # its first witnesses must not depend on the hash seed
+    calls["check-theorem7_tank-always"] = (
+        "check-theorem", "7", *TANK, "--delta", "1/4", "--horizon", "12",
+        "--relation", _input("always"))
     calls["galois-laws"] = ("galois-laws",)
     # the tank automaton against itself under r39 (same output as TANK_FILES)
     calls["check-sim_tank-automaton"] = ("check-sim", *TANK, "--horizon", "9")

@@ -18,6 +18,8 @@ from hybridsem.casestudy import (
 from hybridsem.discretize import (
     DiscreteTransitionSystem,
     TimefulState,
+    _grid_points,
+    _state_closed,
     discrete_traces,
     discretization_hypotheses,
     greatest_discrete_simulation,
@@ -33,7 +35,8 @@ from hybridsem.discretize import (
 from hybridsem.errors import DomainGapAtGridPoint, EndpointSymbolsUnbound, Misaligned
 from hybridsem.flow_config import State, make_config
 from hybridsem.hts import HybridTransitionSystem
-from hybridsem.relation import Clause, TimedStateRelation
+from hybridsem.relation import Clause, TimedStateRelation, state_related
+from hybridsem.simulation import system_graph
 from hybridsem.trajectory import trajectory_validate
 
 from conftest import random_explicit
@@ -135,6 +138,50 @@ def test_hypotheses_refuse_endpoint_symbols(name):
     relations = {"E_c": TimedStateRelation((Clause(ends),)), **tank_relations(p)}
     with pytest.raises(EndpointSymbolsUnbound):
         discretization_hypotheses(relations[name], h, h, 1, horizon=9)
+
+
+def _brute_force_69(r, h, hb, delta, horizon) -> set:
+    """Hypothesis (69) by one state_related call per concrete grid point
+    and abstract state of another rank."""
+    G, Gb = system_graph(h, horizon), system_graph(hb, horizon)
+    hcap = None if horizon is None else Q(horizon)
+    at_rank = {}
+    for cb in Gb.configs():
+        for n in _grid_points(cb, delta, hcap):
+            at_rank.setdefault(n, set()).add(_state_closed(cb, n * delta))
+    every = set().union(*at_rank.values())
+    return {
+        (n, c, sb)
+        for c in G.configs()
+        for n in _grid_points(c, delta, hcap)
+        for sb in every
+        if sb not in at_rank.get(n, ())
+        and state_related(r, n * delta, _state_closed(c, n * delta), sb)
+    }
+
+
+def _hypothesis_69_inputs():
+    out = {}
+    for name in ("fig8-1", "fig8-2", "fig8-3"):
+        fx = gallery_fixture(name)
+        out[name] = (fx["relation"], fx["concrete"], fx["abstract"], fx["delta"], None)
+    p = TankParams.make(x0_samples=(1,))
+    h = build_tank_automaton(p)
+    always = TimedStateRelation((Clause(()),))
+    out["tank-r39"] = (tank_relations(p)["r39"], h, h, Q(1), Q(9))
+    out["tank-always"] = (always, h, h, Q(1, 4), Q(12))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_hypothesis_69_inputs()))
+def test_hypothesis_69_matches_brute_force(name):
+    """(69) decided per grid point against split constraints lists each
+    violation once, and exactly those of the pairwise loop."""
+    r, h, hb, delta, horizon = _hypothesis_69_inputs()[name]
+    got = discretization_hypotheses(r, h, hb, delta, horizon)["(69)"]
+    assert len(got) == len(set(got))
+    assert set(got) == _brute_force_69(r, h, hb, delta, horizon)
+    assert bool(got) == (name in ("fig8-2", "tank-always"))
 
 
 @pytest.mark.parametrize(

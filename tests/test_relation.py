@@ -4,7 +4,10 @@ decision procedure, configuration lifting, and trajectory relations."""
 import random
 from fractions import Fraction as Q
 
-from hybridsem.affine import parse_constraint
+import pytest
+
+from hybridsem.affine import AffineConstraint, LinExpr, parse_constraint
+from hybridsem.errors import EndpointSymbolsUnbound
 from hybridsem.flow_config import State, config_concat, make_config
 from hybridsem.flow_config import overlapping, pieces
 from hybridsem.relation import (
@@ -20,6 +23,7 @@ from hybridsem.relation import (
     exists_window_related,
     forall_window_related,
     relation_from_json,
+    related_candidates,
     relation_project,
     sem_related,
     state_related,
@@ -300,8 +304,6 @@ def _rich_relation(rng, endpoints):
     """Clauses with windows, mode guards, all five comparisons, up to two
     constraints each and, if `endpoints`, B/E symbols; sometimes a
     domain of one or two windows."""
-    from hybridsem.affine import AffineConstraint, LinExpr
-
     clauses = []
     for _ in range(rng.randint(1, 3)):
         cons = []
@@ -489,3 +491,70 @@ def test_exists_window_matches_spans_randomized():
             assert got == _exists_by_spans(r, c, d, window), (r, c, d, window)
             verdicts.append(got)
     assert verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+
+_VALUES = (Q(0), Q(1, 2), Q(1))
+
+
+def _candidate_relation(rng, endpoints):
+    """Clauses over c_u, c_w, a_u, a_w and t with small coefficients, so
+    that equalities hold often; wildcard and mode guards, windows, all
+    five comparisons, sometimes a domain, and, if `endpoints`, sometimes
+    a B/E symbol or a `dynamic` part."""
+    clauses = []
+    for _ in range(rng.randint(1, 3)):
+        cons = []
+        for _ in range(rng.randint(0, 2)):
+            syms = rng.sample(("c_u", "c_w", "a_u", "a_w", "t"), rng.randint(1, 3))
+            coefs = {sym: rng.choice((-1, 1, 2)) for sym in syms}
+            if endpoints and rng.random() < 0.2:
+                coefs[rng.choice(("B_c", "E_a"))] = 1
+            op = rng.choice(("=", "<=", ">=", "<", ">"))
+            cons.append(AffineConstraint(LinExpr.make(coefs, rng.choice(_VALUES)), op))
+        window = None
+        if rng.random() < 0.3:
+            lo = Q(rng.randint(0, 4), 2)
+            hi = INF if rng.random() < 0.3 else lo + Q(rng.randint(1, 3), 2)
+            window = TimeInterval(lo, hi, hi != INF and rng.random() < 0.5)
+        dynamic = (lambda eps: ()) if endpoints and rng.random() < 0.1 else None
+        modes = (None, None, "m", "n")
+        clauses.append(
+            Clause(tuple(cons), window, rng.choice(modes), rng.choice(modes), dynamic)
+        )
+    domain = None
+    if rng.random() < 0.3:
+        domain = (TimeInterval(Q(rng.randint(0, 2), 2), Q(rng.randint(3, 5), 2), True),)
+    return TimedStateRelation(tuple(clauses), domain)
+
+
+def _candidate_state(rng):
+    """Mode m or n, with u and w or only one of them."""
+    names = rng.choice((("u", "w"), ("u", "w"), ("u",), ("w",)))
+    return State.make(rng.choice(("m", "n")), {k: rng.choice(_VALUES) for k in names})
+
+
+def test_related_candidates_matches_state_related():
+    """related_candidates lists exactly the candidates outside `skip`
+    that state_related relates, and raises EndpointSymbolsUnbound exactly
+    when state_related raises on one of them."""
+    rng = random.Random(20261018)
+    seen = {"related": 0, "unrelated": 0, "raised": 0}
+    for _ in range(400):
+        r = _candidate_relation(rng, endpoints=rng.random() < 0.3)
+        candidates = [_candidate_state(rng) for _ in range(rng.randint(0, 6))]
+        related_at = related_candidates(r, candidates)
+        for _ in range(4):
+            t, s = Q(rng.randint(0, 6), 2), _candidate_state(rng)
+            skip = set(rng.sample(candidates, rng.randint(0, len(candidates))))
+            try:
+                expected = [sb for sb in candidates
+                            if sb not in skip and state_related(r, t, s, sb)]
+            except EndpointSymbolsUnbound:
+                with pytest.raises(EndpointSymbolsUnbound):
+                    related_at(t, s, skip)
+                seen["raised"] += 1
+                continue
+            assert related_at(t, s, skip) == expected, (r, t, s, candidates, skip)
+            seen["related"] += len(expected)
+            seen["unrelated"] += len(candidates) - len(skip) - len(expected)
+    assert all(n > 50 for n in seen.values()), seen
