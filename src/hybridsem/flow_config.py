@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import DurationBelowZeta, EmptyIntersection, NonConsecutive
@@ -98,6 +99,15 @@ class AffineFlow:
 
     def var_names(self) -> tuple:
         return tuple(k for k, _ in self.initial)
+
+    @cached_property
+    def lines(self) -> tuple:
+        """(name, (rate, offset)) per variable, its value at t being
+        rate*t + offset; computed once per flow."""
+        rates = dict(self.rate)
+        return tuple(
+            (k, (rates[k], v - rates[k] * self.anchor)) for k, v in self.initial
+        )
 
     def reanchored(self, new_anchor) -> "AffineFlow":
         rates = dict(self.rate)

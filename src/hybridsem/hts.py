@@ -267,7 +267,10 @@ def reach(h: HybridTransitionSystem, horizon, depth: int = 64) -> Reached:
     a leaf cut at the horizon when it ends after it, complete when final,
     cut at the horizon when it ends on it, and cut by depth when first
     reached at rank `depth`; otherwise its successors are reached.  A
-    position starting at or after the horizon is not reached."""
+    position starting at or after the horizon is not reached.  Following an
+    edge out of a final explicit configuration raises FinalNotClosed, as
+    `hts_validate` reports it; such a configuration cut at the horizon
+    or by depth is a leaf like any other."""
     horizon = Q(horizon) if is_finite(horizon) else INF
     if horizon < 0:
         raise ParamConstraintViolated(f"horizon {horizon} is negative")
@@ -305,6 +308,8 @@ def reach(h: HybridTransitionSystem, horizon, depth: int = 64) -> Reached:
             truncated.add(p)
             succ[p] = ()
         else:
+            if ex is not None and config_is_final(c):
+                raise FinalNotClosed(f"edge out of final configuration {c!r}")
             nexts = dict.fromkeys(successors(h, p))
             succ[p] = tuple(q for q in nexts if visit(q, rank[p] + 1))
     return Reached(initial, succ, config, frozenset(truncated), horizon)

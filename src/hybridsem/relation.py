@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Optional
 
 from .affine import ENDPOINT_SYMBOLS, AffineConstraint, LinExpr, parse_constraint
 from .errors import EndpointSymbolsUnbound, NonOverlappingPair, ParseError
-from .flow_config import State, overlapping, pieces
+from .flow_config import PiecewiseConfiguration, State, overlapping, pieces
 from .time_core import INF, NEG_INF, Q, TimeInterval, interval_intersect, is_finite
 
 __all__ = [
@@ -313,10 +313,8 @@ def _compile(r: TimedStateRelation, cp, dp, endpoints) -> list:
         if table is None:
             table = {"t": (1, 0)}
             table.update((k, (0, v)) for k, v in endpoints.items())
-            for prefix, flow in (("c_", cp.flow), ("a_", dp.flow)):
-                rates = dict(flow.rate)
-                for name, init in flow.initial:
-                    table[prefix + name] = (rates[name], init - rates[name] * flow.anchor)
+            table.update(("c_" + k, line) for k, line in cp.flow.lines)
+            table.update(("a_" + k, line) for k, line in dp.flow.lines)
         try:
             out.append((clause.window, tuple((con, *_in_t(con.lhs, table)) for con in cons)))
         except KeyError:
@@ -344,8 +342,8 @@ def _window_points(r: TimedStateRelation, clauses, window: TimeInterval) -> list
     increasing order: the window ends, clause-window bounds, constraint
     roots and domain boundaries, one midpoint per cell between them, and
     a far point past every cut when the window is unbounded (beyond the
-    last breakpoint all truth values are constant).  Only points inside
-    the window are returned."""
+    last breakpoint all truth values are constant).  Every point lies in
+    [lo, hi], so only the right end of an open window is left out."""
     lo, hi = window.lo, window.hi
     cuts = {lo}
     if is_finite(hi):
@@ -365,7 +363,9 @@ def _window_points(r: TimedStateRelation, clauses, window: TimeInterval) -> list
     points = [cuts[0]]
     for a, b in zip(cuts, cuts[1:]):
         points += [(a + b) / 2, b]
-    return [t for t in points if window.contains(t)]
+    if is_finite(hi) and not window.closed_hi:
+        points.pop()
+    return points
 
 
 def _decisions(r: TimedStateRelation, cp, dp, window: TimeInterval, endpoints):
@@ -387,8 +387,20 @@ def _forall_window_related(r, cp, dp, window: TimeInterval, endpoints) -> bool:
     return all(_decisions(r, cp, dp, window, endpoints))
 
 
+def _plain(c, d) -> bool:
+    """Neither c nor d is piecewise: they are their only piece pair."""
+    return not (isinstance(c, PiecewiseConfiguration) or isinstance(d, PiecewiseConfiguration))
+
+
 def _piece_windows(c, d, window: TimeInterval):
     """Piece pairs of c and d with their shared window cut to `window`."""
+    if _plain(c, d):
+        w = interval_intersect(c.interval, d.interval)
+        if w is not None:
+            w = interval_intersect(w, window)
+        if w is not None:
+            yield c, d, w
+        return
     for cp, dp, w in overlapping(pieces(c), pieces(d)):
         w = interval_intersect(w, window)
         if w is not None:
@@ -416,11 +428,17 @@ def exists_window_related(r: TimedStateRelation, c, d, window: TimeInterval) -> 
     )
 
 
-def config_related(r: TimedStateRelation, c, d) -> bool:
+def config_related(r: TimedStateRelation, c, d, overlap=None) -> bool:
     """Lift of r to configurations: overlapping intervals with related
-    states throughout the overlap (intersected with dom(r))."""
-    overlap = interval_intersect(c.interval, d.interval)
-    return overlap is not None and forall_window_related(r, c, d, overlap)
+    states throughout the overlap (intersected with dom(r)).  A caller
+    that has the overlap of c and d already passes it as `overlap`."""
+    if overlap is None:
+        overlap = interval_intersect(c.interval, d.interval)
+        if overlap is None:
+            return False
+    if _plain(c, d):
+        return _forall_window_related(r, c, d, overlap, _endpoint_env(c, d))
+    return forall_window_related(r, c, d, overlap)
 
 
 def relation_project(R: ConfigRelation) -> Callable:

@@ -39,8 +39,9 @@ from .flow_config import (
 from .hts import reach
 from .relation import (
     TimedStateRelation,
+    _endpoint_env,
+    _forall_window_related,
     config_related,
-    forall_window_related,
     traj_related_rankwise,
     traj_related_timewise,
 )
@@ -231,10 +232,10 @@ def sim_transfer(related: Callable, succ_abstract, c, cbar, c_prime) -> list:
     return candidates
 
 
-def _related_pairs(related: Callable, G: ConfigGraph, Gb: ConfigGraph) -> list:
-    """Related pairs; `related` must be false off-overlap, so only
-    overlapping pairs are tried."""
-    return [(c, cb) for c, cb, _ in overlapping(G.configs(), Gb.configs()) if related(c, cb)]
+def _related_pairs(r: TimedStateRelation, overlaps) -> list:
+    """The pairs of `overlaps` (from `overlapping`) related by gamma(r),
+    each decided on the overlap already found."""
+    return [(c, cb) for c, cb, w in overlaps if config_related(r, c, cb, w)]
 
 
 def _universe_guard(G: ConfigGraph, Gb: ConfigGraph):
@@ -246,7 +247,12 @@ def _universe_guard(G: ConfigGraph, Gb: ConfigGraph):
 def configs_well_nested(G: ConfigGraph, Gb: ConfigGraph):
     """(59) at the configuration level: overlap implies containment of
     the concrete interval in the abstract one.  Returns (ok, witness)."""
-    for c, cb, _ in overlapping(G.configs(), Gb.configs()):
+    return _nested(overlapping(G.configs(), Gb.configs()))
+
+
+def _nested(overlaps):
+    """(59) on the pairs of `overlaps` (from `overlapping`)."""
+    for c, cb, _ in overlaps:
         if not c.interval.subset_of(cb.interval):
             return False, (c, cb)
     return True, None
@@ -267,12 +273,12 @@ def sim_check(
     _universe_guard(G, Gb)
     related = lambda c, d: config_related(r, c, d)
     report = SimReport(True)
-    if mode == "sync":
-        nested, witness = configs_well_nested(G, Gb)
-        if not nested:
-            raise SyncRequiresWellNesting(f"overlap without nesting at {witness!r}")
+    overlaps = overlapping(G.configs(), Gb.configs())
+    nested_ok, nested_w = _nested(overlaps)
+    if mode == "sync" and not nested_ok:
+        raise SyncRequiresWellNesting(f"overlap without nesting at {nested_w!r}")
     violations = []
-    pairs = _related_pairs(related, G, Gb)
+    pairs = _related_pairs(r, overlaps)
     for c, cb in pairs:
         for c_prime in G.succ(c):
             if mode == "sync":
@@ -295,7 +301,6 @@ def sim_check(
             if Gb.succ(cb):
                 blocking_ok, blocking_w = False, (c, cb)
                 break
-    nested_ok, nested_w = configs_well_nested(G, Gb)
     report.hypothesis_results = {
         "init(56)": (init_ok, init_w),
         "blocking(57)": (blocking_ok, blocking_w),
@@ -537,10 +542,12 @@ def compose_check(
             w1 = interval_intersect(w1, bound)
             if w1 is None:
                 continue
+            env1 = _endpoint_env(c, cmid)
             for ctop in top.configs:
                 w = interval_intersect(w1, ctop.interval)
                 if w is None:
                     continue
+                env2 = _endpoint_env(cmid, ctop)
                 for cp, mp, lower in overlapping(pieces(c), pieces(cmid)):
                     lower = interval_intersect(lower, w)
                     if lower is None:
@@ -549,8 +556,11 @@ def compose_check(
                         ww = interval_intersect(lower, upper)
                         if ww is None:
                             continue
-                        ok1 = forall_window_related(r1, c, cmid, ww)
-                        ok2 = forall_window_related(r2, cmid, ctop, ww)
+                        # pieces are disjoint, so (cp, mp) and (mp, tp) are
+                        # the only piece pairs of the whole configurations
+                        # that meet ww
+                        ok1 = _forall_window_related(r1, cp, mp, ww, env1)
+                        ok2 = _forall_window_related(r2, mp, tp, ww, env2)
                         if not (ok1 and ok2):
                             failures.append((s, c, cmid, ctop, ww, ok1, ok2))
                         else:
@@ -617,7 +627,7 @@ def preservation_check(
     report = SimReport(True)
     violations = []
     progress_ok, progress_w = True, None
-    for c, cb in _related_pairs(related, G, Gb):
+    for c, cb in _related_pairs(r, overlapping(G.configs(), Gb.configs())):
         for c_prime in G.succ(c):
             for cb_prime in Gb.succ(cb):
                 m1 = tmin(c_prime.b, cb_prime.b)

@@ -87,7 +87,7 @@ class _Extended:
 
     def __rsub__(self, other):
         if isinstance(other, Rational):
-            return _Extended(-self.sign)
+            return NEG_INF if self.sign > 0 else INF
         return NotImplemented
 
 
@@ -189,16 +189,25 @@ def interval_closure(i: TimeInterval) -> TimeInterval:
 def interval_intersect(i: TimeInterval, j: TimeInterval):
     """Exact set intersection; returns None when empty.
 
+    At most four comparisons of finite endpoints: one for the start, at
+    most two for the end (which also decide whether it is closed), and
+    one of start against end.  INF is the only unbounded end.
+
     Sub-zeta intersections are reported as-is; callers that need the
     minimum-duration guarantee enforce it themselves.
     """
-    lo = tmax(i.lo, j.lo)
-    hi = tmin(i.hi, j.hi)
-    if not is_finite(hi):
-        return TimeInterval(lo, INF, False)
-    if lo > hi:
-        return None
-    closed = i.contains(hi) and j.contains(hi)
-    if lo == hi and not closed:
+    lo = j.lo if i.lo < j.lo else i.lo
+    ihi, jhi = i.hi, j.hi
+    if ihi is INF:
+        if jhi is INF:
+            return TimeInterval(lo, INF, False)
+        hi, closed = jhi, j.closed_hi
+    elif jhi is INF or ihi < jhi:
+        hi, closed = ihi, i.closed_hi
+    elif jhi < ihi:
+        hi, closed = jhi, j.closed_hi
+    else:
+        hi, closed = ihi, i.closed_hi and j.closed_hi
+    if (hi < lo) if closed else not (lo < hi):
         return None
     return TimeInterval(lo, hi, closed)

@@ -53,6 +53,23 @@ def test_check_sim_gallery_pass_and_fail(capsys):
     assert run("check-preservation", "--fixture", "fig11") == 1
 
 
+def test_check_sim_fails_without_init(tmp_path, capsys):
+    # r39 with an x offset no pair meets relates no configuration, so the
+    # simulation holds vacuously while init(56) fails: the check fails
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    rel = json.loads((inputs / "r39.json").read_text())
+    for clause in rel["clauses"]:
+        clause["constraints"].append("c_x = a_x + 1000")
+    (tmp_path / "r.json").write_text(json.dumps(rel))
+    tank = str(inputs / "tank-automaton-x0-1.json")
+    argv = ["check-sim", "--system", tank, "--abstract", tank, "--horizon", "6", "--json"]
+    assert run(*argv, "--relation", str(tmp_path / "r.json")) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] and not doc["hypotheses"]["init(56)"]["ok"]
+    assert run(*argv, "--relation", str(inputs / "r39.json")) == 0
+    assert json.loads(capsys.readouterr().out)["hypotheses"]["init(56)"]["ok"]
+
+
 def test_check_refinement_acceptable(capsys):
     code = run("check-refinement", "--x0", "1", "--horizon", "6", "--json")
     assert code == 0

@@ -105,6 +105,18 @@ def test_explicit_validate_flags_shape_errors():
     assert ("InitialNotAtZero", bad) in issues
 
 
+def test_edge_out_of_final_explicit_configuration_raises():
+    # a@[0,1] is closed, so final, yet an edge leaves it
+    a = make_config("a", 0, 1, {"u": 0}, {"u": 0}, closed_hi=True)
+    b = make_config("b", 1, 2, {"u": 0}, {"u": 0}, closed_hi=True)
+    h = HybridTransitionSystem.from_explicit(("u",), Q(1, 1000), (a, b), ((0, 1),), (0,))
+    assert hts_validate(h) == [("FinalNotClosed", ("edge out of final configuration", a))]
+    with pytest.raises(FinalNotClosed):
+        semantics_generate(h, 5)
+    with pytest.raises(FinalNotClosed):
+        system_graph(h, 5)
+
+
 def test_explicit_branching_enumerates_all_paths(rng):
     for _ in range(20):
         h = random_explicit(rng)

@@ -15,9 +15,11 @@ from hybridsem.relation import (
     ConfigRelation,
     TimedStateRelation,
     _clause_spans,
+    _compile,
     _endpoint_env,
     _interval_span,
     _span_meet,
+    _window_points,
     compose_relations,
     config_related,
     exists_window_related,
@@ -491,6 +493,48 @@ def test_exists_window_matches_spans_randomized():
             assert got == _exists_by_spans(r, c, d, window), (r, c, d, window)
             verdicts.append(got)
     assert verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+
+def _points_by_contains(r, clauses, window):
+    """The decision points of a window: every cut of the closed window
+    and the midpoints between them, kept where window.contains says."""
+    lo, hi = window.lo, window.hi
+    cuts = {lo} | ({hi} if hi != INF else set())
+    for w, cons in clauses:
+        if w is not None:
+            cuts |= {b for b in (w.lo, w.hi) if b != INF and lo < b < hi}
+        cuts |= {-b / a for _, a, b in cons if a and lo < -b / a < hi}
+    if r.domain is not None:
+        cuts |= {b for w in r.domain for b in (w.lo, w.hi) if b != INF and lo < b < hi}
+    if hi == INF:
+        cuts.add(max(cuts) + 1)
+    cuts = sorted(cuts)
+    points = [cuts[0]] + [p for a, b in zip(cuts, cuts[1:]) for p in ((a + b) / 2, b)]
+    return [t for t in points if window.contains(t)]
+
+
+def test_window_points_match_contains_filter():
+    """_window_points leaves out only the right end of an open window;
+    the points are those the contains filter keeps, on open, closed,
+    point and unbounded windows of seeded piece pairs."""
+    rng = random.Random(9)
+    shapes = set()
+    for _ in range(300):
+        r = _rich_relation(rng, endpoints=True)
+        s, sb = _rich_trajectory(rng, False), _rich_trajectory(rng, rng.random() < 0.2)
+        for c, d, w in overlapping(s.configs, sb.configs):
+            for cp, dp, _ in overlapping(pieces(c), pieces(d)):
+                lo = w.lo + Q(rng.randint(0, 2), 2)
+                shape = rng.choice(("open", "closed", "point", "unbounded"))
+                hi = {"open": lo + Q(rng.randint(1, 4), 2), "closed": lo + Q(rng.randint(1, 4), 2),
+                      "point": lo, "unbounded": INF}[shape]
+                window = TimeInterval(lo, hi, shape in ("closed", "point"))
+                clauses = _compile(r, cp, dp, _endpoint_env(c, d))
+                got = _window_points(r, clauses, window)
+                assert got == _points_by_contains(r, clauses, window), (r, cp, dp, window)
+                assert all(window.contains(t) for t in got)
+                shapes.add(shape)
+    assert shapes == {"open", "closed", "point", "unbounded"}
 
 
 _VALUES = (Q(0), Q(1, 2), Q(1))

@@ -2,6 +2,7 @@
 canonical keys, transfer candidates, the greatest-fixpoint computation
 and the derived checks."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -13,11 +14,19 @@ from hybridsem.casestudy import (
     tank_relations,
 )
 from hybridsem.errors import NotSliceClosed, PremiseFailed
-from hybridsem.flow_config import EPSILON, PiecewiseConfiguration, make_config
+from hybridsem.flow_config import (
+    EPSILON,
+    PiecewiseConfiguration,
+    config_concat,
+    make_config,
+    overlapping,
+    pieces,
+)
 from hybridsem.relation import (
     Clause,
     TimedStateRelation,
     config_related,
+    forall_window_related,
     traj_related_timewise,
 )
 from hybridsem.affine import LinExpr, parse_constraint
@@ -41,7 +50,7 @@ from hybridsem.simulation import (
     verify_by_simulation,
     well_nested_check,
 )
-from hybridsem.time_core import INF
+from hybridsem.time_core import INF, TimeInterval, interval_intersect, is_finite, tmin
 from hybridsem.trajectory import trajectory_validate
 
 EQ = TimedStateRelation((Clause((parse_constraint("c_u = a_u"),)),))
@@ -261,6 +270,87 @@ def test_compose_check_nested_intermediate():
         fx["relation"], fx["relation"], fx["T"], {s: mid}, {mid: top}
     )
     assert ok and failures == []
+
+
+def _compose_by_whole_configs(r1, r2, T, witness1, witness2):
+    """compose_check with each window decided by forall_window_related
+    on the whole configurations, which sweeps their pieces again."""
+    failures, certified = [], []
+    for s in T:
+        mid = witness1[s]
+        top = witness2[mid]
+        bound = TimeInterval(Q(0), tmin(s.duration, top.duration), False)
+        for c, cmid, w1 in overlapping(s.configs, mid.configs):
+            w1 = interval_intersect(w1, bound)
+            if w1 is None:
+                continue
+            for ctop in top.configs:
+                w = interval_intersect(w1, ctop.interval)
+                if w is None:
+                    continue
+                for cp, mp, lower in overlapping(pieces(c), pieces(cmid)):
+                    lower = interval_intersect(lower, w)
+                    if lower is None:
+                        continue
+                    for _, tp, upper in overlapping((mp,), pieces(ctop)):
+                        ww = interval_intersect(lower, upper)
+                        if ww is None:
+                            continue
+                        ok1 = forall_window_related(r1, c, cmid, ww)
+                        ok2 = forall_window_related(r2, cmid, ctop, ww)
+                        if ok1 and ok2:
+                            certified.append((s, ww, cp, tp))
+                        else:
+                            failures.append((s, c, cmid, ctop, ww, ok1, ok2))
+    return not failures, failures, certified
+
+
+def _piecewise_trajectory(rng, end):
+    """Configurations on half-integer cuts of [0, end), some of them two
+    pieces in two modes; closed, open or (end INF) unbounded."""
+    last = end if is_finite(end) else Q(6)
+    cuts = sorted({Q(0), last} | {Q(rng.randint(1, int(2 * last) - 1), 2) for _ in range(2)})
+    closed = is_finite(end) and rng.random() < 0.5
+
+    def piece(lo, hi, closed_hi=False):
+        return make_config(rng.choice(("m", "n")), lo, hi, {"u": Q(rng.randint(-2, 2), 2)},
+                           {"u": rng.choice((-1, 0, 1))}, closed_hi=closed_hi)
+
+    configs = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        is_last = hi == last
+        hi_end = end if is_last else hi
+        if hi - lo >= 1 and rng.random() < 0.5:
+            mid = lo + Q(rng.randint(1, int(2 * (hi - lo)) - 1), 2)
+            configs.append(config_concat(piece(lo, mid), piece(mid, hi_end, is_last and closed)))
+        else:
+            configs.append(piece(lo, hi_end, is_last and closed))
+    return trajectory_validate(configs, truncated=not (closed or not is_finite(end)))
+
+
+def test_compose_check_matches_whole_configuration_windows():
+    """compose_check decides each window on the piece pairs it holds,
+    with the endpoints of the whole configurations; on seeded piecewise
+    chains it gives the failures and certified windows of deciding
+    every window on the whole configurations."""
+    rng = random.Random(514)
+    seen = {"ok": 0, "failed": 0, "piecewise": 0, "windows": 0}
+    for _ in range(150):
+        ends = [rng.choice((Q(3), Q(4), Q(9, 2), INF)) for _ in range(3)]
+        s, mid, top = (_piecewise_trajectory(rng, e) for e in ends)
+        r1, r2 = (TimedStateRelation((
+            Clause((parse_constraint(f"c_u - a_u <= {rng.randint(0, 3)}"),
+                    parse_constraint(f"a_u - c_u <= {rng.randint(0, 3)}"))),
+            # E_c of a piecewise configuration is its last piece's end
+            Clause((parse_constraint(f"t >= E_c - {rng.randint(0, 2)}"),),
+                   concrete_mode=rng.choice((None, "m"))),
+        )) for _ in range(2))
+        got = compose_check(r1, r2, [s], {s: mid}, {mid: top})
+        assert got == _compose_by_whole_configs(r1, r2, [s], {s: mid}, {mid: top})
+        seen["ok" if got[0] else "failed"] += 1
+        seen["windows"] += len(got[1]) + len(got[2])
+        seen["piecewise"] += any(len(pieces(c)) > 1 for t in (s, mid, top) for c in t.configs)
+    assert all(seen.values()), seen
 
 
 def test_relation_inverse_swaps_sides():

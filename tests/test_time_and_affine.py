@@ -77,6 +77,40 @@ class TestIntervals:
             inside = i.contains(Q(t)) and j.contains(Q(t))
             assert inside == (w is not None and w.contains(Q(t)))
 
+    def test_intersection_matches_contains_reference(self):
+        """interval_intersect against the intersection built from
+        tmax, tmin and contains, on every pair of intervals with ends in
+        {0, 1, 2, INF}, open and closed right ends and points."""
+
+        def by_contains(i, j):
+            lo, hi = tmax(i.lo, j.lo), tmin(i.hi, j.hi)
+            if not is_finite(hi):
+                return TimeInterval(lo, INF, False)
+            if lo > hi:
+                return None
+            closed = i.contains(hi) and j.contains(hi)
+            if lo == hi and not closed:
+                return None
+            return TimeInterval(lo, hi, closed)
+
+        ends = (Q(0), Q(1), Q(2), INF)
+        intervals = [
+            TimeInterval(lo, hi, closed)
+            for lo in ends[:3]
+            for hi in ends
+            for closed in ((False,) if hi is INF else (False, True))
+            if lo < hi or (lo == hi and closed)
+        ]
+        assert TimeInterval(Q(1), Q(1), True) in intervals
+        probes = [Q(k, 2) for k in range(-1, 7)] + [Q(10**6)]
+        for i in intervals:
+            for j in intervals:
+                w = interval_intersect(i, j)
+                assert w == by_contains(i, j), (i, j)
+                for t in probes:
+                    inside = i.contains(t) and j.contains(t)
+                    assert inside == (w is not None and w.contains(t)), (i, j, t)
+
     def test_subset_of_respects_closure(self):
         open_ = TimeInterval(Q(0), Q(2), False)
         closed = TimeInterval(Q(0), Q(2), True)
