@@ -139,7 +139,13 @@ def _load(args, *keys, **defaults) -> list:
     if one is given (a file flag of _FILE_PARTS, else --delta or
     --horizon), otherwise from the --fixture entry, otherwise from
     `defaults`; input from files has delta 1.  A file named twice is
-    read once, so a system checked against itself is one object."""
+    read once, so a system checked against itself is one object.  The
+    tank parameters shape a fixture, so a system source without
+    --fixture refuses them rather than leave them unread."""
+    if not getattr(args, "fixture", None) and any(k in _FILE_PARTS for k in keys):
+        tank = [f for f in _TANK if getattr(args, f[2:], None)]
+        if tank:
+            raise ParseError(f"{', '.join(tank)} read only with --fixture")
     entry = _fixture(args)
     entry = dict(entry) if entry is not None else {"delta": Q(1)}
     read: dict = {}
@@ -246,28 +252,32 @@ def cmd_discretize(args):
     return PASS
 
 
+def _exit_code(rep) -> int:
+    """A relation that relates no initial configuration says nothing
+    about the concrete system, so a check passes only with init(56)."""
+    init_ok, _ = rep.hypothesis_results["init(56)"]
+    return PASS if rep.verdict and init_ok else FAIL
+
+
 def cmd_check_sim(args):
     G, Gb, r, _ = _pair(args)
     rep = sim_check(r, G, Gb, mode="sync" if args.sync else "async")
     emit(rep.to_dict(), args.json)
-    # a simulation that relates no initial configuration says nothing
-    # about the concrete system, so it passes only with init(56)
-    init_ok, _ = rep.hypothesis_results["init(56)"]
-    return PASS if rep.verdict and init_ok else FAIL
+    return _exit_code(rep)
 
 
 def cmd_check_bisim(args):
     G, Gb, r, _ = _pair(args)
     rep = bisim_check(r, G, Gb)
     emit(rep.to_dict(), args.json)
-    return PASS if rep.verdict else FAIL
+    return _exit_code(rep)
 
 
 def cmd_check_preservation(args):
     G, Gb, r, _ = _pair(args)
     rep = preservation_check(r, G, Gb)
     emit(rep.to_dict(), args.json)
-    return PASS if rep.verdict else FAIL
+    return _exit_code(rep)
 
 
 def cmd_greatest_sim(args):
@@ -335,9 +345,6 @@ def cmd_check_theorem(args):
     unread = [f for f in given if f not in _THEOREM_FLAGS[n]]
     if unread:
         raise ParseError(f"theorem {n} reads no {', '.join(unread)}")
-    tank = [f for f in given if f in _TANK]
-    if tank and n != 5 and not args.fixture:
-        raise ParseError(f"theorem {n} reads {', '.join(tank)} only with --fixture")
     if n == 1:
         h, hz = _load(args, "system", "horizon", horizon=Q(30))
         if h.explicit is None:

@@ -14,12 +14,13 @@ by theorem6_check, never silently patched).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from .errors import DomainGapAtGridPoint, Misaligned, TruncatedInput
-from .flow_config import State, overlapping, pieces
+from .flow_config import UNDEFINED, PiecewiseConfiguration, State, overlapping, pieces
 from .relation import (
     TimedStateRelation,
     exists_window_related,
@@ -29,7 +30,7 @@ from .relation import (
 from .hts import maximal_paths, semantics_generate
 from .simulation import greatest_fixpoint, system_graph
 from .time_core import Q, TimeInterval, is_finite
-from .trajectory import Trajectory, grid_step, trajectory_eval
+from .trajectory import Trajectory, grid_step
 
 __all__ = [
     "TimefulState",
@@ -37,6 +38,7 @@ __all__ = [
     "grid_alignment_check",
     "timeful_sample",
     "timeless_sample",
+    "grid_states",
     "relation_discretize",
     "hts_discretize",
     "timeless_discretize",
@@ -109,19 +111,36 @@ def grid_alignment_check(h_or_graph, delta, horizon=None):
 def timeful_sample(s: Trajectory, delta, horizon=None) -> tuple:
     """Rank-annotated samples at n*delta strictly below the duration
     (matching the published trace sets; the final closed-end state is
-    produced only by the closing transition rule, not by sampling)."""
+    produced only by the closing transition rule, not by sampling).
+
+    Each sample is the state of the first configuration holding n*delta,
+    UNDEFINED where none does, as trajectory_eval gives it; one pointer
+    walks the configurations in time order, passing each once the grid
+    is beyond its end."""
     delta = grid_step(delta)
     dur = s.duration
     if not is_finite(dur) or (horizon is not None and Q(horizon) < dur):
         dur = Q(horizon) if horizon is not None else None
         if dur is None:
             raise TruncatedInput("unbounded trajectory needs an explicit horizon")
+    configs, k = s.configs, 0
     out = []
     n = 0
     while n * delta < dur:
-        out.append(TimefulState(trajectory_eval(s, n * delta), n))
+        t = n * delta
+        while k < len(configs) and _ends_before(configs[k].interval, t):
+            k += 1
+        j = k
+        while j < len(configs) and not configs[j].interval.contains(t):
+            j += 1
+        out.append(TimefulState(configs[j].state_at(t) if j < len(configs) else UNDEFINED, n))
         n += 1
     return tuple(out)
+
+
+def _ends_before(interval, t) -> bool:
+    """The interval holds no time at or after t."""
+    return interval.hi < t or (interval.hi == t and not interval.closed_hi)
 
 
 def timeless_sample(s: Trajectory, delta, horizon=None) -> tuple:
@@ -136,6 +155,34 @@ def _state_closed(c, t) -> State:
         if p.interval.contains(t):
             return p.flow.state_at(t)
     return ps[-1].flow.state_at(t)
+
+
+def grid_states(c, delta, hcap) -> dict:
+    """{rank n: <state of c at n*delta, n>} for the ranks of
+    _grid_points(c, delta, hcap), each state the one _state_closed
+    gives, in rank order.  A plain configuration evaluates its first
+    point as rate*t + offset per variable and adds the exact rate*delta
+    at each later point; a piecewise one is evaluated point by point."""
+    hi = c.e if is_finite(c.e) else hcap
+    if hi is None:
+        raise TruncatedInput(f"unbounded {c!r} needs an explicit horizon")
+    if hcap is not None:
+        hi = min(hi, hcap)
+    first = c.b / delta
+    first = int(first) + (0 if first.denominator == 1 else 1)
+    ranks = range(first, math.floor(hi / delta) + 1)
+    if isinstance(c, PiecewiseConfiguration):
+        return {n: TimefulState(_state_closed(c, n * delta), n) for n in ranks}
+    out = {}
+    mode, lines = c.flow.mode, c.flow.lines
+    names = [k for k, _ in lines]
+    steps = [rate * delta for _, (rate, _) in lines]
+    t = first * delta
+    values = [rate * t + offset for _, (rate, offset) in lines]
+    for n in ranks:
+        out[n] = TimefulState(State(mode, tuple(zip(names, values))), n)
+        values = [v + step for v, step in zip(values, steps)]
+    return out
 
 
 def relation_discretize(
@@ -174,6 +221,7 @@ def hts_discretize(h_or_graph, delta, horizon=None) -> DiscreteTransitionSystem:
     if not ok:
         raise Misaligned(repr(witness))
     hcap = Q(horizon) if horizon is not None else None
+    tables, at = _grid_tables(G.configs(), delta, hcap)
     edges, closing, from_tau = set(), set(), set()
     states = set()
 
@@ -183,31 +231,30 @@ def hts_discretize(h_or_graph, delta, horizon=None) -> DiscreteTransitionSystem:
     for c in G.configs():
         b, e = c.b, c.e
         n = int(b / delta)
+        table = tables[c]
         # (a) internal steps
         while is_finite(e) and (n + 1) * delta < e or (
             not is_finite(e) and cap_ok((n + 1) * delta)
         ):
-            t0, t1 = n * delta, (n + 1) * delta
-            if not cap_ok(t1):
+            if not cap_ok((n + 1) * delta):
                 break
-            u = TimefulState(_state_closed(c, t0), n)
-            v = TimefulState(_state_closed(c, t1), n + 1)
+            u, v = table[n], table[n + 1]
             edges.add((u, v))
             states.update((u, v))
             n += 1
         if not is_finite(e) or (hcap is not None and e > hcap):
             continue
         n_end = int(e / delta)
-        u = TimefulState(_state_closed(c, (n_end - 1) * delta), n_end - 1)
+        u = at(c, n_end - 1)
         succs = G.succ(c)
         if succs:
             for c2 in succs:  # (b)
-                v = TimefulState(_state_closed(c2, e), n_end)
+                v = at(c2, n_end)
                 edges.add((u, v))
                 from_tau.add((u, v))
                 states.update((u, v))
         elif c not in G.truncated:  # (c)
-            v = TimefulState(_state_closed(c, e), n_end)
+            v = at(c, n_end)
             edges.add((u, v))
             closing.add((u, v))
             states.update((u, v))
@@ -215,7 +262,7 @@ def hts_discretize(h_or_graph, delta, horizon=None) -> DiscreteTransitionSystem:
             states.add(u)
     initial = set()
     for c in G.initial:  # (d)
-        u = TimefulState(_state_closed(c, c.b), int(c.b / delta))
+        u = at(c, int(c.b / delta))
         initial.add(u)
         states.add(u)
     return DiscreteTransitionSystem(
@@ -297,13 +344,34 @@ def _adjacency(edges) -> dict:
 
 
 def _grid_points(c, delta, hcap):
-    """Ranks n with n*delta in the closed interval of c (capped)."""
+    """Ranks n with n*delta in the closed interval of c (capped), one at
+    a time: the reference that grid_states' ranks are tested against."""
     b = c.b
     e = c.e if is_finite(c.e) else hcap
     n = int(b / delta) + (0 if (b / delta).denominator == 1 else 1)
     while n * delta <= e and (hcap is None or n * delta <= hcap):
         yield n
         n += 1
+
+
+_NO_RANKS: dict = {}
+
+
+def _grid_tables(configs, delta, hcap):
+    """One grid_states table per distinct configuration of `configs`,
+    and at(c, n), <state of c at n*delta, n>: read from the tables, or
+    evaluated by _state_closed at a rank or configuration outside them
+    (a successor entered off its own start, say)."""
+    tables: dict = {}
+    for c in configs:
+        if c not in tables:
+            tables[c] = grid_states(c, delta, hcap)
+
+    def at(c, n) -> TimefulState:
+        u = tables.get(c, _NO_RANKS).get(n)
+        return u if u is not None else TimefulState(_state_closed(c, n * delta), n)
+
+    return tables, at
 
 
 def _exists_related(r: TimedStateRelation, c, cb, overlap, hcap) -> bool:
@@ -319,6 +387,10 @@ def discretization_hypotheses(
 ) -> dict:
     """Check the four soundness hypotheses over the reachable finite
     universes; violations carry the sub-case label and a witness.
+
+    Every grid state is evaluated once: one grid_states table per
+    configuration of both graphs (one set of tables when they are the
+    same graph) feeds the abstract-state table, (68), (69) and (71).
 
     (69) asks, at each concrete grid point (n, state s of c), whether r
     relates s to an abstract state that no abstract configuration
@@ -337,22 +409,24 @@ def discretization_hypotheses(
     def rel_at(n, s, sb) -> bool:
         return r.in_domain(n * delta) and state_related(r, n * delta, s, sb)
 
+    tables, at = _grid_tables(
+        G.configs() if Gb is G else (*G.configs(), *Gb.configs()), delta, hcap
+    )
     # (68): r defined wherever some concrete configuration is inhabited
     for c in G.configs():
-        for n in _grid_points(c, delta, hcap):
+        for n in tables[c]:
             if not r.in_domain(n * delta):
                 report["(68)"].append((n, c))
     # (69): related abstract states must come from reachable configurations
     abstract_states = {}
     for cb in Gb.configs():
-        for n in _grid_points(cb, delta, hcap):
-            abstract_states.setdefault(n, set()).add(_state_closed(cb, n * delta))
+        for n, ub in tables[cb].items():
+            abstract_states.setdefault(n, set()).add(ub.state)
     candidates = sorted(set().union(*abstract_states.values()), key=repr)
     related_at = related_candidates(r, candidates)
     for c in G.configs():
-        for n in _grid_points(c, delta, hcap):
-            t = n * delta
-            for sb in related_at(t, _state_closed(c, t), skip=abstract_states.get(n, ())):
+        for n, u in tables[c].items():
+            for sb in related_at(n * delta, u.state, skip=abstract_states.get(n, ())):
                 report["(69)"].append((n, c, sb))
     pairs = overlapping(G.configs(), Gb.configs())
     # (70): blocking abstract configurations end with the concrete one
@@ -365,12 +439,12 @@ def discretization_hypotheses(
     for c, cb, w in pairs:
         if not _exists_related(r, c, cb, w, hcap):
             continue
-        ends = {c.e, cb.e}
-        for n in _grid_points(c, delta, hcap):
+        ends, abstract = {c.e, cb.e}, tables[cb]
+        for n, u in tables[c].items():
             t = n * delta
             if not (cb.b <= t <= cb.e):
                 continue
-            s, sb = _state_closed(c, t), _state_closed(cb, t)
+            s, sb = u.state, abstract[n].state
             if t not in ends:
                 if not rel_at(n, s, sb):
                     report["(71)"].append(("a", n, c, cb))
@@ -379,9 +453,9 @@ def discretization_hypotheses(
             if t == c.e and cb.interval.contains(t) and c not in G.truncated:
                 succs = G.succ(c)
                 for c2 in succs:
-                    if not rel_at(n, _state_closed(c2, t), sb):
+                    if not rel_at(n, at(c2, n).state, sb):
                         report["(71)"].append(("b.1", n, c, cb, c2))
-                if succs and all(_state_closed(c2, t) != s for c2 in succs):
+                if succs and all(at(c2, n).state != s for c2 in succs):
                     if rel_at(n, s, sb):
                         report["(71)"].append(("b.2", n, c, cb))
                 if not succs and not rel_at(n, s, sb):
@@ -389,9 +463,9 @@ def discretization_hypotheses(
             if t == cb.e and c.interval.contains(t) and cb not in Gb.truncated:
                 succs = Gb.succ(cb)
                 for cb2 in succs:
-                    if not rel_at(n, s, _state_closed(cb2, t)):
+                    if not rel_at(n, s, at(cb2, n).state):
                         report["(71)"].append(("c.1", n, c, cb, cb2))
-                if succs and all(_state_closed(cb2, t) != sb for cb2 in succs):
+                if succs and all(at(cb2, n).state != sb for cb2 in succs):
                     if rel_at(n, s, sb):
                         report["(71)"].append(("c.2", n, c, cb))
                 if not succs and not rel_at(n, s, sb):

@@ -231,10 +231,15 @@ def hts_validate(h: HybridTransitionSystem, horizon=None, depth: int = 32) -> li
 def successors(h: HybridTransitionSystem, p) -> tuple:
     """The one successor step.  A position is an index into the explicit
     configurations (two indices may hold equal configurations), or a
-    schema configuration itself.  A non-terminal schema configuration
-    without an admissible successor raises FinalNotClosed."""
+    schema configuration itself.  A non-final explicit configuration
+    without an edge, and a non-terminal schema configuration without an
+    admissible successor, raise FinalNotClosed."""
     if h.explicit is not None:
-        return h.explicit.succ[p]
+        out = h.explicit.succ[p]
+        c = h.explicit.configs[p]
+        if not out and not config_is_final(c):
+            raise FinalNotClosed(f"non-final configuration {c!r} has no successor")
+        return out
     schema = h.schema(p.flow.mode)
     if schema.terminal:
         return ()
@@ -268,9 +273,10 @@ def reach(h: HybridTransitionSystem, horizon, depth: int = 64) -> Reached:
     cut at the horizon when it ends on it, and cut by depth when first
     reached at rank `depth`; otherwise its successors are reached.  A
     position starting at or after the horizon is not reached.  Following an
-    edge out of a final explicit configuration raises FinalNotClosed, as
-    `hts_validate` reports it; such a configuration cut at the horizon
-    or by depth is a leaf like any other."""
+    edge out of a final explicit configuration, or ending a non-final one
+    without an edge, raises FinalNotClosed, as `hts_validate` reports
+    both; such a configuration cut at the horizon (ending on it, say) or
+    by depth is a leaf like any other."""
     horizon = Q(horizon) if is_finite(horizon) else INF
     if horizon < 0:
         raise ParamConstraintViolated(f"horizon {horizon} is negative")
@@ -299,7 +305,7 @@ def reach(h: HybridTransitionSystem, horizon, depth: int = 64) -> Reached:
         c = config[p]
         crosses = bounded and (not is_finite(c.e) or c.e > horizon)
         # an instantiated schema configuration is final iff its mode is terminal
-        if (not ex.succ[p] if ex is not None else config_is_final(c)) and not crosses:
+        if config_is_final(c) and (ex is None or not ex.succ[p]) and not crosses:
             succ[p] = ()
         elif crosses or bounded and c.e >= horizon or rank[p] >= depth:
             # kept when it ends open by the horizon, else sliced to [b, horizon)

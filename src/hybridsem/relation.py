@@ -225,14 +225,19 @@ def related_candidates(r: TimedStateRelation, candidates) -> Callable:
     constant once per call, so a candidate costs one exact comparison
     per constraint.  Clause windows, concrete guards and dom(r) are
     decided once per call.  A clause naming a variable that one side
-    lacks never holds for that side."""
+    lacks never holds for that side.
+
+    The rows of a clause with an `=` constraint are indexed by the a_*
+    value of its first one, so a call reads only the rows whose value
+    equals that constraint's bound, and decides those on every
+    constraint; a clause without `=` reads all its rows."""
     candidates = tuple(candidates)
-    compiled = []  # (clause, split constraints or None, [(index, a_* values)])
+    compiled = []  # (clause, split constraints or None, rows, key, {a_* value: rows})
     for clause in r.clauses:
         matching = [j for j, sb in enumerate(candidates)
                     if clause.abstract_mode is None or clause.abstract_mode == sb.mode]
         if clause.uses_endpoints():
-            compiled.append((clause, None, [(j, None) for j in matching]))
+            compiled.append((clause, None, [(j, None) for j in matching], None, None))
             continue
         split = _split_clause(clause)
         if split is None:
@@ -247,7 +252,12 @@ def related_candidates(r: TimedStateRelation, candidates) -> Callable:
                 )))
             except KeyError:
                 continue
-        compiled.append((clause, split, rows))
+        key = next((i for i, (cmp, *_) in enumerate(split) if cmp is operator.eq), None)
+        index: dict = {}
+        if key is not None:
+            for row in rows:
+                index.setdefault(row[1][key], []).append(row)
+        compiled.append((clause, split, rows, key, index))
 
     def at(t, s: State, skip=frozenset()) -> list:
         if not r.in_domain(t):
@@ -255,7 +265,7 @@ def related_candidates(r: TimedStateRelation, candidates) -> Callable:
         env = {"t": Q(t)}
         env.update(("c_" + k, v) for k, v in s.vars)
         related = set()
-        for clause, split, rows in compiled:
+        for clause, split, rows, key, index in compiled:
             if clause.window is not None and not clause.window.contains(t):
                 continue
             if clause.concrete_mode is not None and clause.concrete_mode != s.mode:
@@ -274,7 +284,8 @@ def related_candidates(r: TimedStateRelation, candidates) -> Callable:
                 ]
             except KeyError:
                 continue  # the concrete state lacks a variable of the clause
-            for j, avals in rows:
+            todo = rows if key is None else index.get(checks[key][1], ())
+            for j, avals in todo:
                 if j not in related and all(
                     cmp(a, bound) for (cmp, bound), a in zip(checks, avals)
                 ):

@@ -54,15 +54,24 @@ def test_check_sim_gallery_pass_and_fail(capsys):
 
 
 def test_check_sim_fails_without_init(tmp_path, capsys):
+    _assert_fails_without_init("check-sim", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["check-bisim", "check-preservation"])
+def test_pair_checks_fail_without_init(command, tmp_path, capsys):
+    _assert_fails_without_init(command, tmp_path, capsys)
+
+
+def _assert_fails_without_init(command, tmp_path, capsys):
     # r39 with an x offset no pair meets relates no configuration, so the
-    # simulation holds vacuously while init(56) fails: the check fails
+    # check holds vacuously while init(56) fails: the check fails
     inputs = Path(__file__).parent / "golden" / "inputs"
     rel = json.loads((inputs / "r39.json").read_text())
     for clause in rel["clauses"]:
         clause["constraints"].append("c_x = a_x + 1000")
     (tmp_path / "r.json").write_text(json.dumps(rel))
     tank = str(inputs / "tank-automaton-x0-1.json")
-    argv = ["check-sim", "--system", tank, "--abstract", tank, "--horizon", "6", "--json"]
+    argv = [command, "--system", tank, "--abstract", tank, "--horizon", "6", "--json"]
     assert run(*argv, "--relation", str(tmp_path / "r.json")) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] and not doc["hypotheses"]["init(56)"]["ok"]
@@ -196,6 +205,13 @@ def _bad_input_cases(tmp_path):
         ("check-theorem", "1", "--fixture", "tank-automaton", "--delta", "1"),
         # the tank flags shape a fixture, so without one nothing reads them
         ("check-theorem", "6", "--system", str(system), "--x0", "1"),
+        *[(command, "--system", str(system), flag, "1")
+          for command, flag in (("validate", "--x0"), ("trajectories", "--epsilon"),
+                                ("sample", "--zeta"), ("discretize", "--x0"),
+                                ("plot", "--epsilon"))],
+        *[(command, *files, "--x0", "1")
+          for command in ("check-sim", "check-bisim", "check-preservation", "greatest-sim")],
+        ("check-theorem", "7", *files, "--zeta", "1/100"),
         ("check-sim", *files, "--horizon", "-1"),
         ("check-refinement", "--x0", "5"),
         ("check-refinement", "--epsilon", "0"),

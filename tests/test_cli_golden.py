@@ -57,6 +57,10 @@ def _calls() -> dict:
     calls["check-theorem7_tank-always"] = (
         "check-theorem", "7", *TANK, "--delta", "1/4", "--horizon", "12",
         "--relation", _input("always"))
+    # one equality: (69) reads the candidates with a matching a_y only
+    calls["check-theorem7_tank-eq-y"] = (
+        "check-theorem", "7", *TANK, "--delta", "1/4", "--horizon", "12",
+        "--relation", _input("eq-y"))
     calls["galois-laws"] = ("galois-laws",)
     # the tank automaton against itself under r39 (same output as TANK_FILES)
     calls["check-sim_tank-automaton"] = ("check-sim", *TANK, "--horizon", "9")

@@ -24,6 +24,7 @@ from hybridsem.discretize import (
     discretization_hypotheses,
     greatest_discrete_simulation,
     grid_alignment_check,
+    grid_states,
     hts_discretize,
     milner_sim_check,
     relation_discretize,
@@ -32,14 +33,26 @@ from hybridsem.discretize import (
     timeless_discretize,
     timeless_overapprox_demo,
 )
-from hybridsem.errors import DomainGapAtGridPoint, EndpointSymbolsUnbound, Misaligned
-from hybridsem.flow_config import State, make_config
+from hybridsem.errors import (
+    DomainGapAtGridPoint,
+    EndpointSymbolsUnbound,
+    Misaligned,
+    TruncatedInput,
+)
+from hybridsem.flow_config import (
+    PiecewiseConfiguration,
+    State,
+    UNDEFINED,
+    config_concat,
+    make_config,
+)
 from hybridsem.hts import HybridTransitionSystem
 from hybridsem.relation import Clause, TimedStateRelation, state_related
 from hybridsem.simulation import system_graph
-from hybridsem.trajectory import trajectory_validate
+from hybridsem.time_core import INF, is_finite
+from hybridsem.trajectory import Trajectory, trajectory_eval, trajectory_validate
 
-from conftest import random_explicit
+from conftest import random_explicit, rnd_q
 
 
 def test_timeful_sample_conventions():
@@ -54,6 +67,110 @@ def test_timeful_sample_conventions():
         [make_config("m", 0, 2, {"u": 0}, {"u": 1})], truncated=True
     )
     assert [u.rank for u in timeful_sample(t, Q(1))] == [0, 1]
+
+
+def _random_config(rng, lo, hi, closed, piecewise):
+    """A configuration over u and w on [lo, hi), closed at hi if
+    `closed`; piecewise (two pieces meeting at a random inner point) if
+    `piecewise` and the interval is long enough."""
+    def plain(a, b, closed_hi):
+        return make_config(rng.choice(("m", "n")), a, b,
+                           {"u": rnd_q(rng), "w": rnd_q(rng)},
+                           {"u": rnd_q(rng), "w": rnd_q(rng)}, closed_hi=closed_hi)
+
+    if piecewise and is_finite(hi) and hi - lo >= Q(1, 2):
+        mid = lo + Q(rng.randint(1, int((hi - lo) * 4)), 4)
+        if mid < hi:
+            return config_concat(plain(lo, mid, False), plain(mid, hi, closed))
+    return plain(lo, hi, closed)
+
+
+def test_grid_states_match_state_closed(rng):
+    """grid_states holds, at each rank of _grid_points and in its order,
+    the state _state_closed gives: plain and piecewise configurations,
+    closed and open ends, aligned and non-aligned steps, and unbounded
+    configurations cut by the horizon."""
+    seen = {"piecewise": 0, "unbounded": 0, "open": 0, "empty": 0}
+    for _ in range(300):
+        lo = Q(rng.randint(0, 12), rng.choice((1, 2, 3, 4)))
+        unbounded = rng.random() < 0.2
+        hi = INF if unbounded else lo + Q(rng.randint(0, 12), rng.choice((1, 2, 4)))
+        closed = not unbounded and rng.random() < 0.5
+        c = _random_config(rng, lo, hi, closed, rng.random() < 0.4)
+        delta = rng.choice((Q(1), Q(1, 2), Q(1, 4), Q(1, 3), Q(3, 4), Q(2, 5)))
+        hcap = lo + Q(rng.randint(0, 16), 4) if unbounded or rng.random() < 0.5 else None
+        ranks = list(_grid_points(c, delta, hcap))
+        got = grid_states(c, delta, hcap)
+        assert list(got) == ranks, (c, delta, hcap)
+        for n in ranks:
+            assert got[n] == TimefulState(_state_closed(c, n * delta), n), (c, delta, n)
+        seen["piecewise"] += isinstance(c, PiecewiseConfiguration)
+        seen["unbounded"] += unbounded
+        seen["open"] += not closed and not unbounded
+        seen["empty"] += not ranks
+    assert all(k > 10 for k in seen.values()), seen
+
+
+def test_unbounded_configuration_without_horizon_is_refused():
+    """An unbounded configuration has no last grid point without a
+    horizon: sampling it is refused, not a TypeError or an endless loop."""
+    c = make_config("m", 0, INF, {"u": 0}, {"u": 1})
+    h = HybridTransitionSystem.from_explicit(("u",), Q(1, 1000), (c,), (), (0,))
+    with pytest.raises(TruncatedInput):
+        grid_states(c, Q(1), None)
+    with pytest.raises(TruncatedInput):
+        discretization_hypotheses(TimedStateRelation((Clause(()),)), h, h, 1)
+    with pytest.raises(TruncatedInput):
+        hts_discretize(h, 1)
+
+
+def _sample_by_eval(s, delta, horizon=None):
+    """timeful_sample by one trajectory_eval scan per rank."""
+    dur = s.duration
+    if not is_finite(dur) or (horizon is not None and horizon < dur):
+        dur = horizon
+    out, n = [], 0
+    while n * delta < dur:
+        out.append(TimefulState(trajectory_eval(s, n * delta), n))
+        n += 1
+    return tuple(out)
+
+
+def _random_trajectory(rng, end):
+    """Consecutive plain and piecewise configurations from 0, the last
+    one closed, open (a truncated prefix) or unbounded after `end`."""
+    cuts = sorted({Q(0)} | {Q(rng.randint(1, 12), rng.choice((1, 2, 4)))
+                            for _ in range(rng.randint(1, 4))})
+    configs = []
+    for i, lo in enumerate(cuts):
+        last = i == len(cuts) - 1
+        hi = cuts[i + 1] if not last else INF if end == "unbounded" else lo + 1
+        configs.append(_random_config(rng, lo, hi, last and end == "closed",
+                                      rng.random() < 0.3))
+    return trajectory_validate(configs, truncated=end == "open")
+
+
+def test_timeful_sample_matches_trajectory_eval(rng):
+    """One pointer over the configurations samples what a trajectory_eval
+    scan per rank samples: truncated, unbounded and horizon-cut
+    trajectories, and UNDEFINED in a gap of an unvalidated trajectory."""
+    seen = {"closed": 0, "open": 0, "unbounded": 0, "cut": 0}
+    for _ in range(200):
+        end = rng.choice(("closed", "open", "unbounded"))
+        s = _random_trajectory(rng, end)
+        delta = rng.choice((Q(1), Q(1, 2), Q(1, 3), Q(3, 4)))
+        horizon = None
+        if end == "unbounded" or rng.random() < 0.5:
+            horizon = Q(rng.randint(1, 40), 4)
+        assert timeful_sample(s, delta, horizon) == _sample_by_eval(s, delta, horizon)
+        seen[end] += 1
+        seen["cut"] += horizon is not None and horizon < s.duration
+    assert all(k > 20 for k in seen.values()), seen
+    gap = Trajectory((make_config("m", 0, 1, {"u": 0}, {"u": 1}),
+                      make_config("m", 2, 3, {"u": 5}, {"u": 0}, closed_hi=True)))
+    trace = timeful_sample(gap, Q(1, 2))
+    assert trace == _sample_by_eval(gap, Q(1, 2))
+    assert [u.state is UNDEFINED for u in trace] == [False, False, True, True, False, False]
 
 
 def test_alignment_guard():

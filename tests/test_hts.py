@@ -117,6 +117,31 @@ def test_edge_out_of_final_explicit_configuration_raises():
         system_graph(h, 5)
 
 
+def _open_leaf_system():
+    # a@[0,1) is open and finite, so not final, yet no edge leaves it
+    a = make_config("a", 0, 1, {"u": 0}, {"u": 0})
+    return a, HybridTransitionSystem.from_explicit(("u",), Q(1, 1000), (a,), (), (0,))
+
+
+def test_non_final_explicit_leaf_raises():
+    a, h = _open_leaf_system()
+    assert hts_validate(h) == [("FinalNotClosed", a)]
+    with pytest.raises(FinalNotClosed):
+        semantics_generate(h, 5)
+    with pytest.raises(FinalNotClosed):
+        system_graph(h, 5)
+
+
+def test_non_final_explicit_leaf_on_the_horizon_is_cut():
+    # ending on the horizon, its missing successor lies beyond it: the
+    # configuration is cut there, as a schema configuration would be
+    a, h = _open_leaf_system()
+    (s,) = semantics_generate(h, 1).trajectories
+    assert s.truncated and s.configs == (a,)
+    G = system_graph(h, 1)
+    assert G.configs() == (a,) and a in G.truncated
+
+
 def test_explicit_branching_enumerates_all_paths(rng):
     for _ in range(20):
         h = random_explicit(rng)

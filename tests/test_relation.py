@@ -602,3 +602,57 @@ def test_related_candidates_matches_state_related():
             seen["related"] += len(expected)
             seen["unrelated"] += len(candidates) - len(skip) - len(expected)
     assert all(n > 50 for n in seen.values()), seen
+
+
+def _equality_relation(rng):
+    """Clauses of one to three constraints over c_u, c_w, a_u, a_w and t,
+    most of them `=`, some `=` with no a_* term, with mode guards."""
+    clauses = []
+    for _ in range(rng.randint(1, 3)):
+        cons = []
+        for _ in range(rng.randint(1, 3)):
+            pool = ("c_u", "c_w", "t") if rng.random() < 0.2 else ("c_u", "c_w", "a_u", "a_w")
+            syms = rng.sample(pool, rng.randint(1, 2))
+            coefs = {sym: rng.choice((-1, 1, 2)) for sym in syms}
+            op = "=" if rng.random() < 0.6 else rng.choice(("<=", ">=", "<", ">"))
+            cons.append(AffineConstraint(LinExpr.make(coefs, rng.choice(_VALUES)), op))
+        modes = (None, None, "m", "n")
+        clauses.append(Clause(tuple(cons), None, rng.choice(modes), rng.choice(modes)))
+    return TimedStateRelation(tuple(clauses))
+
+
+def _first_equality(clause):
+    """'first' or 'later' by the place of the clause's first `=`, plus
+    '-no-a' when that constraint has no a_* term; None without `=`."""
+    for i, con in enumerate(clause.constraints):
+        if con.op == "=":
+            where = "first" if i == 0 else "later"
+            return where if any(s.startswith("a_") for s in con.symbols()) else where + "-no-a"
+    return None
+
+
+def test_related_candidates_equality_index_matches_state_related():
+    """Clauses read through the index of their first `=` relate exactly
+    the candidates state_related relates: `=` first or later in the
+    clause, an `=` with no a_* term, and candidates sharing the indexed
+    value."""
+    rng = random.Random(20261019)
+    related_by = dict.fromkeys(("first", "later", "first-no-a", "later-no-a", None), 0)
+    shared = 0  # calls where one indexed clause relates two candidates
+    for _ in range(600):
+        r = _equality_relation(rng)
+        candidates = list(dict.fromkeys(_candidate_state(rng) for _ in range(rng.randint(1, 8))))
+        related_at = related_candidates(r, candidates)
+        for _ in range(4):
+            t, s = Q(rng.randint(0, 4), 2), _candidate_state(rng)
+            skip = set(rng.sample(candidates, rng.randint(0, len(candidates) // 2)))
+            expected = [sb for sb in candidates
+                        if sb not in skip and state_related(r, t, s, sb)]
+            assert related_at(t, s, skip) == expected, (r, t, s, candidates, skip)
+            for clause in r.clauses:
+                alone = TimedStateRelation((clause,))
+                hits = [sb for sb in expected if state_related(alone, t, s, sb)]
+                related_by[_first_equality(clause)] += len(hits)
+                shared += len(hits) > 1 and _first_equality(clause) in ("first", "later")
+    assert all(n > 20 for n in related_by.values()), related_by
+    assert shared > 20
