@@ -17,7 +17,6 @@ and those findings are reported verbatim, never patched.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from .affine import AffineConstraint, LinExpr, parse_constraint
 from .errors import ParamConstraintViolated, UnknownFixture
@@ -487,15 +486,30 @@ def _eq_relation(var="u") -> TimedStateRelation:
     return TimedStateRelation((Clause((parse_constraint(f"c_{var} = a_{var}"),)),))
 
 
-def gallery_fixture(name: str, params: Optional[TankParams] = None) -> dict:
+# the TankParams fields each entry reads; the other entries read none
+_READS = {
+    "tank-automaton": ("epsilon", "zeta", "x0_samples"),
+    "tank-impl": ("epsilon", "zeta", "x0_samples"),
+    "example10": ("zeta",),
+}
+
+
+def gallery_fixture(name: str, **params) -> dict:
     """Built-in systems and counterexample layouts, loadable by name.
 
     An entry holds a standalone "system", or a pair ("concrete",
     "abstract", "relation", optionally "extra_abstract"), or both, and
-    "delta" when it is laid out on a grid.  The tank parameters (default
-    TankParams.make()) shape the tank systems, and their zeta is the
-    minimum dwell of example10."""
-    p = params or TankParams.make()
+    "delta" when it is laid out on a grid.  `params` are keywords of
+    TankParams.make, which supplies the rest: they shape the tank
+    systems, and zeta is the minimum dwell of example10.  A parameter
+    the entry does not read raises ParamConstraintViolated rather than
+    go unread."""
+    if name not in GALLERY_NAMES:
+        raise UnknownFixture(f"unknown fixture {name!r}")
+    unread = sorted(set(params) - set(_READS.get(name, ())))
+    if unread:
+        raise ParamConstraintViolated(f"fixture {name} does not read {', '.join(unread)}")
+    p = TankParams.make(**params)
     if name == "tank-automaton":
         # checked against itself under r39
         auto = build_tank_automaton(p)
@@ -590,4 +604,3 @@ def gallery_fixture(name: str, params: Optional[TankParams] = None) -> dict:
             "abstract": ConfigGraph((a1,), ((a1, (a2, a3)), (a2, ()), (a3, ()))),
             "relation": _eq_relation(),
         }
-    raise UnknownFixture(f"unknown fixture {name!r}")

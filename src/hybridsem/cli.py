@@ -100,7 +100,8 @@ def _pretty(doc, depth):
 # input: one registry lookup and one loader
 
 
-def _params(args) -> TankParams:
+def _params(args) -> dict:
+    """The tank parameters given, as keywords of TankParams.make."""
     kw = {}
     if args.epsilon:
         kw["epsilon"] = _q(args.epsilon)
@@ -108,13 +109,14 @@ def _params(args) -> TankParams:
         kw["zeta"] = _q(args.zeta)
     if args.x0:
         kw["x0_samples"] = tuple(_q(v) for v in args.x0.split(","))
-    return TankParams.make(**kw)
+    return kw
 
 
 def _fixture(args):
-    """The registry entry --fixture names (None without one)."""
+    """The registry entry --fixture names (None without one); the entry
+    refuses a tank parameter it does not read."""
     name = getattr(args, "fixture", None)
-    return gallery_fixture(name, _params(args)) if name else None
+    return gallery_fixture(name, **_params(args)) if name else None
 
 
 def _read(path, parse):
@@ -293,7 +295,7 @@ def cmd_greatest_sim(args):
 
 def _refinement(args) -> dict:
     (hz,) = _load(args, "horizon", horizon=Q(30))
-    return run_refinement_chain(_params(args), hz)
+    return run_refinement_chain(TankParams.make(**_params(args)), hz)
 
 
 def cmd_check_refinement(args):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Mapping, Optional
 
 from .errors import DurationBelowZeta, EmptyIntersection, NonConsecutive
@@ -108,6 +109,23 @@ class AffineFlow:
         return tuple(
             (k, (rates[k], v - rates[k] * self.anchor)) for k, v in self.initial
         )
+
+    @cached_property
+    def int_lines(self) -> tuple:
+        """(name, (R, O, L)) per variable, integers in lowest terms with
+        L > 0 and its value at t being (R*t + O)/L: `lines` over one
+        denominator, computed once per flow without building a Fraction."""
+        rates = dict(self.rate)
+        an, ad = self.anchor.numerator, self.anchor.denominator
+        out = []
+        for k, v in self.initial:
+            rn, rd = rates[k].numerator, rates[k].denominator
+            vn, vd = v.numerator, v.denominator
+            # rn/rd * (t - an/ad) + vn/vd over the denominator rd*vd*ad
+            R, O, L = rn * vd * ad, vn * rd * ad - rn * an * vd, rd * vd * ad
+            g = gcd(R, O, L)
+            out.append((k, (R // g, O // g, L // g)))
+        return tuple(out)
 
     def reanchored(self, new_anchor) -> "AffineFlow":
         rates = dict(self.rate)

@@ -233,12 +233,20 @@ def successors(h: HybridTransitionSystem, p) -> tuple:
     configurations (two indices may hold equal configurations), or a
     schema configuration itself.  A non-final explicit configuration
     without an edge, and a non-terminal schema configuration without an
-    admissible successor, raise FinalNotClosed."""
+    admissible successor, raise FinalNotClosed; an explicit edge to a
+    configuration that does not start where its source ends raises
+    NonConsecutiveEdge."""
     if h.explicit is not None:
-        out = h.explicit.succ[p]
-        c = h.explicit.configs[p]
+        ex = h.explicit
+        out = ex.succ[p]
+        c = ex.configs[p]
         if not out and not config_is_final(c):
             raise FinalNotClosed(f"non-final configuration {c!r} has no successor")
+        for q in out:
+            if ex.configs[q].b != c.e:
+                raise NonConsecutiveEdge(
+                    f"edge {c!r} -> {ex.configs[q]!r}: the target does not start at the source's end"
+                )
         return out
     schema = h.schema(p.flow.mode)
     if schema.terminal:
@@ -274,9 +282,10 @@ def reach(h: HybridTransitionSystem, horizon, depth: int = 64) -> Reached:
     reached at rank `depth`; otherwise its successors are reached.  A
     position starting at or after the horizon is not reached.  Following an
     edge out of a final explicit configuration, or ending a non-final one
-    without an edge, raises FinalNotClosed, as `hts_validate` reports
-    both; such a configuration cut at the horizon (ending on it, say) or
-    by depth is a leaf like any other."""
+    without an edge, raises FinalNotClosed, and following an edge whose
+    target does not start at its source's end raises NonConsecutiveEdge,
+    as `hts_validate` reports all three; such a configuration cut at the
+    horizon (ending on it, say) or by depth is a leaf like any other."""
     horizon = Q(horizon) if is_finite(horizon) else INF
     if horizon < 0:
         raise ParamConstraintViolated(f"horizon {horizon} is negative")

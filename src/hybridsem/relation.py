@@ -15,23 +15,33 @@ A state pair is related at time t iff some clause whose window contains
 t and whose guards match has all constraints satisfied.
 
 Window verdicts (for all, or for some, t in a window) are decided
-exactly, once per pair of affine pieces.  Modes and endpoints are
-constant on a piece pair, so each clause is compiled once: it is dropped
-if its guards miss the modes or it can never hold there, and each of its
-constraints becomes a*t + b along the two flows.  Between consecutive
+exactly, once per pair of affine pieces, in Python integers.  Modes and
+endpoints are constant on a piece pair, so each clause is compiled once:
+it is dropped if its guards miss the modes or it can never hold there,
+and each of its constraints becomes integers (A, B) such that A*t + B
+is a positive multiple of its left side along the two flows (each flow
+caches its lines as integers, (R*t + O)/L).  Between consecutive
 breakpoints (window, clause-window and domain bounds, and the roots
--b/a) every constraint keeps its truth value, so the breakpoints, one
-rational point per cell and one past the last cut of an unbounded window
-decide it, at one multiply-add per constraint and point (the linear-sign
-method for linear hybrid automata).  traj_related_rankwise decides its
-for-all by an exact cover of solution spans instead, so that comparing
-it with traj_related_timewise cross-checks the kernel.
+-B/A) every constraint keeps its truth value, so the breakpoints, one
+point per cell and one past the last cut of an unbounded window decide
+it (the linear-sign method for linear hybrid automata).  A window's
+breakpoints are integers over one denominator D, the lcm of the bounds'
+denominators and of every A, so each decision point is an integer P
+standing for P/(2D), and a constraint is decided by the sign of
+A*P + 2D*B: one integer multiply-add per constraint and point, and no
+Fraction built (the integer-coefficient form of exact polyhedra
+libraries).  A window where no clause compiles and r has no domain is
+decided at its first point.  traj_related_rankwise decides its for-all
+by an exact cover of solution spans over Fractions instead, sharing no
+code with the kernel, so that comparing it with traj_related_timewise
+cross-checks the kernel.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional
 
 from .affine import ENDPOINT_SYMBOLS, AffineConstraint, LinExpr, parse_constraint
@@ -189,7 +199,8 @@ def state_related(
     return False
 
 
-# con.lhs OP 0 read as (abstract part) OP -(the rest)
+# con.op as a comparison: lhs OP 0, read by related_candidates as
+# (abstract part) OP -(the rest) and by the window kernel as (A*t + B) OP 0
 _COMPARE = {"=": operator.eq, "<=": operator.le, ">=": operator.ge,
             "<": operator.lt, ">": operator.gt}
 
@@ -308,11 +319,12 @@ def _endpoint_env(c, d) -> dict:
 
 def _compile(r: TimedStateRelation, cp, dp, endpoints) -> list:
     """The clauses of r that can hold on the piece pair cp, dp, each as
-    (window, ((con, a, b), ...)) with a*t + b the left side of con along
-    the two flows.  Modes are constant on a piece, so a clause whose
-    guards miss them is dropped; so is one that `dynamic` declines, or
-    that names a symbol the pair does not bind, such as a variable it
-    lacks or the infinite end of an unbounded configuration."""
+    (window, ((cmp, A, B), ...)): along the two flows the left side of a
+    constraint has the sign of A*t + B, integers, and cmp compares that
+    with 0 as the constraint does.  Modes are constant on a piece, so a
+    clause whose guards miss them is dropped; so is one that `dynamic`
+    declines, or that names a symbol the pair does not bind, such as a
+    variable it lacks or the infinite end of an unbounded configuration."""
     table = None
     out = []
     for clause in r.clauses:
@@ -322,73 +334,129 @@ def _compile(r: TimedStateRelation, cp, dp, endpoints) -> list:
         if cons is None:
             continue
         if table is None:
-            table = {"t": (1, 0)}
-            table.update((k, (0, v)) for k, v in endpoints.items())
-            table.update(("c_" + k, line) for k, line in cp.flow.lines)
-            table.update(("a_" + k, line) for k, line in dp.flow.lines)
+            table = {"t": (1, 0, 1)}
+            table.update((k, (0, v.numerator, v.denominator)) for k, v in endpoints.items())
+            table.update(("c_" + k, line) for k, line in cp.flow.int_lines)
+            table.update(("a_" + k, line) for k, line in dp.flow.int_lines)
         try:
-            out.append((clause.window, tuple((con, *_in_t(con.lhs, table)) for con in cons)))
+            out.append((clause.window, tuple(
+                (_COMPARE[con.op], *_in_t(con.lhs, table)) for con in cons
+            )))
         except KeyError:
             continue
     return out
 
 
 def _in_t(lhs: LinExpr, table: dict) -> tuple:
-    """(a, b) with lhs = a*t + b, each symbol read from table as (rate, offset)."""
-    a, b = 0, lhs.const
+    """Integers (A, B) in lowest terms with A*t + B a positive multiple
+    of lhs, each symbol read from table as (R, O, L), its value being
+    (R*t + O)/L; one lcm clears every denominator."""
+    const = lhs.const
+    terms = []
     for sym, coef in lhs.coefs:
-        rate, offset = table[sym]
-        a, b = a + coef * rate, b + coef * offset
-    return a, b
+        R, O, L = table[sym]
+        terms.append((coef.numerator, coef.denominator * L, R, O))
+    m = lcm(const.denominator, *[den for _, den, _, _ in terms])
+    A, B = 0, const.numerator * (m // const.denominator)
+    for num, den, R, O in terms:
+        k = num * (m // den)
+        A += k * R
+        B += k * O
+    g = gcd(A, B)
+    return (A // g, B // g) if g > 1 else (A, B)
 
 
-def _constraint_roots(clause, lo, hi) -> list:
-    """Roots in (lo, hi) of the constraints of one compiled clause."""
-    roots = (-b / a for _, a, b in clause[1] if a)
+def _constraint_roots(clause, lo, hi, D) -> list:
+    """Roots in (lo, hi) of the constraints of one compiled clause, each
+    an integer over D, which every nonzero A divides; hi None is
+    unbounded."""
+    roots = (-B * (D // A) for _, A, B in clause[1] if A)
+    if hi is None:
+        return [t for t in roots if lo < t]
     return [t for t in roots if lo < t < hi]
 
 
-def _window_points(r: TimedStateRelation, clauses, window: TimeInterval) -> list:
-    """The decision points of a window for the compiled clauses, in
-    increasing order: the window ends, clause-window bounds, constraint
-    roots and domain boundaries, one midpoint per cell between them, and
-    a far point past every cut when the window is unbounded (beyond the
-    last breakpoint all truth values are constant).  Every point lies in
-    [lo, hi], so only the right end of an open window is left out."""
+def _window_points(r: TimedStateRelation, clauses, window: TimeInterval) -> tuple:
+    """(D, points): the decision points of a window for the compiled
+    clauses, in increasing order, each point P standing for t = P/(2D).
+    They are the window ends, clause-window bounds, constraint roots and
+    domain boundaries, one midpoint per cell between them, and a far
+    point past every cut when the window is unbounded (beyond the last
+    breakpoint all truth values are constant).  Every point lies in
+    [lo, hi], so only the right end of an open window is left out.
+
+    D is the lcm of the denominators of every bound and of every
+    nonzero A, so each cut is an integer over D (a root is -B*(D//A)),
+    and over 2D a cut x is 2x and the midpoint of cuts x, y is x + y."""
     lo, hi = window.lo, window.hi
-    cuts = {lo}
-    if is_finite(hi):
-        cuts.add(hi)
+    finite = is_finite(hi)
+    bounds = r.domain_boundaries()
+    for w, _ in clauses:
+        if w is not None:
+            bounds.append(w.lo)
+            if is_finite(w.hi):
+                bounds.append(w.hi)
+    dens = [b.denominator for b in bounds]
+    dens.append(lo.denominator)
+    if finite:
+        dens.append(hi.denominator)
+    for _, cons in clauses:
+        dens.extend(A for _, A, _ in cons if A)
+    D = lcm(*dens)
+    lo_d = lo.numerator * (D // lo.denominator)
+    hi_d = hi.numerator * (D // hi.denominator) if finite else None
+    cuts = {lo_d}
+    if finite:
+        cuts.add(hi_d)
+    for b in bounds:
+        x = b.numerator * (D // b.denominator)
+        if lo_d < x and (not finite or x < hi_d):
+            cuts.add(x)
     for clause in clauses:
-        if clause[0] is not None:
-            for bnd in (clause[0].lo, clause[0].hi):
-                if is_finite(bnd) and lo < bnd < hi:
-                    cuts.add(bnd)
-        cuts.update(_constraint_roots(clause, lo, hi))
-    for bnd in r.domain_boundaries():
-        if lo < bnd < hi:
-            cuts.add(bnd)
-    if not is_finite(hi):
-        cuts.add(max(cuts) + 1)
+        cuts.update(_constraint_roots(clause, lo_d, hi_d, D))
+    if not finite:
+        cuts.add(max(cuts) + D)
     cuts = sorted(cuts)
-    points = [cuts[0]]
-    for a, b in zip(cuts, cuts[1:]):
-        points += [(a + b) / 2, b]
-    if is_finite(hi) and not window.closed_hi:
+    points = [2 * cuts[0]]
+    for x, y in zip(cuts, cuts[1:]):
+        points += (x + y, 2 * y)
+    if finite and not window.closed_hi:
         points.pop()
-    return points
+    return D, points
+
+
+def _over(w: TimeInterval, D2: int, last: int) -> range:
+    """The integers P with P/D2 in w, up to `last` when w is unbounded;
+    D2 is a multiple of the denominators of w's bounds, so a closed end
+    admits P = its numerator over D2 and an open one stops below it."""
+    lo = w.lo.numerator * (D2 // w.lo.denominator)
+    if not is_finite(w.hi):
+        return range(lo, last + 1)
+    return range(lo, w.hi.numerator * (D2 // w.hi.denominator) + w.closed_hi)
 
 
 def _decisions(r: TimedStateRelation, cp, dp, window: TimeInterval, endpoints):
     """Whether the states of the plain affine configurations cp and dp
-    are related, at each decision point of the window inside dom(r)."""
+    are related, at each decision point of the window inside dom(r).
+    When no clause compiles and r has no domain, the first point of a
+    nonempty window decides: no point is related."""
     clauses = _compile(r, cp, dp, endpoints)
-    for t in _window_points(r, clauses, window):
-        if r.in_domain(t):
+    if not clauses and r.domain is None and window.contains(window.lo):
+        yield False
+        return
+    D, points = _window_points(r, clauses, window)
+    D2, last = 2 * D, points[-1] if points else 0
+    checks = [
+        (None if w is None else _over(w, D2, last),
+         tuple((cmp, A, B * D2) for cmp, A, B in cons))
+        for w, cons in clauses
+    ]
+    domain = None if r.domain is None else [_over(w, D2, last) for w in r.domain]
+    for P in points:
+        if domain is None or any(P in w for w in domain):
             yield any(
-                (w is None or w.contains(t))
-                and all(con.check_value(a * t + b) for con, a, b in cons)
-                for w, cons in clauses
+                (w is None or P in w) and all(cmp(A * P + B, 0) for cmp, A, B in cons)
+                for w, cons in checks
             )
 
 

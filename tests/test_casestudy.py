@@ -137,3 +137,19 @@ def test_gallery_names_covered():
         assert gallery_fixture(name)
     with pytest.raises(UnknownFixture):
         gallery_fixture("nope")
+
+
+def test_gallery_refuses_parameters_an_entry_does_not_read():
+    """The tank systems read all three parameters and example10 reads
+    zeta; any other parameter given to an entry is refused."""
+    auto = gallery_fixture("tank-automaton", x0_samples=(Q(1),), epsilon=Q(1, 8))
+    assert auto["system"].initial == build_tank_automaton(
+        TankParams.make(x0_samples=(1,), epsilon=Q(1, 8))).initial
+    assert gallery_fixture("tank-impl", zeta=Q(1, 50))["system"].zeta == Q(1, 50)
+    assert gallery_fixture("example10", zeta=Q(1, 50))["system"].zeta == Q(1, 50)
+    for name, params in (("example10", {"x0_samples": (1,)}), ("example10", {"epsilon": Q(1, 8)}),
+                         ("fig11", {"x0_samples": (1,)}), ("fig8-1", {"zeta": Q(1, 50)})):
+        with pytest.raises(ParamConstraintViolated):
+            gallery_fixture(name, **params)
+    with pytest.raises(UnknownFixture):
+        gallery_fixture("nope", zeta=Q(1, 50))

@@ -215,6 +215,9 @@ def _bad_input_cases(tmp_path):
         ("check-sim", *files, "--horizon", "-1"),
         ("check-refinement", "--x0", "5"),
         ("check-refinement", "--epsilon", "0"),
+        # a fixture refuses the tank parameters it does not read
+        ("validate", "--fixture", "example10", "--x0", "1", "--epsilon", "1/8"),
+        ("gallery", "fig11", "--x0", "1"),
     ]
 
 

@@ -44,8 +44,10 @@ def _calls() -> dict:
         calls[f"validate_{fx}"] = ("validate", "--fixture", fx)
         calls[f"trajectories_{fx}"] = ("trajectories", "--fixture", fx, "--horizon", "9")
         calls[f"sample_{fx}"] = ("sample", "--fixture", fx, "--delta", "1/2", "--horizon", "9")
+        # example10 reads no x0, so it refuses one
+        x0 = ("--x0", "1") if fx.startswith("tank") else ()
         calls[f"discretize_{fx}"] = (
-            "discretize", "--fixture", fx, "--x0", "1", "--delta", "1/4", "--horizon", "9")
+            "discretize", "--fixture", fx, *x0, "--delta", "1/4", "--horizon", "9")
     for hz in ("6", "10"):
         calls[f"check-refinement_h{hz}"] = ("check-refinement", "--horizon", hz)
     calls["check-theorem3_tank"] = ("check-theorem", "3", *TANK, "--horizon", "9")

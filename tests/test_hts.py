@@ -3,7 +3,8 @@ from fractions import Fraction as Q
 import pytest
 
 from hybridsem.affine import LinExpr, parse_constraint
-from hybridsem.errors import BranchingExplosion, FinalNotClosed
+from hybridsem.discretize import hts_discretize
+from hybridsem.errors import BranchingExplosion, FinalNotClosed, NonConsecutiveEdge
 from hybridsem.flow_config import Configuration, make_config
 from hybridsem.hts import (
     Edge,
@@ -140,6 +141,22 @@ def test_non_final_explicit_leaf_on_the_horizon_is_cut():
     assert s.truncated and s.configs == (a,)
     G = system_graph(h, 1)
     assert G.configs() == (a,) and a in G.truncated
+
+
+def test_non_consecutive_explicit_edge_raises():
+    # b starts at 2, a ends at 1: following the edge would leave a gap
+    # (semantics_generate once failed on it as GapBetweenConfigurations,
+    # and hts_discretize gave <b; u=4> at t = 1, b's flow extrapolated)
+    a = make_config("a", 0, 1, {"u": 0}, {"u": 0})
+    b = make_config("b", 2, 3, {"u": 4}, {"u": 0}, closed_hi=True)
+    h = HybridTransitionSystem.from_explicit(("u",), Q(1, 1000), (a, b), ((0, 1),), (0,))
+    assert hts_validate(h) == [("NonConsecutiveEdge", (a, b))]
+    with pytest.raises(NonConsecutiveEdge):
+        semantics_generate(h, 5)
+    with pytest.raises(NonConsecutiveEdge):
+        system_graph(h, 5)
+    with pytest.raises(NonConsecutiveEdge):
+        hts_discretize(h, 1, 5)
 
 
 def test_explicit_branching_enumerates_all_paths(rng):

@@ -503,7 +503,7 @@ def _points_by_contains(r, clauses, window):
     for w, cons in clauses:
         if w is not None:
             cuts |= {b for b in (w.lo, w.hi) if b != INF and lo < b < hi}
-        cuts |= {-b / a for _, a, b in cons if a and lo < -b / a < hi}
+        cuts |= {Q(-b, a) for _, a, b in cons if a and lo < Q(-b, a) < hi}
     if r.domain is not None:
         cuts |= {b for w in r.domain for b in (w.lo, w.hi) if b != INF and lo < b < hi}
     if hi == INF:
@@ -530,7 +530,8 @@ def test_window_points_match_contains_filter():
                       "point": lo, "unbounded": INF}[shape]
                 window = TimeInterval(lo, hi, shape in ("closed", "point"))
                 clauses = _compile(r, cp, dp, _endpoint_env(c, d))
-                got = _window_points(r, clauses, window)
+                D, got = _window_points(r, clauses, window)
+                got = [Q(P, 2 * D) for P in got]
                 assert got == _points_by_contains(r, clauses, window), (r, cp, dp, window)
                 assert all(window.contains(t) for t in got)
                 shapes.add(shape)
