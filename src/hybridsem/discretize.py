@@ -224,27 +224,19 @@ def hts_discretize(h_or_graph, delta, horizon=None) -> DiscreteTransitionSystem:
     tables, at = _grid_tables(G.configs(), delta, hcap)
     edges, closing, from_tau = set(), set(), set()
     states = set()
-
-    def cap_ok(t) -> bool:
-        return hcap is None or t <= hcap
-
     for c in G.configs():
-        b, e = c.b, c.e
-        n = int(b / delta)
-        table = tables[c]
-        # (a) internal steps
-        while is_finite(e) and (n + 1) * delta < e or (
-            not is_finite(e) and cap_ok((n + 1) * delta)
-        ):
-            if not cap_ok((n + 1) * delta):
-                break
-            u, v = table[n], table[n + 1]
+        # (a) internal steps between consecutive ranks; the end rank of a
+        # configuration that ends within the horizon belongs to (b)/(c)
+        inner = list(tables[c].values())
+        ends = is_finite(c.e) and (hcap is None or c.e <= hcap)
+        if ends:
+            inner.pop()
+        for u, v in zip(inner, inner[1:]):
             edges.add((u, v))
             states.update((u, v))
-            n += 1
-        if not is_finite(e) or (hcap is not None and e > hcap):
+        if not ends:
             continue
-        n_end = int(e / delta)
+        n_end = int(c.e / delta)
         u = at(c, n_end - 1)
         succs = G.succ(c)
         if succs:

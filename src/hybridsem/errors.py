@@ -99,10 +99,6 @@ class LocalSimulationGap(HybridSemError):
     pass
 
 
-class NotWellNested(HybridSemError):
-    pass
-
-
 class MissingIntermediateWitness(HybridSemError):
     pass
 

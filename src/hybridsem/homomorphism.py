@@ -12,7 +12,6 @@ so images of affine flows stay affine and all checks remain exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .affine import LinExpr
 from .flow_config import AffineFlow, Configuration, PiecewiseConfiguration, State

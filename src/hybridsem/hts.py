@@ -21,19 +21,19 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
-from .affine import AffineConstraint, LinExpr, parse_constraint, parse_expr
+from .affine import LinExpr, parse_constraint, parse_expr
 from .errors import (
     BranchingExplosion,
     FinalNotClosed,
-    InitialNotAtZero,
     NonConsecutiveEdge,
     NotASubset,
     ParamConstraintViolated,
     ParseError,
 )
-from .flow_config import AffineFlow, Configuration, make_config
+from .flow_config import Configuration, make_config
+from .relation import _known_keys
 from .time_core import INF, Q, TimeInterval, is_finite
 from .trajectory import trajectory_validate
 
@@ -390,10 +390,12 @@ def blocking_check(tau: HybridTransitionSystem, tau_prime: HybridTransitionSyste
 def hts_from_json(doc: dict) -> HybridTransitionSystem:
     """System description file: variables, modes, edges, initial, zeta.
 
-    Fails closed with ParseError on an unknown exit type, on an edge or
-    initial state naming an undeclared mode, on a rate, reset, initial
-    value, exit or constraint naming an undeclared variable, and on an
-    initial state that leaves a declared variable without a value."""
+    Fails closed with ParseError on a key it does not know (a misspelt
+    "rates" would leave every rate 0), on an unknown exit type, on an
+    edge or initial state naming an undeclared mode, on a rate, reset,
+    initial value, exit or constraint naming an undeclared variable, and
+    on an initial state that leaves a declared variable without a value."""
+    _known_keys(doc, ("variables", "zeta", "modes", "edges", "initial"), "system")
     variables = tuple(doc["variables"])
     declared = set(variables)
 
@@ -405,10 +407,12 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
     zeta = Q(doc.get("zeta", "1/1000"))
     schemas = []
     for m in doc["modes"]:
+        _known_keys(m, ("name", "rates", "entry", "exit", "terminal"), "mode")
         where = f"mode {m['name']}"
         exit_doc = m.get("exit")
         exit_cond = None
         if exit_doc is not None:
+            _known_keys(exit_doc, ("type", "value", "target", "var"), f"{where} exit")
             if exit_doc["type"] == "duration":
                 exit_cond = ExitCondition("duration", parse_expr(str(exit_doc["value"])))
             elif exit_doc["type"] == "reach":
@@ -435,6 +439,7 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
 
     edges = []
     for e in doc.get("edges", []):
+        _known_keys(e, ("src", "dst", "reset"), "edge")
         where = f"edge {e['src']} -> {e['dst']}"
         reset = {k: parse_expr(str(v)) for k, v in e.get("reset", {}).items()}
         known(reset, f"{where} reset")
@@ -444,6 +449,7 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
         edges.append(Edge.make(src, dst, reset))
     initial = []
     for i in doc["initial"]:
+        _known_keys(i, ("mode", "values"), "initial state")
         where = f"initial state in {declared_mode(i['mode'], 'initial state')}"
         values = {k: Q(v) for k, v in i["values"].items()}
         known(values, where)

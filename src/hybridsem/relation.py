@@ -40,7 +40,7 @@ cross-checks the kernel.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional
 
@@ -145,20 +145,11 @@ def _state_env(t, s: State, sbar: State, endpoints: Optional[dict]) -> dict:
     return env
 
 
-def state_related(
-    r: TimedStateRelation,
-    t,
-    s: State,
-    sbar: State,
-    endpoints: Optional[dict] = None,
-    catalog: Optional[Iterable] = None,
-) -> bool:
-    """Membership of a state pair in r(t).
-
-    Clauses with endpoint symbols need configuration context: either an
-    explicit `endpoints` binding, or a `catalog` of configuration pairs
-    from which any pair containing t with matching states may bind them
-    (the existential reading).
+def state_related(r: TimedStateRelation, t, s: State, sbar: State) -> bool:
+    """Membership of a state pair in r(t).  A bare state pair binds no
+    configuration endpoints, so reaching a clause with B/E symbols or a
+    `dynamic` part raises EndpointSymbolsUnbound; the window lifts
+    (config_related and the rest) bind them from their configurations.
     """
     if not r.in_domain(t):
         return False
@@ -167,32 +158,11 @@ def state_related(
             continue
         if not clause.guards_match(s.mode, sbar.mode):
             continue
-        if clause.uses_endpoints() and endpoints is None:
-            if catalog is None:
-                raise EndpointSymbolsUnbound(
-                    "clause uses B/E symbols; supply endpoints or a catalog"
-                )
-            for c, d in catalog:
-                if not (c.interval.contains(t) and d.interval.contains(t)):
-                    continue
-                if c.state_at(t) != s or d.state_at(t) != sbar:
-                    continue
-                if not (is_finite(c.e) and is_finite(d.e)):
-                    continue
-                eps = _endpoint_env(c, d)
-                cons = clause.effective_constraints(eps)
-                if cons is None:
-                    continue
-                env = _state_env(t, s, sbar, eps)
-                if all(con.holds(env) for con in cons):
-                    return True
-            continue
-        cons = clause.effective_constraints(endpoints)
-        if cons is None:
-            continue
-        env = _state_env(t, s, sbar, endpoints)
+        if clause.uses_endpoints():
+            raise EndpointSymbolsUnbound("clause uses B/E symbols; a state pair binds none")
+        env = _state_env(t, s, sbar, None)
         try:
-            if all(con.holds(env) for con in cons):
+            if all(con.holds(env) for con in clause.constraints):
                 return True
         except KeyError:
             continue  # clause mentions a symbol this pair cannot bind
@@ -285,7 +255,7 @@ def related_candidates(r: TimedStateRelation, candidates) -> Callable:
                 for j, _ in rows:
                     if j not in related and candidates[j] not in skip:
                         raise EndpointSymbolsUnbound(
-                            "clause uses B/E symbols; supply endpoints or a catalog"
+                            "clause uses B/E symbols; a state pair binds none"
                         )
                 continue
             try:
@@ -716,10 +686,8 @@ def compose_relations(r1: TimedStateRelation, r2: TimedStateRelation):
     function of (t, s, mid, s'') rather than a clause list.
     """
 
-    def member(t, s, mid, sbb, endpoints1=None, endpoints2=None):
-        return state_related(r1, t, s, mid, endpoints=endpoints1) and state_related(
-            r2, t, mid, sbb, endpoints=endpoints2
-        )
+    def member(t, s, mid, sbb):
+        return state_related(r1, t, s, mid) and state_related(r2, t, mid, sbb)
 
     return member
 
@@ -735,14 +703,18 @@ def _known_keys(doc, keys, where: str) -> dict:
 
 def _window_from_json(w, where: str) -> TimeInterval:
     hi = _known_keys(w, ("lo", "hi", "closed_hi"), where).get("hi", "inf")
-    return TimeInterval(
+    window = TimeInterval(
         Q(w["lo"]), INF if hi in ("inf", None) else Q(hi), bool(w.get("closed_hi", False))
     )
+    if not window.contains(window.lo):
+        raise ParseError(f"{where}: empty window")
+    return window
 
 
 def relation_from_json(doc: dict) -> TimedStateRelation:
     """The relation of a relation file.  A key it does not know is a
-    ParseError: a misspelt guard would otherwise match every mode."""
+    ParseError, since a misspelt guard would match every mode, and so is
+    an empty window or domain, which would let a check pass vacuously."""
     clauses = []
     for i, cl in enumerate(_known_keys(doc, ("clauses", "domain"), "relation")["clauses"]):
         where = f"clause {i}"
@@ -758,4 +730,6 @@ def relation_from_json(doc: dict) -> TimedStateRelation:
     domain = None
     if "domain" in doc:
         domain = tuple(_window_from_json(w, "domain window") for w in doc["domain"])
+        if not domain:
+            raise ParseError("relation: empty domain")
     return TimedStateRelation(tuple(clauses), domain)

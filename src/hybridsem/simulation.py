@@ -22,7 +22,6 @@ from .errors import (
     MissingIntermediateWitness,
     NoInitialWitness,
     NotSliceClosed,
-    NotWellNested,
     PremiseFailed,
     SyncRequiresWellNesting,
     UniverseTooLarge,
@@ -200,36 +199,36 @@ def normalize_config(c) -> tuple:
     return tuple(merged)
 
 
-def sim_transfer(related: Callable, succ_abstract, c, cbar, c_prime) -> list:
-    """Candidate abstract responses to the concrete step c -> c_prime.
-
-    `related` is the configuration-level relation (e.g. gamma of a timed
-    relation); `succ_abstract` yields the abstract successors of cbar.
-    Returns (cbar_prime or EPSILON, spliced_concrete, spliced_abstract)
-    triples whose spliced pair is related.
-    """
-    candidates = []
-    # the abstract side stays in cbar (empty successor placeholder)
+def _responses(succ_abstract, c, cbar, c_prime):
+    """The abstract responses to the concrete step c -> c_prime, as
+    (cbar_prime or EPSILON, spliced concrete, spliced abstract) triples
+    with both splices nonempty: first each abstract step, then the stay
+    in cbar (empty successor placeholder) when c_prime ends within it.
+    For c_prime EPSILON (the concrete side stays in c), the abstract
+    steps that end within c."""
+    for cbar_prime in succ_abstract(cbar):
+        if c_prime is EPSILON:
+            if cbar_prime.e > c.e:
+                continue
+            m1, m2 = cbar_prime.b, cbar_prime.e
+        else:
+            m1, m2 = tmin(c_prime.b, cbar_prime.b), tmin(c_prime.e, cbar_prime.e)
+        sc, sa = splice(c, c_prime, m1, m2), splice(cbar, cbar_prime, m1, m2)
+        if sc is not None and sa is not None:
+            yield cbar_prime, sc, sa
     if c_prime is not EPSILON and c_prime.e <= cbar.e:
         sc = splice(c, c_prime, c_prime.b, c_prime.e)
         sa = splice(cbar, EPSILON, c_prime.b, c_prime.e)
-        if sc is not None and sa is not None and related(sc, sa):
-            candidates.append((EPSILON, sc, sa))
-    for cbar_prime in succ_abstract(cbar):
-        if c_prime is EPSILON:
-            if cbar_prime.e <= c.e:
-                sc = splice(c, EPSILON, cbar_prime.b, cbar_prime.e)
-                sa = splice(cbar, cbar_prime, cbar_prime.b, cbar_prime.e)
-                if sc is not None and sa is not None and related(sc, sa):
-                    candidates.append((cbar_prime, sc, sa))
-            continue
-        m1 = tmin(c_prime.b, cbar_prime.b)
-        m2 = tmin(c_prime.e, cbar_prime.e)
-        sc = splice(c, c_prime, m1, m2)
-        sa = splice(cbar, cbar_prime, m1, m2)
-        if sc is not None and sa is not None and related(sc, sa):
-            candidates.append((cbar_prime, sc, sa))
-    return candidates
+        if sc is not None and sa is not None:
+            yield EPSILON, sc, sa
+
+
+def sim_transfer(related: Callable, succ_abstract, c, cbar, c_prime) -> list:
+    """Candidate abstract responses to the concrete step c -> c_prime:
+    the triples of _responses whose spliced pair is related.  `related`
+    is the configuration-level relation (e.g. gamma of a timed
+    relation); `succ_abstract` yields the abstract successors of cbar."""
+    return [resp for resp in _responses(succ_abstract, c, cbar, c_prime) if related(*resp[1:])]
 
 
 def _related_pairs(r: TimedStateRelation, overlaps) -> list:
@@ -244,17 +243,22 @@ def _universe_guard(G: ConfigGraph, Gb: ConfigGraph):
         raise UniverseTooLarge(f"{n} candidate pairs")
 
 
-def configs_well_nested(G: ConfigGraph, Gb: ConfigGraph):
-    """(59) at the configuration level: overlap implies containment of
-    the concrete interval in the abstract one.  Returns (ok, witness)."""
-    return _nested(overlapping(G.configs(), Gb.configs()))
-
-
 def _nested(overlaps):
-    """(59) on the pairs of `overlaps` (from `overlapping`)."""
+    """(59) on the pairs of `overlaps` (from `overlapping`): overlap
+    implies containment of the concrete interval in the abstract one.
+    Returns (ok, witness)."""
     for c, cb, _ in overlaps:
         if not c.interval.subset_of(cb.interval):
             return False, (c, cb)
+    return True, None
+
+
+def _initialized(related: Callable, G: ConfigGraph, Gb: ConfigGraph):
+    """init(56): every concrete initial configuration is related to some
+    abstract initial one.  Returns (ok, witness)."""
+    for c0 in G.initial:
+        if not any(related(c0, cb0) for cb0 in Gb.initial):
+            return False, c0
     return True, None
 
 
@@ -287,22 +291,14 @@ def sim_check(
                 ok = bool(sim_transfer(related, Gb.succ, c, cb, c_prime))
             if not ok:
                 violations.append((c, cb, c_prime, "no abstract response"))
-    # hypotheses
-    init_ok, init_w = True, None
-    for c0 in G.initial:
-        if not any(related(c0, cb0) for cb0 in Gb.initial):
-            init_ok, init_w = False, c0
-            break
+    # hypotheses; a truncated c is a horizon artifact, never blocking
     blocking_ok, blocking_w = True, None
     for c, cb in pairs:
-        if c in G.truncated:
-            continue  # horizon artifact: blocking status unknown
-        if G.blocking(c) and (Gb.succ(cb) or cb in Gb.truncated):
-            if Gb.succ(cb):
-                blocking_ok, blocking_w = False, (c, cb)
-                break
+        if G.blocking(c) and Gb.succ(cb):
+            blocking_ok, blocking_w = False, (c, cb)
+            break
     report.hypothesis_results = {
-        "init(56)": (init_ok, init_w),
+        "init(56)": _initialized(related, G, Gb),
         "blocking(57)": (blocking_ok, blocking_w),
         "well_nested(59)": (nested_ok, nested_w),
     }
@@ -475,7 +471,8 @@ def theorem4_match(
         if not nexts or cb.e >= sigma.duration:
             break
         chosen = min(
-            (n for n in nexts if related_overlap(related, sigma, n)),
+            (n for n in nexts
+             if any(related(c, n) for c, _, _ in overlapping(sigma.configs, (n,)))),
             key=_end_order,
             default=None,
         )
@@ -496,10 +493,6 @@ def theorem4_match(
 def _end_order(c) -> tuple:
     """Least end first, unbounded ends last, then canonical order."""
     return (not is_finite(c.e), c.e if is_finite(c.e) else 0, repr(c))
-
-
-def related_overlap(related: Callable, sigma: Trajectory, cb) -> bool:
-    return any(related(c, cb) for c, _, _ in overlapping(sigma.configs, (cb,)))
 
 
 def well_nested_check(T: Iterable, Tb: Iterable):
@@ -628,38 +621,18 @@ def preservation_check(
     violations = []
     progress_ok, progress_w = True, None
     for c, cb in _related_pairs(r, overlapping(G.configs(), Gb.configs())):
-        for c_prime in G.succ(c):
-            for cb_prime in Gb.succ(cb):
-                m1 = tmin(c_prime.b, cb_prime.b)
-                m2 = tmin(c_prime.e, cb_prime.e)
-                sc, sa = splice(c, c_prime, m1, m2), splice(cb, cb_prime, m1, m2)
-                if sc is None or sa is None:
-                    continue
+        # EPSILON last: the concrete side stays while the abstract steps
+        for c_prime in (*G.succ(c), EPSILON):
+            for cb_prime, sc, sa in _responses(Gb.succ, c, cb, c_prime):
                 if not related(sc, sa):
-                    violations.append((c, cb, c_prime, f"{cb_prime!r} not preserved"))
-            # abstract stays (empty successor placeholder)
-            if c_prime.e <= cb.e:
-                sc = splice(c, c_prime, c_prime.b, c_prime.e)
-                sa = splice(cb, EPSILON, c_prime.b, c_prime.e)
-                if sc is not None and sa is not None and not related(sc, sa):
-                    violations.append((c, cb, c_prime, "abstract stay not preserved"))
-        for cb_prime in Gb.succ(cb):
-            if cb_prime.e <= c.e:
-                sc = splice(c, EPSILON, cb_prime.b, cb_prime.e)
-                sa = splice(cb, cb_prime, cb_prime.b, cb_prime.e)
-                if sc is not None and sa is not None and not related(sc, sa):
-                    violations.append((c, cb, EPSILON, f"{cb_prime!r} not preserved"))
+                    reason = "abstract stay" if cb_prime is EPSILON else repr(cb_prime)
+                    violations.append((c, cb, c_prime, reason + " not preserved"))
         if G.succ(c) and not Gb.succ(cb) and cb not in Gb.truncated:
             progress_ok, progress_w = False, (c, cb)
-    init_ok, init_w = True, None
-    for c0 in G.initial:
-        if not any(related(c0, cb0) for cb0 in Gb.initial):
-            init_ok, init_w = False, c0
-            break
     report.violations = violations
     report.verdict = not violations
     report.hypothesis_results = {
-        "init(56)": (init_ok, init_w),
+        "init(56)": _initialized(related, G, Gb),
         "progress(76)": (progress_ok, progress_w),
     }
     report.notes.append(

@@ -1,4 +1,4 @@
-"""Trajectories, traces, duration, timeline, sampling, maximality, reach.
+"""Trajectories, traces, duration, timeline, sampling, maximality.
 
 A trajectory is a contiguous sequence of configurations starting at
 time 0.  All but the last configuration are right-open; the last is
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     EmptyConfiguration,
@@ -23,8 +23,8 @@ from .errors import (
     ParamConstraintViolated,
     TruncatedInput,
 )
-from .flow_config import EPSILON, UNDEFINED, Configuration, State, config_slice, is_empty, pieces
-from .time_core import INF, Q, TimeInterval, is_finite, time_str
+from .flow_config import UNDEFINED, Configuration, config_slice, is_empty, pieces
+from .time_core import INF, Q, is_finite, time_str
 
 __all__ = [
     "Trajectory",
@@ -37,7 +37,6 @@ __all__ = [
     "trajectory_slice",
     "prefix_of",
     "maximal_filter",
-    "reach",
     "trajectory_csv",
 ]
 
@@ -114,32 +113,17 @@ def grid_step(delta) -> Fraction:
 def trajectory_sample(s: Trajectory, delta, horizon=None) -> DiscreteTrace:
     """h_delta: states at times n*delta up to the duration.
 
-    Complete finite trajectories include the endpoint sample when it
-    lands on the grid; truncated (or unbounded) ones stop strictly
-    before the horizon.
+    The states of timeful_sample, which stop strictly before the end;
+    a complete finite trajectory adds its closed end when that end lands
+    on the grid.  The horizon bounds an unbounded trajectory only.
     """
-    delta = grid_step(delta)
-    dur = s.duration
-    if not is_finite(dur):
-        if horizon is None:
-            raise TruncatedInput("unbounded trajectory needs an explicit horizon")
-        dur, strict = Q(horizon), True
-    elif s.truncated:
-        strict = True
-    else:
-        strict = False
-    states = []
-    n = 0
-    while True:
-        t = n * delta
-        if t > dur or (strict and t == dur):
-            break
-        st = trajectory_eval(s, t)
-        if st is UNDEFINED:
-            break
-        states.append(st)
-        n += 1
-    return DiscreteTrace(tuple(states))
+    from .discretize import timeless_sample  # discretize imports this module
+
+    finite = is_finite(s.duration)
+    states = timeless_sample(s, delta, None if finite else horizon)
+    if finite and s.complete and (s.duration / grid_step(delta)).denominator == 1:
+        states += (s.configs[-1].state_at(s.duration),)
+    return DiscreteTrace(states)
 
 
 def trajectory_slice(s: Trajectory, t) -> Trajectory:
@@ -199,20 +183,6 @@ def config_var_ranges(c: Configuration) -> dict:
         end = init + rate * (hi - c.b)
         out[name] = (min(init, end), max(init, end))
     return out
-
-
-def reach(trajs: Iterable[Trajectory], grid, horizon=None):
-    """Grid-sampled reachable states plus exact per-configuration ranges."""
-    grid = Q(grid)
-    states = set()
-    ranges = []
-    for s in trajs:
-        trace = trajectory_sample(s, grid, horizon=horizon)
-        states.update(trace.states)
-        for c in s.configs:
-            for p in pieces(c):
-                ranges.append((p.flow.mode, config_var_ranges(p)))
-    return states, ranges
 
 
 def trajectory_csv(s: Trajectory, grid) -> str:

@@ -153,6 +153,13 @@ BAD_SYSTEMS = {
     "reset-var": _variant(edges=[{"src": "up", "dst": "up", "reset": {"w": "0"}}]),
     "initial-var": _variant(initial=[{"mode": "up", "values": {"u": "0", "w": "0"}}]),
     "unset-var": _variant(variables=["u", "w"]),
+    # unknown keys; a misspelt "rates" would leave the rate 0
+    "document-key": {**SYSTEM, "edge": []},
+    "mode-key": {**SYSTEM, "modes": [{"name": "up", "rate": {"u": "1"}, "terminal": True,
+                                      "exit": {"type": "duration", "value": "1"}}]},
+    "exit-key": _variant(exit={"type": "duration", "value": "1", "var_": "u"}),
+    "edge-key": _variant(edges=[{"src": "up", "dst": "up", "resets": {"u": "0"}}]),
+    "initial-key": _variant(initial=[{"mode": "up", "values": {"u": "0"}, "time": "0"}]),
 }
 # misspelt keys; dropped silently, a misspelt guard would match every
 # mode and check-sim would answer true with exit 0
@@ -164,6 +171,10 @@ BAD_RELATIONS = {
     # malformed numbers
     "window-number": {"clauses": [{"constraints": ["c_u = a_u"], "window": {"lo": "abc"}}]},
     "zero-division": {"clauses": [{"constraints": ["c_u = 1/0"]}]},
+    # empty windows and domains; a relation that never holds would pass vacuously
+    "inverted-domain": {"clauses": RELATION["clauses"], "domain": [{"lo": "5", "hi": "2"}]},
+    "empty-open-domain": {"clauses": RELATION["clauses"], "domain": [{"lo": "2", "hi": "2"}]},
+    "empty-domain": {"clauses": RELATION["clauses"], "domain": []},
 }
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -17,11 +18,14 @@ from hybridsem.flow_config import (
     PiecewiseConfiguration,
     config_concat,
     config_slice,
+    UNDEFINED,
     make_config,
 )
-from hybridsem.time_core import INF
+from hybridsem.time_core import INF, is_finite
 from hybridsem.trajectory import (
+    DiscreteTrace,
     config_var_ranges,
+    grid_step,
     maximal_filter,
     prefix_of,
     trajectory_eval,
@@ -155,3 +159,88 @@ def test_sample_counts(width, den):
     assert len(trace.states) == width * den + 1
     for i, st_ in enumerate(trace.states):
         assert st_.var("u") == i * delta
+
+
+# --- the reference sampler ---------------------------------------------------
+# The earlier trajectory_sample, which walked the grid on its own, kept
+# verbatim apart from its name.
+
+
+def _ref_trajectory_sample(s, delta, horizon=None) -> DiscreteTrace:
+    delta = grid_step(delta)
+    dur = s.duration
+    if not is_finite(dur):
+        if horizon is None:
+            raise TruncatedInput("unbounded trajectory needs an explicit horizon")
+        dur, strict = Q(horizon), True
+    elif s.truncated:
+        strict = True
+    else:
+        strict = False
+    states = []
+    n = 0
+    while True:
+        t = n * delta
+        if t > dur or (strict and t == dur):
+            break
+        st = trajectory_eval(s, t)
+        if st is UNDEFINED:
+            break
+        states.append(st)
+        n += 1
+    return DiscreteTrace(tuple(states))
+
+
+def _random_sampled_trajectory(rng):
+    """Cuts over denominators 1 to 3 from 0; the last configuration ends
+    closed (at times a point), open and truncated, or unbounded, and
+    some configurations are two pieces in two modes."""
+    cuts = sorted({Q(0)} | {Q(rng.randint(1, 12), rng.randint(1, 3)) for _ in range(3)})
+    kind = rng.choice(("complete", "point", "truncated", "unbounded"))
+    if kind == "point":
+        cuts.append(cuts[-1])
+    ends = cuts[1:-1] + [INF if kind == "unbounded" else cuts[-1]]
+
+    def piece(lo, hi, closed=False):
+        return make_config(rng.choice("ab"), lo, hi, {"u": Q(rng.randint(-4, 4), 2)},
+                           {"u": rng.choice((-1, 0, 2))}, closed_hi=closed)
+
+    configs = []
+    for i, (lo, hi) in enumerate(zip(cuts, ends)):
+        closed = i == len(ends) - 1 and kind in ("complete", "point")
+        if hi != lo and rng.random() < 0.3:
+            mid = lo + Q(1, 2) if not is_finite(hi) else (lo + hi) / 2
+            configs.append(config_concat(piece(lo, mid), piece(mid, hi, closed)))
+        else:
+            configs.append(piece(lo, hi, closed))
+    return trajectory_validate(configs, truncated=kind == "truncated")
+
+
+def test_sample_matches_the_reference_sampler():
+    """On seeded validated trajectories (complete, truncated, unbounded;
+    on-grid and off-grid steps; horizons below, at and beyond the
+    duration, or none), trajectory_sample gives the reference's samples
+    or raises as it does."""
+    rng = random.Random(902)
+    seen = dict.fromkeys(("complete on grid", "complete off grid", "truncated",
+                          "unbounded", "refused"), 0)
+    for _ in range(400):
+        s = _random_sampled_trajectory(rng)
+        delta = rng.choice((Q(1), Q(1, 2), Q(1, 3), Q(2, 3), Q(3, 4), Q(5, 2)))
+        horizon = rng.choice((None, Q(rng.randint(-1, 16), rng.randint(1, 3))))
+        try:
+            want = _ref_trajectory_sample(s, delta, horizon)
+        except TruncatedInput:
+            with pytest.raises(TruncatedInput):
+                trajectory_sample(s, delta, horizon)
+            seen["refused"] += 1
+            continue
+        assert trajectory_sample(s, delta, horizon) == want
+        if not is_finite(s.duration):
+            seen["unbounded"] += 1
+        elif s.truncated:
+            seen["truncated"] += 1
+        else:
+            on_grid = (s.duration / delta).denominator == 1
+            seen["complete on grid" if on_grid else "complete off grid"] += 1
+    assert all(seen.values()), seen

@@ -33,11 +33,13 @@ from hybridsem.affine import LinExpr, parse_constraint
 from hybridsem.hts import Edge, ExitCondition, HybridTransitionSystem, ModeSchema, semantics_generate
 from hybridsem.simulation import (
     ConfigGraph,
+    SimReport,
+    _related_pairs,
+    _universe_guard,
     bisim_check,
     canonical_key,
     compose_check,
     config_graph,
-    configs_well_nested,
     greatest_simulation,
     preservation_check,
     relation_inverse,
@@ -152,7 +154,7 @@ def test_configs_well_nested_positive():
     c = make_config("m", 0, 1, {"u": 0}, {"u": 0})
     cb = make_config("m", 0, 2, {"u": 0}, {"u": 0}, closed_hi=True)
     G, Gb = _line_graph(c), _line_graph(cb)
-    ok, _ = configs_well_nested(G, Gb)
+    ok, _ = sim_check(EQ, G, Gb).hypothesis_results["well_nested(59)"]
     assert ok
 
 
@@ -403,3 +405,139 @@ def test_splice_and_slice_closure_propagate_programming_errors(monkeypatch):
         splice(c, d, Q(1, 2), Q(3, 2))
     with pytest.raises(TypeError):
         slice_closure([c, d])
+
+
+# --- the reference preservation check and transfer ---------------------------
+# The earlier preservation_check, which built its three splice windows
+# inline, and the earlier sim_transfer, which tried the stay first; both
+# kept verbatim apart from their names.
+
+
+def _ref_sim_transfer(related, succ_abstract, c, cbar, c_prime) -> list:
+    candidates = []
+    # the abstract side stays in cbar (empty successor placeholder)
+    if c_prime is not EPSILON and c_prime.e <= cbar.e:
+        sc = splice(c, c_prime, c_prime.b, c_prime.e)
+        sa = splice(cbar, EPSILON, c_prime.b, c_prime.e)
+        if sc is not None and sa is not None and related(sc, sa):
+            candidates.append((EPSILON, sc, sa))
+    for cbar_prime in succ_abstract(cbar):
+        if c_prime is EPSILON:
+            if cbar_prime.e <= c.e:
+                sc = splice(c, EPSILON, cbar_prime.b, cbar_prime.e)
+                sa = splice(cbar, cbar_prime, cbar_prime.b, cbar_prime.e)
+                if sc is not None and sa is not None and related(sc, sa):
+                    candidates.append((cbar_prime, sc, sa))
+            continue
+        m1 = tmin(c_prime.b, cbar_prime.b)
+        m2 = tmin(c_prime.e, cbar_prime.e)
+        sc = splice(c, c_prime, m1, m2)
+        sa = splice(cbar, cbar_prime, m1, m2)
+        if sc is not None and sa is not None and related(sc, sa):
+            candidates.append((cbar_prime, sc, sa))
+    return candidates
+
+
+def _ref_preservation_check(r, G, Gb) -> SimReport:
+    _universe_guard(G, Gb)
+    related = lambda c, d: config_related(r, c, d)
+    report = SimReport(True)
+    violations = []
+    progress_ok, progress_w = True, None
+    for c, cb in _related_pairs(r, overlapping(G.configs(), Gb.configs())):
+        for c_prime in G.succ(c):
+            for cb_prime in Gb.succ(cb):
+                m1 = tmin(c_prime.b, cb_prime.b)
+                m2 = tmin(c_prime.e, cb_prime.e)
+                sc, sa = splice(c, c_prime, m1, m2), splice(cb, cb_prime, m1, m2)
+                if sc is None or sa is None:
+                    continue
+                if not related(sc, sa):
+                    violations.append((c, cb, c_prime, f"{cb_prime!r} not preserved"))
+            # abstract stays (empty successor placeholder)
+            if c_prime.e <= cb.e:
+                sc = splice(c, c_prime, c_prime.b, c_prime.e)
+                sa = splice(cb, EPSILON, c_prime.b, c_prime.e)
+                if sc is not None and sa is not None and not related(sc, sa):
+                    violations.append((c, cb, c_prime, "abstract stay not preserved"))
+        for cb_prime in Gb.succ(cb):
+            if cb_prime.e <= c.e:
+                sc = splice(c, EPSILON, cb_prime.b, cb_prime.e)
+                sa = splice(cb, cb_prime, cb_prime.b, cb_prime.e)
+                if sc is not None and sa is not None and not related(sc, sa):
+                    violations.append((c, cb, EPSILON, f"{cb_prime!r} not preserved"))
+        if G.succ(c) and not Gb.succ(cb) and cb not in Gb.truncated:
+            progress_ok, progress_w = False, (c, cb)
+    init_ok, init_w = True, None
+    for c0 in G.initial:
+        if not any(related(c0, cb0) for cb0 in Gb.initial):
+            init_ok, init_w = False, c0
+            break
+    report.violations = violations
+    report.verdict = not violations
+    report.hypothesis_results = {
+        "init(56)": (init_ok, init_w),
+        "progress(76)": (progress_ok, progress_w),
+    }
+    report.notes.append(
+        "theorem8: preservation and progress and init imply the simulation conclusion"
+    )
+    return report
+
+
+def _random_config_graph(rng, horizon=Q(3)):
+    """Configurations in modes m and n on half-integer cuts, grown from
+    time 0: one cut at the horizon is truncated, one ending closed
+    blocks, and every other one has one or two successors at its end."""
+    succ, truncated = {}, set()
+
+    def grow(lo):
+        hi = min(lo + Q(rng.randint(0, 3), 2), horizon)
+        closed = hi == lo or (hi < horizon and rng.random() < 0.25)
+        c = make_config(rng.choice("mn"), lo, hi, {"u": Q(rng.randint(-2, 2), 2)},
+                        {"u": rng.choice((-1, 0, 1))}, closed_hi=closed)
+        if c not in succ:
+            succ[c] = ()
+            if hi == horizon and not closed:
+                truncated.add(c)
+            elif not closed:
+                succ[c] = tuple(dict.fromkeys(grow(hi) for _ in range(rng.randint(1, 2))))
+        return c
+
+    initial = tuple(dict.fromkeys(grow(Q(0)) for _ in range(rng.randint(1, 2))))
+    return ConfigGraph(initial, tuple(succ.items()), frozenset(truncated))
+
+
+def test_preservation_and_transfer_match_the_reference():
+    """On seeded random graph pairs, preservation_check gives the report
+    of the inline reference, violations in the same order and with the
+    same reasons, and sim_transfer the reference's candidate set, both
+    filtered by gamma(r) and unfiltered, for every related pair and
+    every concrete step or stay."""
+    rng = random.Random(1208)
+    seen = dict.fromkeys(("passed", "failed", "step", "stay", "concrete stays", "candidates"), 0)
+    for _ in range(120):
+        G = _random_config_graph(rng)
+        Gb = G if rng.random() < 0.3 else _random_config_graph(rng)
+        k1, k2 = rng.randint(0, 2), rng.randint(0, 2)
+        r = TimedStateRelation((
+            Clause((parse_constraint(f"c_u - a_u <= {k1}"), parse_constraint(f"a_u - c_u <= {k2}")),
+                   concrete_mode=rng.choice((None, "m"))),
+            Clause((parse_constraint(f"t >= {rng.randint(1, 3)}"),),
+                   abstract_mode=rng.choice((None, "n"))),
+        ))
+        got = preservation_check(r, G, Gb)
+        assert got == _ref_preservation_check(r, G, Gb)
+        seen["passed" if got.verdict else "failed"] += 1
+        for _, _, c_prime, reason in got.violations:
+            seen["concrete stays" if c_prime is EPSILON
+                 else "stay" if reason.startswith("abstract stay") else "step"] += 1
+        related = lambda c, d: config_related(r, c, d)
+        for c, cb in _related_pairs(r, overlapping(G.configs(), Gb.configs())):
+            for c_prime in (*G.succ(c), EPSILON):
+                for rel_ in (related, lambda *_: True):
+                    cands = sim_transfer(rel_, Gb.succ, c, cb, c_prime)
+                    want = _ref_sim_transfer(rel_, Gb.succ, c, cb, c_prime)
+                    assert sorted(cands, key=repr) == sorted(want, key=repr)
+                    seen["candidates"] += bool(cands)
+    assert all(seen.values()), seen
