@@ -19,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .affine import AffineConstraint, LinExpr, parse_constraint
+from .discretize import TimefulState
 from .errors import ParamConstraintViolated, UnknownFixture
 from .flow_config import (
     AffineFlow,
     Configuration,
     PiecewiseConfiguration,
+    State,
     make_config,
     overlapping,
     pieces,
@@ -160,13 +162,12 @@ def spec_predicate_check(s: Trajectory, zeta) -> tuple:
     # zeta later (if that instant is still within the trajectory)
     dur = s.duration
     for pc in all_pieces:
-        init = dict(pc.flow.initial)["y"]
-        rate = dict(pc.flow.rate)["y"]
+        rate, offset = dict(pc.flow.lines)["y"]
         zeros = []
-        if rate == 0 and init == 0:
+        if rate == 0 and offset == 0:
             zeros.append(pc.b)
         elif rate != 0:
-            t0 = pc.flow.anchor - init / rate
+            t0 = -offset / rate
             if pc.interval.contains(t0):
                 zeros.append(t0)
         for t0 in zeros:
@@ -203,12 +204,7 @@ def spec_witness(s: Trajectory) -> Trajectory:
     level = []
     for c in s.configs:
         for pc in pieces(c):
-            flow = AffineFlow.make(
-                pc.flow.mode,
-                pc.b,
-                {"y": dict(pc.flow.initial)["y"]},
-                {"y": dict(pc.flow.rate)["y"]},
-            )
+            flow = AffineFlow(pc.flow.mode, (("y", dict(pc.flow.lines)["y"]),))
             level.append(Configuration(flow, pc.interval))
     cfg = level[0] if len(level) == 1 else PiecewiseConfiguration(tuple(level))
     return Trajectory((cfg,), s.truncated)
@@ -323,13 +319,13 @@ def abstract_witness(s: Trajectory) -> Trajectory:
         interval = TimeInterval(first.b, last.e, last.interval.closed_hi)
         if kind == "shutblock":
             flow = AffineFlow.make(
-                "shut", first.b, {"x": dict(first.flow.initial)["x"], "y": 0}, {"x": 1, "y": 1}
+                "shut", first.b, {"x": first.flow.value("x", first.b), "y": 0}, {"x": 1, "y": 1}
             )
         else:
             flow = AffineFlow.make(
                 "open",
                 first.b,
-                {"x": 0, "y": dict(first.flow.initial)["y"]},
+                {"x": 0, "y": first.flow.value("y", first.b)},
                 {"x": 1, "y": -2},
             )
         out.append(Configuration(flow, interval))
@@ -538,9 +534,6 @@ def gallery_fixture(name: str, **params) -> dict:
         # the related abstract state exists only later: isolated at rank 0
         c = make_config("m", 0, 2, {"u": 5}, {"u": 0}, closed_hi=True)
         a = make_config("m", 1, 2, {"u": 5}, {"u": 0}, closed_hi=True)
-        from .discretize import TimefulState
-        from .flow_config import State
-
         return {
             "concrete": ConfigGraph((c,), ((c, ()),)),
             "abstract": ConfigGraph((a,), ((a, ()),)),

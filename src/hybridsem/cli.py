@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .affine import ENDPOINT_SYMBOLS
+from .affine import ENDPOINT_SYMBOLS, LinExpr
 from .casestudy import TankParams, gallery_fixture, run_refinement_chain
 from .discretize import (
     discretization_hypotheses,
@@ -43,7 +43,7 @@ from .simulation import (
     system_graph,
 )
 from .time_core import INF, Q, is_finite
-from .trajectory import grid_step, trajectory_csv, trajectory_timeline
+from .trajectory import grid_step, trajectory_csv, trajectory_eval, trajectory_timeline
 
 PASS, FAIL, BADINPUT = 0, 1, 2
 
@@ -389,8 +389,6 @@ def cmd_check_theorem(args):
 def _default_hom(h: HybridTransitionSystem) -> StateHom:
     """Projection onto the last declared variable (the level for the
     tank systems); modes kept."""
-    from .affine import LinExpr
-
     keep = h.variables[-1]
     return StateHom.make(out_vars={keep: LinExpr.var(keep)})
 
@@ -443,8 +441,6 @@ def cmd_plot(args):
 def render_svg(s, grid, width=640, panel_h=160, margin=40) -> str:
     """One panel per variable, time horizontal, mode changes as
     vertical rules."""
-    from .trajectory import trajectory_eval
-
     names = pieces(s.configs[0])[0].flow.var_names()
     dur = s.duration
     dur = dur if is_finite(dur) else Q(1)

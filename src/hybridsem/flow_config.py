@@ -1,11 +1,11 @@
 """States, affine flows, configurations, and the configuration operators.
 
 A configuration pairs an affine flow with a time interval.  The flow is
-anchored at the interval start: variable v has value
-initial[v] + rate[v]*(t - anchor).  Concatenation of consecutive
+its lines: variable v has value rate[v]*t + offset[v] at every time t,
+whatever interval it is observed on.  Concatenation of consecutive
 configurations yields a piecewise configuration (used only as an
-intermediate when splicing); slicing re-anchors the flow so values are
-unchanged.
+intermediate when splicing); slicing narrows the intervals and keeps
+each piece's flow as it is.
 
 The empty configuration EPSILON has b = +inf and e = -inf so that
 min/max over mixed endpoint collections collapse the way the splice
@@ -75,73 +75,51 @@ class State:
 @dataclass(frozen=True)
 class AffineFlow:
     mode: str
-    anchor: Fraction
-    initial: tuple  # ordered (name, Fraction)
-    rate: tuple  # ordered (name, Fraction)
+    lines: tuple  # ordered (name, (rate, offset)), value rate*t + offset
 
     @staticmethod
     def make(mode, anchor, initial: Mapping, rate: Mapping) -> "AffineFlow":
-        names = set(initial)
-        init = tuple(sorted((k, Q(v)) for k, v in initial.items()))
-        rt = tuple(sorted((k, Q(rate.get(k, 0))) for k in names))
-        return AffineFlow(mode, Q(anchor), init, rt)
+        """The flow through `initial` at time `anchor`, with `rate` (0
+        for a variable it leaves out)."""
+        anchor = Q(anchor)
+        lines = []
+        for k in sorted(initial):
+            r = Q(rate.get(k, 0))
+            lines.append((k, (r, Q(initial[k]) - r * anchor)))
+        return AffineFlow(mode, tuple(lines))
+
+    @property
+    def rate(self) -> tuple:
+        return tuple((k, r) for k, (r, _) in self.lines)
 
     def value(self, name: str, t) -> Fraction:
-        init = dict(self.initial)[name]
-        rt = dict(self.rate)[name]
-        return init + rt * (t - self.anchor)
+        r, o = dict(self.lines)[name]
+        return r * t + o
 
     def state_at(self, t) -> State:
-        rates = dict(self.rate)
-        return State(
-            self.mode,
-            tuple((k, v + rates[k] * (t - self.anchor)) for k, v in self.initial),
-        )
+        return State(self.mode, tuple((k, r * t + o) for k, (r, o) in self.lines))
 
     def var_names(self) -> tuple:
-        return tuple(k for k, _ in self.initial)
-
-    @cached_property
-    def lines(self) -> tuple:
-        """(name, (rate, offset)) per variable, its value at t being
-        rate*t + offset; computed once per flow."""
-        rates = dict(self.rate)
-        return tuple(
-            (k, (rates[k], v - rates[k] * self.anchor)) for k, v in self.initial
-        )
+        return tuple(k for k, _ in self.lines)
 
     @cached_property
     def int_lines(self) -> tuple:
         """(name, (R, O, L)) per variable, integers in lowest terms with
         L > 0 and its value at t being (R*t + O)/L: `lines` over one
         denominator, computed once per flow without building a Fraction."""
-        rates = dict(self.rate)
-        an, ad = self.anchor.numerator, self.anchor.denominator
         out = []
-        for k, v in self.initial:
-            rn, rd = rates[k].numerator, rates[k].denominator
-            vn, vd = v.numerator, v.denominator
-            # rn/rd * (t - an/ad) + vn/vd over the denominator rd*vd*ad
-            R, O, L = rn * vd * ad, vn * rd * ad - rn * an * vd, rd * vd * ad
+        for k, (r, o) in self.lines:
+            rn, rd, on, od = r.numerator, r.denominator, o.numerator, o.denominator
+            R, O, L = rn * od, on * rd, rd * od
             g = gcd(R, O, L)
             out.append((k, (R // g, O // g, L // g)))
         return tuple(out)
-
-    def reanchored(self, new_anchor) -> "AffineFlow":
-        rates = dict(self.rate)
-        shifted = tuple(
-            (k, v + rates[k] * (new_anchor - self.anchor)) for k, v in self.initial
-        )
-        return AffineFlow(self.mode, Q(new_anchor), shifted, self.rate)
 
 
 @dataclass(frozen=True)
 class Configuration:
     flow: AffineFlow
     interval: TimeInterval
-
-    def __post_init__(self):
-        assert self.flow.anchor == self.interval.lo
 
     @property
     def b(self):
@@ -301,8 +279,8 @@ def config_concat(c, d):
 def config_slice(c, t1, t2, closed=False, zeta=None):
     """Time slice c<t1,t2>: restrict to interval intersection [t1,t2) or [t1,t2].
 
-    Returns EPSILON for an empty input.  The result is re-anchored so
-    evaluation is unchanged on the shared window.
+    Returns EPSILON for an empty input.  Each kept piece keeps its flow,
+    so evaluation is unchanged on the shared window.
     """
     if c is EPSILON:
         return EPSILON
@@ -322,7 +300,7 @@ def config_slice(c, t1, t2, closed=False, zeta=None):
             # degenerate point piece: keep only if it is the closing endpoint
             if not (sub.closed_hi and sub.hi == inter.hi):
                 continue
-        kept.append(Configuration(piece.flow.reanchored(sub.lo), sub))
+        kept.append(Configuration(piece.flow, sub))
     if not kept:
         raise EmptyIntersection(f"{c!r} sliced at {window!r}")
     if len(kept) == 1:

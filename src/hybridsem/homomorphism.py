@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .affine import LinExpr
+from .discretize import TimefulState, timeful_sample
 from .flow_config import AffineFlow, Configuration, PiecewiseConfiguration, State
 from .hts import HybridTransitionSystem, semantics_generate
 from .time_core import Q
+from .trajectory import Trajectory
 
 __all__ = [
     "StateHom",
@@ -55,15 +57,15 @@ def hom_state(h: StateHom, s: State) -> State:
 
 
 def _hom_flow(h: StateHom, flow: AffineFlow) -> AffineFlow:
-    init_env = dict(flow.initial)
-    rate_env = dict(flow.rate)
-    initial, rate = {}, {}
-    for name, e in h.out_vars:
-        initial[name] = e.eval(init_env)
-        # affine map of an affine flow: the rate is the same map without
-        # its constant applied to the input rates
-        rate[name] = e.minus(LinExpr.constant(e.const)).eval(rate_env)
-    return AffineFlow.make(h.mode(flow.mode), flow.anchor, initial, rate)
+    rates = {k: r for k, (r, _) in flow.lines}
+    offsets = {k: o for k, (_, o) in flow.lines}
+    # an affine map of rate*t + offset: the offset goes through the whole
+    # map, the rate through the map without its constant
+    lines = (
+        (name, (e.minus(LinExpr.constant(e.const)).eval(rates), e.eval(offsets)))
+        for name, e in h.out_vars
+    )
+    return AffineFlow(h.mode(flow.mode), tuple(sorted(lines)))
 
 
 def hom_config(h: StateHom, c):
@@ -73,8 +75,6 @@ def hom_config(h: StateHom, c):
 
 
 def hom_trajectory(h: StateHom, s):
-    from .trajectory import Trajectory
-
     return Trajectory(tuple(hom_config(h, c) for c in s.configs), s.truncated)
 
 
@@ -100,8 +100,6 @@ def theorem1_check(h: StateHom, sys: HybridTransitionSystem, horizon):
 
 def theorem3_check(h: StateHom, trajectories, delta, horizon=None):
     """Sampling then mapping equals mapping then sampling."""
-    from .discretize import TimefulState, timeful_sample
-
     delta = Q(delta)
     for s in trajectories:
         a = tuple(

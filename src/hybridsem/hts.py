@@ -391,10 +391,12 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
     """System description file: variables, modes, edges, initial, zeta.
 
     Fails closed with ParseError on a key it does not know (a misspelt
-    "rates" would leave every rate 0), on an unknown exit type, on an
-    edge or initial state naming an undeclared mode, on a rate, reset,
-    initial value, exit or constraint naming an undeclared variable, and
-    on an initial state that leaves a declared variable without a value."""
+    "rates" would leave every rate 0) or that its exit type does not
+    read, on an unknown exit type, on an empty list of initial states
+    (every check would pass vacuously), on an edge or initial state
+    naming an undeclared mode, on a rate, reset, initial value, exit or
+    constraint naming an undeclared variable, and on an initial state
+    that leaves a declared variable without a value."""
     _known_keys(doc, ("variables", "zeta", "modes", "edges", "initial"), "system")
     variables = tuple(doc["variables"])
     declared = set(variables)
@@ -414,8 +416,10 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
         if exit_doc is not None:
             _known_keys(exit_doc, ("type", "value", "target", "var"), f"{where} exit")
             if exit_doc["type"] == "duration":
+                _known_keys(exit_doc, ("type", "value"), f"{where} duration exit")
                 exit_cond = ExitCondition("duration", parse_expr(str(exit_doc["value"])))
             elif exit_doc["type"] == "reach":
+                _known_keys(exit_doc, ("type", "target", "var"), f"{where} reach exit")
                 exit_cond = ExitCondition(
                     "reach", parse_expr(str(exit_doc["target"])), exit_doc["var"]
                 )
@@ -447,6 +451,8 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
             known(expr.symbols(), f"{where} reset")
         src, dst = (declared_mode(e[k], where) for k in ("src", "dst"))
         edges.append(Edge.make(src, dst, reset))
+    if not doc["initial"]:
+        raise ParseError("system: no initial state")
     initial = []
     for i in doc["initial"]:
         _known_keys(i, ("mode", "values"), "initial state")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
+from .affine import AffineConstraint, LinExpr
 from .errors import (
     HybridSemError,
     LocalSimulationGap,
@@ -37,6 +38,7 @@ from .flow_config import (
 )
 from .hts import reach
 from .relation import (
+    Clause,
     TimedStateRelation,
     _endpoint_env,
     _forall_window_related,
@@ -54,7 +56,6 @@ __all__ = [
     "system_graph",
     "splice",
     "canonical_key",
-    "normalize_config",
     "sim_transfer",
     "sim_check",
     "greatest_fixpoint",
@@ -162,38 +163,14 @@ def splice(c, c_next, m1, m2):
 
 
 def canonical_key(c):
-    """Structural key identifying a configuration up to piece merging."""
-    pieces = normalize_config(c)
-    out = []
-    for p in pieces:
-        out.append(
-            (
-                p.flow.mode,
-                p.interval.lo,
-                p.interval.hi,
-                p.interval.closed_hi,
-                p.flow.reanchored(p.interval.lo).initial,
-                p.flow.rate,
-            )
-        )
-    return tuple(out)
-
-
-def normalize_config(c) -> tuple:
-    """Pieces of c with affinely-continuing neighbors merged."""
+    """Structural key identifying a configuration up to piece merging:
+    its pieces, with neighbours that continue one flow merged."""
     ps = pieces(c)
     merged = [ps[0]]
     for p in ps[1:]:
         prev = merged[-1]
-        same_flow = (
-            prev.flow.mode == p.flow.mode
-            and prev.flow.rate == p.flow.rate
-            and prev.flow.state_at(p.b) == p.flow.state_at(p.b)
-        )
-        if same_flow and prev.e == p.b and not prev.interval.closed_hi:
-            merged[-1] = Configuration(
-                prev.flow, TimeInterval(prev.b, p.e, p.interval.closed_hi)
-            )
+        if prev.flow == p.flow and prev.e == p.b and not prev.interval.closed_hi:
+            merged[-1] = Configuration(prev.flow, TimeInterval(prev.b, p.e, p.interval.closed_hi))
         else:
             merged.append(p)
     return tuple(merged)
@@ -255,7 +232,10 @@ def _nested(overlaps):
 
 def _initialized(related: Callable, G: ConfigGraph, Gb: ConfigGraph):
     """init(56): every concrete initial configuration is related to some
-    abstract initial one.  Returns (ok, witness)."""
+    abstract initial one.  Returns (ok, witness).  With no concrete
+    initial configuration it fails: every check would hold vacuously."""
+    if not G.initial:
+        return False, None
     for c0 in G.initial:
         if not any(related(c0, cb0) for cb0 in Gb.initial):
             return False, c0
@@ -563,9 +543,6 @@ def compose_check(
 
 def relation_inverse(r: TimedStateRelation) -> TimedStateRelation:
     """Swap the concrete and abstract sides of a static clause relation."""
-    from .affine import AffineConstraint, LinExpr
-    from .relation import Clause
-
     def swap_symbol(sym: str) -> str:
         if sym.startswith("c_"):
             return "a_" + sym[2:]

@@ -170,18 +170,16 @@ def maximal_filter(trajs: Iterable[Trajectory]) -> set:
 def config_var_ranges(c: Configuration) -> dict:
     """Exact per-variable [min, max] over the configuration's interval."""
     out = {}
-    hi = c.e if is_finite(c.e) else None
-    for name, init in c.flow.initial:
-        rate = dict(c.flow.rate)[name]
-        if rate == 0 or hi is None:
+    for name, (rate, offset) in c.flow.lines:
+        start = rate * c.b + offset
+        if rate == 0:
+            out[name] = (start, start)
+        elif not is_finite(c.e):
             # unbounded interval: constant flows only have finite range
-            if rate == 0:
-                out[name] = (init, init)
-            else:
-                out[name] = (init, INF) if rate > 0 else (None, init)
-            continue
-        end = init + rate * (hi - c.b)
-        out[name] = (min(init, end), max(init, end))
+            out[name] = (start, INF) if rate > 0 else (None, start)
+        else:
+            end = rate * c.e + offset
+            out[name] = (min(start, end), max(start, end))
     return out
 
 

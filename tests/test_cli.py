@@ -79,6 +79,21 @@ def _assert_fails_without_init(command, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["hypotheses"]["init(56)"]["ok"]
 
 
+@pytest.mark.parametrize("command", ["check-sim", "check-bisim", "check-preservation"])
+def test_entry_rejected_initial_state_fails_init(command, tmp_path, capsys):
+    # the only initial state fails its mode's entry constraint, so the
+    # concrete side has no initial configuration and every check on it
+    # would hold vacuously: init(56) fails and so does the check
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps(_variant(entry=["u >= 1"])))
+    relation = tmp_path / "rel.json"
+    relation.write_text(json.dumps(RELATION))
+    assert run(command, "--system", str(system), "--abstract", str(system),
+               "--relation", str(relation), "--horizon", "3", "--json") == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] and not doc["hypotheses"]["init(56)"]["ok"]
+
+
 def test_check_refinement_acceptable(capsys):
     code = run("check-refinement", "--x0", "1", "--horizon", "6", "--json")
     assert code == 0
@@ -160,6 +175,13 @@ BAD_SYSTEMS = {
     "exit-key": _variant(exit={"type": "duration", "value": "1", "var_": "u"}),
     "edge-key": _variant(edges=[{"src": "up", "dst": "up", "resets": {"u": "0"}}]),
     "initial-key": _variant(initial=[{"mode": "up", "values": {"u": "0"}, "time": "0"}]),
+    # no initial state; every check would hold vacuously
+    "no-initial": _variant(initial=[]),
+    # keys the exit's type does not read
+    "duration-exit-keys": _variant(exit={"type": "duration", "value": "1",
+                                         "target": "2", "var": "u"}),
+    "reach-exit-keys": _variant(exit={"type": "reach", "target": "2", "var": "u",
+                                      "value": "1"}),
 }
 # misspelt keys; dropped silently, a misspelt guard would match every
 # mode and check-sim would answer true with exit 0

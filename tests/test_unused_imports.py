@@ -1,5 +1,9 @@
 """Every name a module of src/hybridsem imports is read in that module.
-The package's __init__ imports only to re-export, so it is left out."""
+The package's __init__ imports only to re-export, so it is left out.
+
+A module imports the package's other modules at its top, so the import
+graph is read off the module heads; the one function-level import breaks
+an import cycle."""
 
 import ast
 from pathlib import Path
@@ -24,3 +28,29 @@ def test_every_imported_name_is_read():
     assert len(modules) > 10
     unused = {p.name: names for p in modules if (names := _unused_imports(p))}
     assert unused == {}
+
+
+# (module, function) of each function-level import of a hybridsem module;
+# discretize imports trajectory, so trajectory imports discretize late
+CYCLE_BREAKS = {("trajectory.py", "trajectory_sample")}
+
+
+def _function_level_imports(path: Path) -> set:
+    tree = ast.parse(path.read_text(), str(path))
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                local = isinstance(node, ast.ImportFrom) and node.level > 0
+                package = isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    (getattr(node, "module", None) or a.name).startswith("hybridsem")
+                    for a in node.names
+                )
+                if local or package:
+                    found.add((path.name, fn.name))
+    return found
+
+
+def test_hybridsem_imports_only_at_module_top():
+    found = set().union(*(_function_level_imports(p) for p in sorted(SRC.glob("*.py"))))
+    assert found == CYCLE_BREAKS
