@@ -13,6 +13,7 @@ B_c, E_c, B_a, E_a.  Constraints are two expressions joined by one of
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,10 @@ from .time_core import Q
 __all__ = ["LinExpr", "AffineConstraint", "parse_expr", "parse_constraint"]
 
 ENDPOINT_SYMBOLS = ("B_c", "E_c", "B_a", "E_a")
+
+# a constraint's op as a comparison of its left side with 0
+COMPARE = {"=": operator.eq, "<=": operator.le, ">=": operator.ge,
+           "<": operator.lt, ">": operator.gt}
 
 
 @dataclass(frozen=True)
@@ -100,22 +105,10 @@ class AffineConstraint:
         return self.lhs.symbols()
 
     def holds(self, env) -> bool:
-        v = self.lhs.eval(env)
-        return self.check_value(v)
+        return self.check_value(self.lhs.eval(env))
 
     def check_value(self, v) -> bool:
-        if self.op == "=":
-            return v == 0
-        if self.op == "<=":
-            return v <= 0
-        if self.op == ">=":
-            return v >= 0
-        if self.op == "<":
-            return v < 0
-        return v > 0
-
-    def subst(self, env) -> "AffineConstraint":
-        return AffineConstraint(self.lhs.subst(env), self.op)
+        return COMPARE[self.op](v, 0)
 
     def __repr__(self):
         return f"{self.lhs!r} {self.op} 0"

@@ -19,14 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .errors import DomainGapAtGridPoint, Misaligned, TruncatedInput
+from .errors import DomainGapAtGridPoint, Misaligned, NonConsecutiveEdge, TruncatedInput
 from .flow_config import UNDEFINED, PiecewiseConfiguration, State, overlapping, pieces
-from .relation import (
-    TimedStateRelation,
-    exists_window_related,
-    related_candidates,
-    state_related,
-)
+from .relation import TimedStateRelation, exists_window_related, related_candidates
 from .hts import maximal_paths, semantics_generate
 from .simulation import greatest_fixpoint, system_graph
 from .time_core import Q, TimeInterval, is_finite
@@ -194,7 +189,8 @@ def relation_discretize(
 ) -> frozenset:
     """Rank-preserving pairs related by r at the sample time; refuses
     when r has a domain gap at an inhabited grid point.  extra_abstract
-    admits abstract candidates that the sampled system never reaches."""
+    admits abstract candidates that the sampled system never reaches.
+    r is compiled once over every abstract state (related_candidates)."""
     delta = Q(delta)
     by_rank: dict = {}
     for v in d2.states | set(extra_abstract):
@@ -202,11 +198,13 @@ def relation_discretize(
     for n in sorted({u.rank for u in d1.states} | set(by_rank)):
         if not r.in_domain(n * delta):
             raise DomainGapAtGridPoint(f"rank {n} (t={n * delta})")
+    related_at = related_candidates(r, {v.state for vs in by_rank.values() for v in vs})
     pairs = set()
     for u in d1.states:
-        for v in by_rank.get(u.rank, ()):
-            if state_related(r, u.rank * delta, u.state, v.state):
-                pairs.add((u, v))
+        vs = by_rank.get(u.rank)
+        if vs:
+            related = related_at(u.rank * delta, u.state)
+            pairs.update((u, v) for v in vs if v.state in related)
     return frozenset(pairs)
 
 
@@ -386,20 +384,17 @@ def discretization_hypotheses(
 
     (69) asks, at each concrete grid point (n, state s of c), whether r
     relates s to an abstract state that no abstract configuration
-    reaches at rank n.  The candidates are every abstract grid state, in
-    repr order; relation.related_candidates evaluates the abstract part
-    of each constraint once per candidate and the rest once per grid
-    point, so a candidate costs one comparison per constraint, and the
-    states reached at rank n are skipped.  The verdicts are those of
-    state_related, and a relation with B/E symbols is refused with
+    reaches at rank n.  r is compiled once (relation.related_candidates)
+    over every abstract grid state, in repr order; (69) reads it leaving
+    out the states reached at rank n, and (71) asks it about single
+    pairs.  An abstract state off every abstract grid (a successor not
+    starting where its source ends) is no candidate and raises
+    NonConsecutiveEdge.  A relation with B/E symbols is refused with
     EndpointSymbolsUnbound, since a bare state pair binds none."""
     delta = grid_step(delta)
     hcap = Q(horizon) if horizon is not None else None
     G, Gb = system_graph(h, horizon), system_graph(hb, horizon)
     report = {"(68)": [], "(69)": [], "(70)": [], "(71)": []}
-
-    def rel_at(n, s, sb) -> bool:
-        return r.in_domain(n * delta) and state_related(r, n * delta, s, sb)
 
     tables, at = _grid_tables(
         G.configs() if Gb is G else (*G.configs(), *Gb.configs()), delta, hcap
@@ -414,8 +409,15 @@ def discretization_hypotheses(
     for cb in Gb.configs():
         for n, ub in tables[cb].items():
             abstract_states.setdefault(n, set()).add(ub.state)
-    candidates = sorted(set().union(*abstract_states.values()), key=repr)
-    related_at = related_candidates(r, candidates)
+    known = set().union(*abstract_states.values())
+    related_at = related_candidates(r, sorted(known, key=repr))
+
+    def rel_at(n, s, sb) -> bool:
+        related = sb in related_at(n * delta, s)
+        if not (related or sb in known):
+            raise NonConsecutiveEdge(f"(71): {sb!r} at rank {n} is on no abstract grid")
+        return related
+
     for c in G.configs():
         for n, u in tables[c].items():
             for sb in related_at(n * delta, u.state, skip=abstract_states.get(n, ())):

@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
 )
 from .flow_config import Configuration, make_config
-from .relation import _known_keys
+from .relation import _known_keys, _rational, _strings, _typed
 from .time_core import INF, Q, TimeInterval, is_finite
 from .trajectory import trajectory_validate
 
@@ -159,6 +159,11 @@ class HybridTransitionSystem:
     edges: tuple = ()  # Edge
     initial: tuple = ()  # (mode, entry values dict as sorted tuple)
     explicit: Optional[ExplicitSystem] = None
+
+    def __post_init__(self):
+        # a positive minimum duration is what rules out Zeno runs
+        if not self.zeta > 0:
+            raise ParamConstraintViolated(f"minimum duration zeta {self.zeta} is not positive")
 
     @staticmethod
     def from_schemas(variables, zeta, schemas, edges, initial):
@@ -395,10 +400,11 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
     read, on an unknown exit type, on an empty list of initial states
     (every check would pass vacuously), on an edge or initial state
     naming an undeclared mode, on a rate, reset, initial value, exit or
-    constraint naming an undeclared variable, and on an initial state
-    that leaves a declared variable without a value."""
+    constraint naming an undeclared variable, on an initial state that
+    leaves a declared variable without a value, and on a value of the
+    wrong JSON type."""
     _known_keys(doc, ("variables", "zeta", "modes", "edges", "initial"), "system")
-    variables = tuple(doc["variables"])
+    variables = tuple(_strings(doc["variables"], "system variables"))
     declared = set(variables)
 
     def known(names, what):
@@ -406,11 +412,11 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
         if unknown:
             raise ParseError(f"{what} names undeclared variable(s) {', '.join(unknown)}")
 
-    zeta = Q(doc.get("zeta", "1/1000"))
+    zeta = _rational(doc.get("zeta", "1/1000"), "system zeta")
     schemas = []
-    for m in doc["modes"]:
+    for m in _typed(doc["modes"], list, "system modes"):
         _known_keys(m, ("name", "rates", "entry", "exit", "terminal"), "mode")
-        where = f"mode {m['name']}"
+        where = f"mode {_typed(m['name'], str, 'mode name')}"
         exit_doc = m.get("exit")
         exit_cond = None
         if exit_doc is not None:
@@ -421,44 +427,45 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
             elif exit_doc["type"] == "reach":
                 _known_keys(exit_doc, ("type", "target", "var"), f"{where} reach exit")
                 exit_cond = ExitCondition(
-                    "reach", parse_expr(str(exit_doc["target"])), exit_doc["var"]
+                    "reach", parse_expr(str(exit_doc["target"])),
+                    _typed(exit_doc["var"], str, f"{where} exit var"),
                 )
                 known([exit_cond.var], f"{where} exit")
             else:
                 raise ParseError(f"{where}: unknown exit type {exit_doc['type']!r}")
             known(exit_cond.value.symbols(), f"{where} exit")
-        rates = {k: Q(v) for k, v in m.get("rates", {}).items()}
-        known(rates, f"{where} rates")
-        entry = tuple(parse_constraint(c) for c in m.get("entry", []))
+        rates = {k: _rational(v, f"{where} rates") for k, v in
+                 _known_keys(m.get("rates", {}), declared, f"{where} rates").items()}
+        entry = tuple(parse_constraint(c) for c in _strings(m.get("entry", []), f"{where} entry"))
         for c in entry:
             known(c.symbols(), f"{where} entry")
-        terminal = bool(m.get("terminal", False))
+        terminal = _typed(m.get("terminal", False), bool, f"{where} terminal")
         schemas.append(ModeSchema.make(m["name"], rates, entry, exit_cond, terminal))
     modes = {s.mode for s in schemas}
 
     def declared_mode(name, what):
-        if name not in modes:
+        if not isinstance(name, str) or name not in modes:
             raise ParseError(f"{what} names undeclared mode {name!r}")
         return name
 
     edges = []
-    for e in doc.get("edges", []):
+    for e in _typed(doc.get("edges", []), list, "system edges"):
         _known_keys(e, ("src", "dst", "reset"), "edge")
         where = f"edge {e['src']} -> {e['dst']}"
-        reset = {k: parse_expr(str(v)) for k, v in e.get("reset", {}).items()}
-        known(reset, f"{where} reset")
+        reset = {k: parse_expr(str(v)) for k, v in
+                 _known_keys(e.get("reset", {}), declared, f"{where} reset").items()}
         for expr in reset.values():
             known(expr.symbols(), f"{where} reset")
         src, dst = (declared_mode(e[k], where) for k in ("src", "dst"))
         edges.append(Edge.make(src, dst, reset))
-    if not doc["initial"]:
+    if not _typed(doc["initial"], list, "system initial"):
         raise ParseError("system: no initial state")
     initial = []
     for i in doc["initial"]:
         _known_keys(i, ("mode", "values"), "initial state")
         where = f"initial state in {declared_mode(i['mode'], 'initial state')}"
-        values = {k: Q(v) for k, v in i["values"].items()}
-        known(values, where)
+        values = _known_keys(i["values"], declared, where)
+        values = {k: _rational(v, where) for k, v in values.items()}
         unset = sorted(declared - set(values))
         if unset:
             raise ParseError(f"{where} gives no value to {', '.join(unset)}")

@@ -11,8 +11,11 @@ constraints over the symbols
     B_c, E_c, B_a, E_a      interval endpoints of the enclosing
                             concrete/abstract configuration
 
-A state pair is related at time t iff some clause whose window contains
-t and whose guards match has all constraints satisfied.
+A state pair is related at time t iff t is in dom(r) and some clause
+whose window contains t and whose guards match has all constraints
+satisfied.  Bare state pairs have one membership procedure,
+related_candidates, which compiles r once against fixed candidate
+abstract states; state_related is it with one candidate.
 
 Window verdicts (for all, or for some, t in a window) are decided
 exactly, once per pair of affine pieces, in Python integers.  Modes and
@@ -39,15 +42,14 @@ cross-checks the kernel.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional
 
-from .affine import ENDPOINT_SYMBOLS, AffineConstraint, LinExpr, parse_constraint
+from .affine import COMPARE, ENDPOINT_SYMBOLS, AffineConstraint, LinExpr, parse_constraint
 from .errors import EndpointSymbolsUnbound, NonOverlappingPair, ParseError
 from .flow_config import PiecewiseConfiguration, State, overlapping, pieces
-from .time_core import INF, NEG_INF, Q, TimeInterval, interval_intersect, is_finite
+from .time_core import INF, NEG_INF, Q, TimeInterval, interval_intersect, is_finite, tmin
 
 __all__ = [
     "Clause",
@@ -134,45 +136,14 @@ class ConfigRelation:
                 raise NonOverlappingPair(f"{c!r} and {d!r} do not overlap")
 
 
-def _state_env(t, s: State, sbar: State, endpoints: Optional[dict]) -> dict:
-    env = {"t": Q(t)}
-    for k, v in s.vars:
-        env["c_" + k] = v
-    for k, v in sbar.vars:
-        env["a_" + k] = v
-    if endpoints:
-        env.update(endpoints)
-    return env
-
-
 def state_related(r: TimedStateRelation, t, s: State, sbar: State) -> bool:
-    """Membership of a state pair in r(t).  A bare state pair binds no
-    configuration endpoints, so reaching a clause with B/E symbols or a
-    `dynamic` part raises EndpointSymbolsUnbound; the window lifts
+    """Membership of a state pair in r(t): related_candidates with the
+    one candidate sbar.  A bare state pair binds no configuration
+    endpoints, so reaching a clause with B/E symbols or a `dynamic`
+    part raises EndpointSymbolsUnbound; the window lifts
     (config_related and the rest) bind them from their configurations.
     """
-    if not r.in_domain(t):
-        return False
-    for clause in r.clauses:
-        if clause.window is not None and not clause.window.contains(t):
-            continue
-        if not clause.guards_match(s.mode, sbar.mode):
-            continue
-        if clause.uses_endpoints():
-            raise EndpointSymbolsUnbound("clause uses B/E symbols; a state pair binds none")
-        env = _state_env(t, s, sbar, None)
-        try:
-            if all(con.holds(env) for con in clause.constraints):
-                return True
-        except KeyError:
-            continue  # clause mentions a symbol this pair cannot bind
-    return False
-
-
-# con.op as a comparison: lhs OP 0, read by related_candidates as
-# (abstract part) OP -(the rest) and by the window kernel as (A*t + B) OP 0
-_COMPARE = {"=": operator.eq, "<=": operator.le, ">=": operator.ge,
-            "<": operator.lt, ">": operator.gt}
+    return bool(related_candidates(r, (sbar,))(t, s))
 
 
 def _split_clause(clause: Clause):
@@ -189,24 +160,24 @@ def _split_clause(clause: Clause):
                 rest.append((sym, coef))
             else:
                 return None
-        out.append((_COMPARE[con.op], abstract, rest, con.lhs.const))
+        out.append((COMPARE[con.op], abstract, rest, con.lhs.const))
     return out
 
 
 def related_candidates(r: TimedStateRelation, candidates) -> Callable:
     """Membership in r for one state against a fixed sequence of
     candidate abstract states: at(t, s, skip) lists the candidates sb
-    with state_related(r, t, s, sb), in candidate order, leaving out
-    those in skip.  A clause with B/E symbols or a `dynamic` part raises
-    EndpointSymbolsUnbound as soon as it is reached for a candidate not
-    in skip, as state_related does without endpoints.
+    with (s, sb) in r(t), in candidate order, leaving out those in skip.
+    A bare state pair binds no B/E symbols, so a clause using them or a
+    `dynamic` part raises EndpointSymbolsUnbound as soon as it is
+    reached for a candidate not in skip and not yet related.
 
     Each constraint's left side is split in two: the a_* terms are
     evaluated here once per candidate, and t, the c_* terms and the
     constant once per call, so a candidate costs one exact comparison
     per constraint.  Clause windows, concrete guards and dom(r) are
     decided once per call.  A clause naming a variable that one side
-    lacks never holds for that side.
+    lacks, or a symbol that is none of t, c_* and a_*, never holds.
 
     The rows of a clause with an `=` constraint are indexed by the a_*
     value of its first one, so a call reads only the rows whose value
@@ -233,7 +204,7 @@ def related_candidates(r: TimedStateRelation, candidates) -> Callable:
                 )))
             except KeyError:
                 continue
-        key = next((i for i, (cmp, *_) in enumerate(split) if cmp is operator.eq), None)
+        key = next((i for i, (cmp, *_) in enumerate(split) if cmp is COMPARE["="]), None)
         index: dict = {}
         if key is not None:
             for row in rows:
@@ -271,7 +242,8 @@ def related_candidates(r: TimedStateRelation, candidates) -> Callable:
                     cmp(a, bound) for (cmp, bound), a in zip(checks, avals)
                 ):
                     related.add(j)
-        return [candidates[j] for j in sorted(related) if candidates[j] not in skip]
+        hits = [candidates[j] for j in sorted(related)]
+        return [sb for sb in hits if sb not in skip] if skip else hits
 
     return at
 
@@ -310,7 +282,7 @@ def _compile(r: TimedStateRelation, cp, dp, endpoints) -> list:
             table.update(("a_" + k, line) for k, line in dp.flow.int_lines)
         try:
             out.append((clause.window, tuple(
-                (_COMPARE[con.op], *_in_t(con.lhs, table)) for con in cons
+                (COMPARE[con.op], *_in_t(con.lhs, table)) for con in cons
             )))
         except KeyError:
             continue
@@ -504,18 +476,13 @@ def relation_project(R: ConfigRelation) -> Callable:
     return at
 
 
-def _min_duration(s, sb):
-    a, b = s.duration, sb.duration
-    return a if a <= b else b
-
-
 def traj_related_timewise(r: TimedStateRelation, s, sb) -> bool:
     """(for all t below both durations, the states are related) decided
     exactly over the refinement of both timelines."""
-    m = _min_duration(s, sb)
+    m = tmin(s.duration, sb.duration)
     if is_finite(m) and m == 0:
         return True
-    bound = TimeInterval(Q(0), m, False) if is_finite(m) else TimeInterval(Q(0), INF, False)
+    bound = TimeInterval(Q(0), m, False)
     return all(
         forall_window_related(r, c, d, bound)
         for c, d, _ in overlapping(s.configs, sb.configs)
@@ -605,12 +572,15 @@ def _clause_spans(clause: Clause, cp, dp, endpoints) -> list:
         return []
     window = _ALL_TIME if clause.window is None else _interval_span(clause.window)
     spans = [] if window is None else [window]
+    envs = [
+        {"t": t, **endpoints,
+         **{"c_" + k: v for k, v in cp.flow.state_at(t).vars},
+         **{"a_" + k: v for k, v in dp.flow.state_at(t).vars}}
+        for t in (Q(0), Q(1))
+    ]
     for con in cons:
         try:
-            g0, g1 = (
-                con.lhs.eval(_state_env(t, cp.flow.state_at(t), dp.flow.state_at(t), endpoints))
-                for t in (Q(0), Q(1))
-            )
+            g0, g1 = (con.lhs.eval(env) for env in envs)
         except KeyError:
             return []  # a symbol this pair cannot bind: the clause never holds
         sols = _affine_solutions(con, g1 - g0, g0)
@@ -635,7 +605,7 @@ def traj_related_rankwise(r: TimedStateRelation, s, sb) -> bool:
     the cut overlap inside dom(r), less the spans where some clause
     holds, must be empty.  Endpoints that are infinite stay unbound, so
     a constraint using them never holds."""
-    common = _span(Q(0), True, _min_duration(s, sb), False)
+    common = _span(Q(0), True, tmin(s.duration, sb.duration), False)
     for c in s.configs:
         for d in sb.configs:
             endpoints = _endpoint_env(c, d)
@@ -692,10 +662,30 @@ def compose_relations(r1: TimedStateRelation, r2: TimedStateRelation):
     return member
 
 
+def _typed(value, kind, where: str):
+    """value, which must be a `kind`: dict, list, str or bool."""
+    if not isinstance(value, kind):
+        what = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}[kind]
+        raise ParseError(f"{where}: expected {what}, not {value!r}")
+    return value
+
+
+def _strings(value, where: str) -> list:
+    return [_typed(v, str, where) for v in _typed(value, list, where)]
+
+
+def _rational(value, where: str):
+    """The rational a JSON number or a string such as "1/3" gives."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ParseError(f"{where}: expected a number, not {value!r}")
+    try:
+        return Q(value)
+    except OverflowError as exc:  # an infinite float
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def _known_keys(doc, keys, where: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where}: expected an object")
-    unknown = sorted(set(doc) - set(keys))
+    unknown = sorted(set(_typed(doc, dict, where)) - set(keys))
     if unknown:
         raise ParseError(f"{where}: unknown key(s) {', '.join(unknown)}")
     return doc
@@ -703,33 +693,41 @@ def _known_keys(doc, keys, where: str) -> dict:
 
 def _window_from_json(w, where: str) -> TimeInterval:
     hi = _known_keys(w, ("lo", "hi", "closed_hi"), where).get("hi", "inf")
-    window = TimeInterval(
-        Q(w["lo"]), INF if hi in ("inf", None) else Q(hi), bool(w.get("closed_hi", False))
-    )
+    lo, closed = _rational(w["lo"], where), _typed(w.get("closed_hi", False), bool, where)
+    window = TimeInterval(lo, INF if hi in ("inf", None) else _rational(hi, where), closed)
     if not window.contains(window.lo):
         raise ParseError(f"{where}: empty window")
     return window
 
 
+def _guard(value, where: str) -> Optional[str]:
+    """A mode guard: a mode name, or None (null) for every mode."""
+    return None if value is None else _typed(value, str, where)
+
+
 def relation_from_json(doc: dict) -> TimedStateRelation:
     """The relation of a relation file.  A key it does not know is a
     ParseError, since a misspelt guard would match every mode, and so is
-    an empty window or domain, which would let a check pass vacuously."""
+    a value of the wrong JSON type, and an empty window or domain, which
+    would let a check pass vacuously."""
     clauses = []
-    for i, cl in enumerate(_known_keys(doc, ("clauses", "domain"), "relation")["clauses"]):
+    doc = _known_keys(doc, ("clauses", "domain"), "relation")
+    for i, cl in enumerate(_typed(doc["clauses"], list, "relation clauses")):
         where = f"clause {i}"
         _known_keys(cl, ("constraints", "window", "concrete_mode", "abstract_mode"), where)
+        constraints = _strings(cl.get("constraints", []), f"{where} constraints")
         clauses.append(
             Clause(
-                tuple(parse_constraint(c) for c in cl.get("constraints", [])),
+                tuple(parse_constraint(c) for c in constraints),
                 _window_from_json(cl["window"], f"{where} window") if "window" in cl else None,
-                cl.get("concrete_mode"),
-                cl.get("abstract_mode"),
+                _guard(cl.get("concrete_mode"), f"{where} concrete_mode"),
+                _guard(cl.get("abstract_mode"), f"{where} abstract_mode"),
             )
         )
     domain = None
     if "domain" in doc:
-        domain = tuple(_window_from_json(w, "domain window") for w in doc["domain"])
+        domain = tuple(_window_from_json(w, "domain window")
+                       for w in _typed(doc["domain"], list, "relation domain"))
         if not domain:
             raise ParseError("relation: empty domain")
     return TimedStateRelation(tuple(clauses), domain)

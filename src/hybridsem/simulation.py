@@ -42,6 +42,7 @@ from .relation import (
     TimedStateRelation,
     _endpoint_env,
     _forall_window_related,
+    _piece_windows,
     config_related,
     traj_related_rankwise,
     traj_related_timewise,
@@ -476,12 +477,14 @@ def _end_order(c) -> tuple:
 
 
 def well_nested_check(T: Iterable, Tb: Iterable):
-    """(59) over trajectory sets; returns (ok, witness)."""
+    """(59) over trajectory sets, by _nested on each trajectory pair;
+    returns (ok, witness (s, sb, i, j)), i and j configuration ranks."""
     for s in T:
         for sb in Tb:
-            for c, cb, _ in overlapping(s.configs, sb.configs):
-                if not c.interval.subset_of(cb.interval):
-                    return False, (s, sb, s.configs.index(c), sb.configs.index(cb))
+            ok, w = _nested(overlapping(s.configs, sb.configs))
+            if not ok:
+                c, cb = w
+                return False, (s, sb, s.configs.index(c), sb.configs.index(cb))
     return True, None
 
 
@@ -509,8 +512,7 @@ def compose_check(
         if mid not in witness2:
             raise MissingIntermediateWitness(repr(mid))
         top = witness2[mid]
-        m = tmin(s.duration, top.duration)
-        bound = TimeInterval(Q(0), m, False) if is_finite(m) else TimeInterval(Q(0), INF, False)
+        bound = TimeInterval(Q(0), tmin(s.duration, top.duration), False)
         for c, cmid, w1 in overlapping(s.configs, mid.configs):
             w1 = interval_intersect(w1, bound)
             if w1 is None:
@@ -521,14 +523,8 @@ def compose_check(
                 if w is None:
                     continue
                 env2 = _endpoint_env(cmid, ctop)
-                for cp, mp, lower in overlapping(pieces(c), pieces(cmid)):
-                    lower = interval_intersect(lower, w)
-                    if lower is None:
-                        continue
-                    for _, tp, upper in overlapping((mp,), pieces(ctop)):
-                        ww = interval_intersect(lower, upper)
-                        if ww is None:
-                            continue
+                for cp, mp, lower in _piece_windows(c, cmid, w):
+                    for _, tp, ww in _piece_windows(mp, ctop, lower):
                         # pieces are disjoint, so (cp, mp) and (mp, tp) are
                         # the only piece pairs of the whole configurations
                         # that meet ww

@@ -1,4 +1,5 @@
-"""Shared randomized generators for the exact-arithmetic test suite.
+"""Shared randomized generators for the exact-arithmetic test suite, and
+ref_state_related, the reference for membership of bare state pairs.
 
 Everything is seeded; tests freeze seeds so failures replay exactly.
 """
@@ -8,6 +9,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hybridsem.errors import EndpointSymbolsUnbound
 from hybridsem.flow_config import make_config
 from hybridsem.hts import HybridTransitionSystem
 from hybridsem.trajectory import trajectory_validate
@@ -80,3 +82,36 @@ def random_trajectory(rng, max_configs=3, closed=True):
 @pytest.fixture
 def rng():
     return random.Random(20260824)
+
+
+def _ref_state_env(t, s, sbar) -> dict:
+    env = {"t": Q(t)}
+    for k, v in s.vars:
+        env["c_" + k] = v
+    for k, v in sbar.vars:
+        env["a_" + k] = v
+    return env
+
+
+def ref_state_related(r, t, s, sbar) -> bool:
+    """Membership of a state pair in r(t), clause by clause through
+    AffineConstraint.holds: the evaluator state_related had before it
+    became relation.related_candidates with one candidate, kept verbatim
+    apart from its name, as an independent reference.  Reaching a clause
+    with B/E symbols or a `dynamic` part raises EndpointSymbolsUnbound."""
+    if not r.in_domain(t):
+        return False
+    for clause in r.clauses:
+        if clause.window is not None and not clause.window.contains(t):
+            continue
+        if not clause.guards_match(s.mode, sbar.mode):
+            continue
+        if clause.uses_endpoints():
+            raise EndpointSymbolsUnbound("clause uses B/E symbols; a state pair binds none")
+        env = _ref_state_env(t, s, sbar)
+        try:
+            if all(con.holds(env) for con in clause.constraints):
+                return True
+        except KeyError:
+            continue  # clause mentions a symbol this pair cannot bind
+    return False

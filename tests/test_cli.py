@@ -182,6 +182,27 @@ BAD_SYSTEMS = {
                                          "target": "2", "var": "u"}),
     "reach-exit-keys": _variant(exit={"type": "reach", "target": "2", "var": "u",
                                       "value": "1"}),
+    # values of the wrong JSON type
+    "initial-type": _variant(initial=5),
+    "variables-type": _variant(variables=3),
+    "variables-string": _variant(variables="u"),  # would declare each letter
+    "variable-name-type": _variant(variables=[["u"]]),
+    "modes-type": {**SYSTEM, "modes": 5},
+    "mode-name-type": _variant(name=["up"]),
+    "entry-type": _variant(entry=5),
+    "rates-type": _variant(rates=["u"]),
+    "rate-type": _variant(rates={"u": ["1"]}),
+    "values-type": _variant(initial=[{"mode": "up", "values": ["u"]}]),
+    "value-type": _variant(initial=[{"mode": "up", "values": {"u": None}}]),
+    "edges-type": _variant(edges=5),
+    "edge-mode-type": _variant(edges=[{"src": ["up"], "dst": "up"}]),
+    "reset-type": _variant(edges=[{"src": "up", "dst": "up", "reset": ["u"]}]),
+    "exit-var-type": _variant(exit={"type": "reach", "target": "2", "var": ["u"]}),
+    "zeta-type": {**SYSTEM, "zeta": ["1/100"]},
+    "terminal-type": _variant(terminal="false"),  # would read as true
+    # a minimum duration of 0 or below would admit Zeno runs
+    "zeta-zero": {**SYSTEM, "zeta": "0"},
+    "zeta-negative": {**SYSTEM, "zeta": "-1"},
 }
 # misspelt keys; dropped silently, a misspelt guard would match every
 # mode and check-sim would answer true with exit 0
@@ -197,6 +218,15 @@ BAD_RELATIONS = {
     "inverted-domain": {"clauses": RELATION["clauses"], "domain": [{"lo": "5", "hi": "2"}]},
     "empty-open-domain": {"clauses": RELATION["clauses"], "domain": [{"lo": "2", "hi": "2"}]},
     "empty-domain": {"clauses": RELATION["clauses"], "domain": []},
+    # values of the wrong JSON type
+    "clauses-type": {"clauses": 5},
+    "constraints-type": {"clauses": [{"constraints": 5}]},
+    "constraint-type": {"clauses": [{"constraints": [5]}]},
+    "domain-type": {"clauses": RELATION["clauses"], "domain": 5},
+    "window-bound-type": {"clauses": [{"constraints": ["c_u = a_u"], "window": {"lo": [0]}}]},
+    "guard-type": {"clauses": [{"constraints": ["c_u = a_u"], "concrete_mode": 5}]},
+    "closed-type": {"clauses": [{"constraints": ["c_u = a_u"],
+                                 "window": {"lo": "0", "hi": "1", "closed_hi": "false"}}]},
 }
 
 
@@ -251,6 +281,11 @@ def _bad_input_cases(tmp_path):
         # a fixture refuses the tank parameters it does not read
         ("validate", "--fixture", "example10", "--x0", "1", "--epsilon", "1/8"),
         ("gallery", "fig11", "--x0", "1"),
+        # a minimum duration of 0 or below, refused wherever a system is built
+        ("validate", "--fixture", "tank-automaton", "--zeta=0"),
+        ("validate", "--fixture", "tank-impl", "--zeta=-1/100"),
+        ("validate", "--fixture", "example10", "--zeta=0"),
+        ("check-refinement", "--zeta=0"),
     ]
 
 

@@ -47,12 +47,12 @@ from hybridsem.flow_config import (
     make_config,
 )
 from hybridsem.hts import HybridTransitionSystem
-from hybridsem.relation import Clause, TimedStateRelation, state_related
+from hybridsem.relation import Clause, TimedStateRelation
 from hybridsem.simulation import system_graph
 from hybridsem.time_core import INF, is_finite
 from hybridsem.trajectory import Trajectory, trajectory_eval, trajectory_validate
 
-from conftest import random_explicit, rnd_q
+from conftest import random_explicit, ref_state_related, rnd_q
 
 
 def test_timeful_sample_conventions():
@@ -258,8 +258,8 @@ def test_hypotheses_refuse_endpoint_symbols(name):
 
 
 def _brute_force_69(r, h, hb, delta, horizon) -> set:
-    """Hypothesis (69) by one state_related call per concrete grid point
-    and abstract state of another rank."""
+    """Hypothesis (69) by one ref_state_related call per concrete grid
+    point and abstract state of another rank."""
     G, Gb = system_graph(h, horizon), system_graph(hb, horizon)
     hcap = None if horizon is None else Q(horizon)
     at_rank = {}
@@ -273,7 +273,7 @@ def _brute_force_69(r, h, hb, delta, horizon) -> set:
         for n in _grid_points(c, delta, hcap)
         for sb in every
         if sb not in at_rank.get(n, ())
-        and state_related(r, n * delta, _state_closed(c, n * delta), sb)
+        and ref_state_related(r, n * delta, _state_closed(c, n * delta), sb)
     }
 
 

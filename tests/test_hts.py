@@ -3,14 +3,21 @@ from fractions import Fraction as Q
 import pytest
 
 from hybridsem.affine import LinExpr, parse_constraint
+from hybridsem.casestudy import gallery_fixture
 from hybridsem.discretize import hts_discretize
-from hybridsem.errors import BranchingExplosion, FinalNotClosed, NonConsecutiveEdge
+from hybridsem.errors import (
+    BranchingExplosion,
+    FinalNotClosed,
+    NonConsecutiveEdge,
+    ParamConstraintViolated,
+)
 from hybridsem.flow_config import Configuration, make_config
 from hybridsem.hts import (
     Edge,
     ExitCondition,
     HybridTransitionSystem,
     ModeSchema,
+    hts_from_json,
     hts_validate,
     semantics_generate,
 )
@@ -245,3 +252,22 @@ def test_semantics_are_the_maximal_paths_of_the_reached_graph(rng):
         )
         seen["depth cut"] += any(s.truncated and len(s.configs) == depth for s in got)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("zeta", [Q(0), Q(-1, 100)])
+def test_minimum_duration_must_be_positive(zeta):
+    """zeta <= 0 would admit Zeno runs; it is refused once, when a system
+    is built, whichever way it is built."""
+    c = make_config("m", 0, 1, {"u": 0}, {"u": 1}, closed_hi=True)
+    with pytest.raises(ParamConstraintViolated):
+        HybridTransitionSystem.from_explicit(("u",), zeta, (c,), (), (0,))
+    with pytest.raises(ParamConstraintViolated):
+        HybridTransitionSystem.from_schemas(("u",), zeta, (), (), [])
+    for name in ("tank-automaton", "tank-impl", "example10"):
+        with pytest.raises(ParamConstraintViolated):
+            gallery_fixture(name, zeta=zeta)
+    doc = {"variables": ["u"], "zeta": str(zeta),
+           "modes": [{"name": "m", "rates": {"u": "1"}, "terminal": True}],
+           "initial": [{"mode": "m", "values": {"u": "0"}}]}
+    with pytest.raises(ParamConstraintViolated):
+        hts_from_json(doc)
