@@ -120,9 +120,10 @@ def _fixture(args):
 
 
 def _read(path, parse):
+    """parse of the JSON at path, a decimal read as the Fraction it writes."""
     try:
         with open(path) as f:
-            return parse(json.load(f))
+            return parse(json.load(f, parse_float=Q))
     except (OSError, json.JSONDecodeError, KeyError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Optional
 
 from .errors import DurationBelowZeta, EmptyIntersection, NonConsecutive
@@ -225,30 +225,40 @@ def overlapping(xs, ys) -> list:
     window being their intersection, in the order of the nested loop
     over xs and then ys.
 
-    One sweep over start times: a pair is compared only when the later
+    One sweep over start times, in integers: each finite end is scaled
+    to an integer over the lcm of their denominators, and an unbounded
+    end to one past them all.  A pair is compared only when the later
     start is not past the earlier end, so pairs that cannot meet are
-    never compared.
+    never compared.  A window is built from its inputs' own ends, as
+    interval_intersect builds it.
     """
-    sides = (list(xs), list(ys))
-    starts = sorted(
-        (item.interval.lo, side, k)
-        for side, items in enumerate(sides)
-        for k, item in enumerate(items)
-    )
+    items = list(xs)
+    n = len(items)
+    items += ys
+    ivs = [item.interval for item in items]
+    ends = [e for iv in ivs for e in (iv.lo, iv.hi) if e is not INF]
+    D = lcm(*(e.denominator for e in ends))
+    top = 1 + max((e.numerator * (D // e.denominator) for e in ends), default=0)
+    lo = [iv.lo.numerator * (D // iv.lo.denominator) for iv in ivs]
+    hi = [top if iv.hi is INF else iv.hi.numerator * (D // iv.hi.denominator) for iv in ivs]
     active = ([], [])  # indices per side whose interval may still meet a later start
     found = []
-    for t, side, k in starts:
-        other = sides[1 - side]
+    # a stable sort: equal starts keep xs before ys, each in input order
+    for g in sorted(range(len(items)), key=lo.__getitem__):
+        t, side = lo[g], int(g >= n)
         waiting = active[1 - side]
-        waiting[:] = [m for m in waiting if not other[m].interval.hi < t]
+        waiting[:] = [m for m in waiting if t <= hi[m]]
         for m in waiting:
-            i, j = (k, m) if side == 0 else (m, k)
-            w = interval_intersect(sides[0][i].interval, sides[1][j].interval)
-            if w is not None:
-                found.append((i, j, w))
-        active[side].append(k)
+            i, j = (g, m) if side == 0 else (m, g)
+            x, y, h = ivs[i], ivs[j], min(hi[i], hi[j])
+            # the earlier end closes the window, both if they tie; INF never does
+            closed = (h < hi[i] or x.closed_hi) and (h < hi[j] or y.closed_hi) and h < top
+            if t < h or closed and t == h:
+                found.append((i, j, TimeInterval(y.lo if lo[i] < lo[j] else x.lo,
+                                                 x.hi if hi[i] == h else y.hi, closed)))
+        active[side].append(g)
     found.sort(key=lambda f: f[:2])
-    return [(sides[0][i], sides[1][j], w) for i, j, w in found]
+    return [(items[i], items[j], w) for i, j, w in found]
 
 
 def config_concat(c, d):

@@ -19,9 +19,13 @@ abstract states; state_related is it with one candidate.
 
 Window verdicts (for all, or for some, t in a window) are decided
 exactly, once per pair of affine pieces, in Python integers.  Modes and
-endpoints are constant on a piece pair, so each clause is compiled once:
-it is dropped if its guards miss the modes or it can never hold there,
-and each of its constraints becomes integers (A, B) such that A*t + B
+endpoints are constant on a piece pair.  The relation keeps one table,
+filled on first use: per (concrete mode, abstract mode), the clauses
+whose guards admit the pair and whether one of them reads B/E or has a
+`dynamic` part (TimedStateRelation.admitted).  So the endpoints are
+bound only for a pair that reads them.  Each admitted clause is
+compiled once: it is dropped if it can never hold there, and each of
+its constraints becomes integers (A, B) such that A*t + B
 is a positive multiple of its left side along the two flows (each flow
 caches its lines as integers, (R*t + O)/L).  Between consecutive
 breakpoints (window, clause-window and domain bounds, and the roots
@@ -34,7 +38,9 @@ standing for P/(2D), and a constraint is decided by the sign of
 A*P + 2D*B: one integer multiply-add per constraint and point, and no
 Fraction built (the integer-coefficient form of exact polyhedra
 libraries).  A window where no clause compiles and r has no domain is
-decided at its first point.  traj_related_rankwise decides its for-all
+decided at its first point, and config_related gives that verdict for
+a plain pair whose modes admit no clause without entering the kernel.
+traj_related_rankwise decides its for-all
 by an exact cover of solution spans over Fractions instead, sharing no
 code with the kernel, so that comparing it with traj_related_timewise
 cross-checks the kernel.
@@ -42,7 +48,7 @@ cross-checks the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional
 
@@ -109,11 +115,23 @@ class Clause:
 class TimedStateRelation:
     clauses: tuple
     domain: Optional[tuple] = None  # time windows; None = total
+    _by_modes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def in_domain(self, t) -> bool:
         if self.domain is None:
             return True
         return any(w.contains(t) for w in self.domain)
+
+    def admitted(self, cmode: str, amode: str) -> tuple:
+        """(clauses, ends): the clauses whose guards admit the modes, in
+        order, and whether one of them reads B/E or has a `dynamic` part;
+        decided once per mode pair and kept on the relation."""
+        entry = self._by_modes.get((cmode, amode))
+        if entry is None:
+            clauses = tuple(cl for cl in self.clauses if cl.guards_match(cmode, amode))
+            entry = (clauses, any(cl.uses_endpoints() for cl in clauses))
+            self._by_modes[cmode, amode] = entry
+        return entry
 
     def domain_boundaries(self) -> list:
         if self.domain is None:
@@ -263,15 +281,14 @@ def _compile(r: TimedStateRelation, cp, dp, endpoints) -> list:
     """The clauses of r that can hold on the piece pair cp, dp, each as
     (window, ((cmp, A, B), ...)): along the two flows the left side of a
     constraint has the sign of A*t + B, integers, and cmp compares that
-    with 0 as the constraint does.  Modes are constant on a piece, so a
-    clause whose guards miss them is dropped; so is one that `dynamic`
-    declines, or that names a symbol the pair does not bind, such as a
-    variable it lacks or the infinite end of an unbounded configuration."""
+    with 0 as the constraint does.  Modes are constant on a piece, so only
+    the clauses r admits for them are read; one that `dynamic` declines,
+    or that names a symbol the pair does not bind, such as a variable it
+    lacks or the infinite end of an unbounded configuration, is dropped.
+    `endpoints` may be empty when no admitted clause reads them."""
     table = None
     out = []
-    for clause in r.clauses:
-        if not clause.guards_match(cp.flow.mode, dp.flow.mode):
-            continue
+    for clause in r.admitted(cp.flow.mode, dp.flow.mode)[0]:
         cons = clause.effective_constraints(endpoints)
         if cons is None:
             continue
@@ -452,14 +469,17 @@ def exists_window_related(r: TimedStateRelation, c, d, window: TimeInterval) -> 
 def config_related(r: TimedStateRelation, c, d, overlap=None) -> bool:
     """Lift of r to configurations: overlapping intervals with related
     states throughout the overlap (intersected with dom(r)).  A caller
-    that has the overlap of c and d already passes it as `overlap`."""
+    that has the (nonempty) overlap of c and d passes it as `overlap`."""
     if overlap is None:
         overlap = interval_intersect(c.interval, d.interval)
         if overlap is None:
             return False
-    if _plain(c, d):
-        return _forall_window_related(r, c, d, overlap, _endpoint_env(c, d))
-    return forall_window_related(r, c, d, overlap)
+    if not _plain(c, d):
+        return forall_window_related(r, c, d, overlap)
+    clauses, ends = r.admitted(c.flow.mode, d.flow.mode)
+    if not clauses and r.domain is None:
+        return False  # the kernel's verdict on a nonempty window, without it
+    return _forall_window_related(r, c, d, overlap, _endpoint_env(c, d) if ends else {})
 
 
 def relation_project(R: ConfigRelation) -> Callable:
@@ -675,13 +695,14 @@ def _strings(value, where: str) -> list:
 
 
 def _rational(value, where: str):
-    """The rational a JSON number or a string such as "1/3" gives."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ParseError(f"{where}: expected a number, not {value!r}")
-    try:
-        return Q(value)
-    except OverflowError as exc:  # an infinite float
-        raise ParseError(f"{where}: {exc}") from exc
+    """The rational an integer, a Fraction or a string such as "1/3"
+    gives.  A float is refused: its value is the binary neighbour of
+    the decimal written, so a file is read with JSON decimals parsed as
+    Fractions (cli._read), and 0.1 is 1/10."""
+    if isinstance(value, bool) or not isinstance(value, (int, Q, str)):
+        raise ParseError(f"{where}: expected an integer, a Fraction or a string"
+                         f" (a float is not exact), not {value!r}")
+    return Q(value)
 
 
 def _known_keys(doc, keys, where: str) -> dict:

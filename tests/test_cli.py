@@ -6,12 +6,16 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hybridsem.casestudy import GALLERY_NAMES
 from hybridsem.cli import build_parser, main
+from hybridsem.errors import ParseError
+from hybridsem.hts import hts_from_json
+from hybridsem.relation import relation_from_json
 
 
 def run(*argv):
@@ -203,6 +207,8 @@ BAD_SYSTEMS = {
     # a minimum duration of 0 or below would admit Zeno runs
     "zeta-zero": {**SYSTEM, "zeta": "0"},
     "zeta-negative": {**SYSTEM, "zeta": "-1"},
+    # JSON Infinity reaches the loader as a float, which is never exact
+    "rate-float": _variant(rates={"u": float("inf")}),
 }
 # misspelt keys; dropped silently, a misspelt guard would match every
 # mode and check-sim would answer true with exit 0
@@ -297,6 +303,27 @@ def _assert_bad_input(argv):
     assert proc.returncode == 2, (argv, proc.stdout, proc.stderr)
     assert "input error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_json_decimal_is_read_as_written(tmp_path, capsys):
+    """0.1 in a system file is 1/10, not the float nearest to it."""
+    path = tmp_path / "decimal.json"
+    path.write_text(json.dumps(_variant(rates={"u": 0.1})))
+    assert run("discretize", "--system", str(path), "--delta", "1", "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [state["vars"]["u"] for state in doc["closing"][0]] == ["0", "1/10"]
+
+
+def test_library_loaders_refuse_floats():
+    """A float, as json.load hands it to a library caller, is refused:
+    its value is the binary neighbour of the decimal written."""
+    with pytest.raises(ParseError, match="float"):
+        hts_from_json(_variant(rates={"u": 0.1}))
+    with pytest.raises(ParseError, match="float"):
+        relation_from_json({"clauses": [{"constraints": ["c_u = a_u"],
+                                         "window": {"lo": 0.5}}]})
+    h = hts_from_json(_variant(rates={"u": Fraction(1, 10)}))
+    assert h.schemas[0].rates == (("u", Fraction(1, 10)),)
 
 
 def test_out_of_range_parameters_are_bad_input(tmp_path):

@@ -36,7 +36,7 @@ from hybridsem.relation import (
 from hybridsem.time_core import INF, TimeInterval
 from hybridsem.trajectory import trajectory_validate
 
-from conftest import random_trajectory, rnd_q
+from conftest import random_trajectory, ref_state_related, rnd_q
 
 EQ = TimedStateRelation((Clause((parse_constraint("c_u = a_u"),)),))
 
@@ -580,8 +580,9 @@ def _candidate_state(rng):
 
 def test_related_candidates_matches_state_related():
     """related_candidates lists exactly the candidates outside `skip`
-    that state_related relates, and raises EndpointSymbolsUnbound exactly
-    when state_related raises on one of them."""
+    that the reference evaluator conftest.ref_state_related relates, and
+    raises EndpointSymbolsUnbound exactly when the reference raises on
+    one of them."""
     rng = random.Random(20261018)
     seen = {"related": 0, "unrelated": 0, "raised": 0}
     for _ in range(400):
@@ -593,7 +594,7 @@ def test_related_candidates_matches_state_related():
             skip = set(rng.sample(candidates, rng.randint(0, len(candidates))))
             try:
                 expected = [sb for sb in candidates
-                            if sb not in skip and state_related(r, t, s, sb)]
+                            if sb not in skip and ref_state_related(r, t, s, sb)]
             except EndpointSymbolsUnbound:
                 with pytest.raises(EndpointSymbolsUnbound):
                     related_at(t, s, skip)
@@ -634,9 +635,9 @@ def _first_equality(clause):
 
 def test_related_candidates_equality_index_matches_state_related():
     """Clauses read through the index of their first `=` relate exactly
-    the candidates state_related relates: `=` first or later in the
-    clause, an `=` with no a_* term, and candidates sharing the indexed
-    value."""
+    the candidates the reference evaluator conftest.ref_state_related
+    relates: `=` first or later in the clause, an `=` with no a_* term,
+    and candidates sharing the indexed value."""
     rng = random.Random(20261019)
     related_by = dict.fromkeys(("first", "later", "first-no-a", "later-no-a", None), 0)
     shared = 0  # calls where one indexed clause relates two candidates
@@ -648,7 +649,7 @@ def test_related_candidates_equality_index_matches_state_related():
             t, s = Q(rng.randint(0, 4), 2), _candidate_state(rng)
             skip = set(rng.sample(candidates, rng.randint(0, len(candidates) // 2)))
             expected = [sb for sb in candidates
-                        if sb not in skip and state_related(r, t, s, sb)]
+                        if sb not in skip and ref_state_related(r, t, s, sb)]
             assert related_at(t, s, skip) == expected, (r, t, s, candidates, skip)
             for clause in r.clauses:
                 alone = TimedStateRelation((clause,))
