@@ -21,6 +21,7 @@ from .discretize import (
     milner_sim_check,
     relation_discretize,
     theorem6_check,
+    theorem7_check,
     timeful_sample,
     timeless_sample,
 )

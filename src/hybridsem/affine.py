@@ -8,7 +8,8 @@ Grammar for the textual form used in system and relation files:
 
 Names are variable names, "t" for time, or the endpoint symbols
 B_c, E_c, B_a, E_a.  Constraints are two expressions joined by one of
-=, <=, >=, <, >.
+=, <=, >=, <, >.  Every other number of a file or a flag is read by
+read_rational, which bounds its size before Fraction expands it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from .errors import ParseError
 from .time_core import Q
 
-__all__ = ["LinExpr", "AffineConstraint", "parse_expr", "parse_constraint"]
+__all__ = ["LinExpr", "AffineConstraint", "parse_expr", "parse_constraint", "read_rational"]
 
 ENDPOINT_SYMBOLS = ("B_c", "E_c", "B_a", "E_a")
 
@@ -112,6 +113,41 @@ class AffineConstraint:
 
     def __repr__(self):
         return f"{self.lhs!r} {self.op} 0"
+
+
+# a number's text may hold at most MAX_DIGITS digits and a decimal
+# exponent of magnitude at most MAX_EXPONENT: Fraction would expand
+# "1e-1000000" into a denominator of a million digits
+MAX_DIGITS = 1000
+MAX_EXPONENT = 1000
+
+
+def read_rational(value, where: str):
+    """The rational an integer, a Fraction or a string such as "1/3" or
+    "1e-3" gives: the one reader of numbers in files, JSON decimals
+    (cli._read) and command-line values (cli._q).  A float is refused:
+    its value is the binary neighbour of the decimal written, so a file
+    is read with JSON decimals parsed here, and 0.1 is 1/10.  A string
+    past MAX_DIGITS or MAX_EXPONENT is refused before Fraction reads
+    it, and so is one Fraction cannot read."""
+    if isinstance(value, bool) or not isinstance(value, (int, Q, str)):
+        raise ParseError(f"{where}: expected an integer, a Fraction or a string"
+                         f" (a float is not exact), not {value!r}")
+    if isinstance(value, str):
+        shown = value if len(value) <= 40 else value[:40] + "..."
+        if sum(map(str.isdigit, value)) > MAX_DIGITS:
+            raise ParseError(f"{where}: {shown!r} has more than {MAX_DIGITS} digits")
+        _, e, exponent = value.lower().partition("e")
+        try:
+            too_large = bool(e) and abs(int(exponent)) > MAX_EXPONENT
+        except ValueError:
+            too_large = False  # not an exponent; Fraction refuses the text
+        if too_large:
+            raise ParseError(f"{where}: {shown!r} has an exponent beyond {MAX_EXPONENT}")
+    try:
+        return Q(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{where}: bad rational {value!r}: {exc}") from exc
 
 
 _TERM_RE = re.compile(

@@ -13,16 +13,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .affine import ENDPOINT_SYMBOLS, LinExpr
+from .affine import ENDPOINT_SYMBOLS, LinExpr, read_rational
 from .casestudy import TankParams, gallery_fixture, run_refinement_chain
-from .discretize import (
-    discretization_hypotheses,
-    hts_discretize,
-    milner_sim_check,
-    relation_discretize,
-    theorem6_check,
-    timeful_sample,
-)
+from .discretize import hts_discretize, theorem6_check, theorem7_check, timeful_sample
 from .errors import HybridSemError, ParamConstraintViolated, ParseError, UnknownFixture
 from .flow_config import pieces
 from .galois import (
@@ -49,10 +42,7 @@ PASS, FAIL, BADINPUT = 0, 1, 2
 
 
 def _q(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from exc
+    return read_rational(text, "command line")
 
 
 def jsonable(x):
@@ -123,7 +113,7 @@ def _read(path, parse):
     """parse of the JSON at path, a decimal read as the Fraction it writes."""
     try:
         with open(path) as f:
-            return parse(json.load(f, parse_float=Q))
+            return parse(json.load(f, parse_float=lambda text: read_rational(text, path)))
     except (OSError, json.JSONDecodeError, KeyError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -326,10 +316,7 @@ def _theorem7(args):
     """Hypotheses (68)-(71), one discretization per distinct side, the
     discretized relation and the Milner check."""
     G, Gb, r, hz, delta, extra = _pair(args, "delta", "extra_abstract", extra_abstract=())
-    hyp = discretization_hypotheses(r, G, Gb, delta, hz)
-    d1 = hts_discretize(G, delta, hz)
-    d2 = d1 if Gb is G else hts_discretize(Gb, delta, hz)
-    ok, wit = milner_sim_check(relation_discretize(r, delta, d1, d2, extra), d1, d2)
+    hyp, ok, wit = theorem7_check(r, G, Gb, delta, hz, extra)
     violated = [k for k in ("(68)", "(69)", "(70)", "(71)") if hyp[k]]
     doc = {
         "milner": ok,

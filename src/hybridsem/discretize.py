@@ -10,18 +10,36 @@ successor-free configuration, and semantics-level comparisons exclude
 those closing edges so that both computations return the same trace
 sets (the residual asymmetry between the two conventions is reported
 by theorem6_check, never silently patched).
+
+The grid side runs in integers.  With delta = p/q a configuration's
+value at rank n is (R*n*p + O*q)/(L*q) from its int_lines, an integer
+numerator over D, the lcm of every L*q.  A _Grid interns each state by
+its mode and numerators into a dense id, so equal states share an id
+with no Fraction built.  The discretized systems, (68)-(71), the
+discretized relation, the Milner check and theorem 6's trace sets are
+keyed by ids and (rank, id) nodes, and r is read on the grid
+(_on_grid) so that related_candidates decides it in integers.  States
+are built once per id, for what leaves the grid.
+
+Each public function builds its own grid.  hts_discretize,
+discretization_hypotheses, relation_discretize and milner_sim_check
+also take one: on it they work in its nodes, so theorem6_check builds
+one grid and theorem7_check one grid for all four steps, compiling r
+once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+from .affine import AffineConstraint, LinExpr
 from .errors import DomainGapAtGridPoint, Misaligned, NonConsecutiveEdge, TruncatedInput
 from .flow_config import UNDEFINED, PiecewiseConfiguration, State, overlapping, pieces
-from .relation import TimedStateRelation, exists_window_related, related_candidates
+from .relation import Clause, TimedStateRelation, exists_window_related, related_candidates
 from .hts import maximal_paths, semantics_generate
 from .simulation import greatest_fixpoint, system_graph
 from .time_core import Q, TimeInterval, is_finite
@@ -42,6 +60,7 @@ __all__ = [
     "timeless_overapprox_demo",
     "discretization_hypotheses",
     "milner_sim_check",
+    "theorem7_check",
     "greatest_discrete_simulation",
 ]
 
@@ -59,7 +78,8 @@ class TimefulState:
 class DiscreteTransitionSystem:
     states: frozenset
     initial: frozenset
-    edges: frozenset  # (TimefulState, TimefulState), rank increments by 1
+    edges: frozenset  # (TimefulState, TimefulState), or _Node keys of a
+    # grid; the rank increments by 1
     closing: frozenset = frozenset()  # edges to a final state of a
     # successor-free configuration (the closed-interval convention)
     from_tau: frozenset = frozenset()  # boundary edges induced by an
@@ -72,9 +92,9 @@ class DiscreteTransitionSystem:
 
     @cached_property
     def _succ(self) -> dict:
-        return {u: tuple(sorted(vs, key=repr)) for u, vs in _adjacency(self.edges).items()}
+        return _adjacency(self.edges)
 
-    def succ(self, u) -> tuple:  # sorted by repr
+    def succ(self, u) -> tuple:
         return self._succ.get(u, ())
 
     def to_dict(self) -> dict:
@@ -88,6 +108,173 @@ class DiscreteTransitionSystem:
             "edges": [[key(a), key(b)] for a, b in sorted(self.edges, key=repr)],
             "closing": [[key(a), key(b)] for a, b in sorted(self.closing, key=repr)],
         }
+
+
+# a discrete state on a grid: its rank and the id of its state
+_Node = namedtuple("_Node", "rank id")
+
+
+_NO_RANKS: dict = {}
+
+
+def _over(v, D):
+    """v*D: an integer, or a Fraction for a value off the grid."""
+    f, r = divmod(D, v.denominator)
+    return v.numerator * f if r == 0 else v * D
+
+
+class _Grid:
+    """The states of one discretization interned as dense ids, each
+    value a numerator over D, the lcm of delta's q and of every L*q of
+    the configurations' int_lines.  tables[c] is {rank n: id of c's
+    state at n*delta} over c's closed interval, capped at the horizon;
+    ints[i] is state i with numerators for values.  The ids of the
+    tables of `configs` are the `known` states, those of `more` and any
+    interned later come after them."""
+
+    def __init__(self, configs, delta, hcap=None, more=()):
+        self.delta, self.hcap = delta, hcap
+        self.p, q = delta.numerator, delta.denominator
+        self.D = math.lcm(q, *(L * q for c in (*configs, *more) for piece in pieces(c)
+                               for _, (_, _, L) in piece.flow.int_lines))
+        self.ints: list = []
+        self._ids: dict = {}
+        self._states: dict = {}
+        self._timeful: dict = {}
+        self._relations: dict = {}
+        self.tables: dict = {}
+        self._tabulate(configs)
+        self.known = len(self.ints)
+        self._tabulate(more)
+
+    def _tabulate(self, configs) -> None:
+        for c in configs:
+            if c not in self.tables:
+                self.tables[c] = self._table(c)
+
+    def _intern(self, mode, values) -> int:
+        i = self._ids.get((mode, values))
+        if i is None:
+            i = self._ids[mode, values] = len(self.ints)
+            self.ints.append(State(mode, values))
+        return i
+
+    def _id(self, flow, n) -> int:
+        """The id of flow's state at rank n: numerators over D."""
+        p, q, D = self.p, self.delta.denominator, self.D
+        return self._intern(flow.mode, tuple((k, (R * n * p + O * q) * (D // (L * q)))
+                                             for k, (R, O, L) in flow.int_lines))
+
+    def _table(self, c) -> dict:
+        hi = c.e if is_finite(c.e) else self.hcap
+        if hi is None:
+            raise TruncatedInput(f"unbounded {c!r} needs an explicit horizon")
+        if self.hcap is not None:
+            hi = min(hi, self.hcap)
+        delta = self.delta
+        first = c.b / delta
+        first = int(first) + (0 if first.denominator == 1 else 1)
+        ranks = range(first, math.floor(hi / delta) + 1)
+        if isinstance(c, PiecewiseConfiguration):
+            return {n: self._id(_closed_piece(c, n * delta).flow, n) for n in ranks}
+        return {n: self._id(c.flow, n) for n in ranks}
+
+    def at(self, c, n) -> int:
+        """The id of _state_closed(c, n*delta), read from c's table or
+        computed off it (a successor entered off its own start, say)."""
+        i = self.tables.get(c, _NO_RANKS).get(n)
+        return i if i is not None else self._id(_closed_piece(c, n * self.delta).flow, n)
+
+    def key(self, u) -> _Node:
+        """u's node, its state interned by value; UNDEFINED has id -1."""
+        s = u.state
+        if s is UNDEFINED:
+            return _Node(u.rank, -1)
+        D = self.D
+        return _Node(u.rank, self._intern(s.mode, tuple((k, _over(v, D)) for k, v in s.vars)))
+
+    def state(self, i) -> State:
+        s = self._states.get(i)
+        if s is None:
+            x = self.ints[i]
+            s = self._states[i] = State(x.mode, tuple((k, Q(v, self.D)) for k, v in x.vars))
+        return s
+
+    def node(self, k: _Node) -> TimefulState:
+        u = self._timeful.get(k)
+        if u is None:
+            u = self._timeful[k] = TimefulState(self.state(k.id), k.rank)
+        return u
+
+    def related(self, r: TimedStateRelation, upto: int) -> tuple:
+        """(related, r on the grid), r compiled once by related_candidates
+        over the states of ids below upto: related(n, i, skip) lists those
+        ids outside skip whose states r relates to state i at rank n.
+        When no clause can raise (B/E symbols, `dynamic`), each (n, i) is
+        decided once and skip filters that."""
+        entry = self._relations.get((r, upto))
+        if entry is None:
+            on_grid = _on_grid(r, self.D, self.delta)
+            ints, ids = self.ints, self._ids
+            at = related_candidates(on_grid, ints[:upto])
+
+            def id_of(x) -> int:
+                return ids[x.mode, x.vars]
+
+            decided: dict = {}
+            raises = any(cl.uses_endpoints() for cl in r.clauses)
+
+            def related(n, i, skip=frozenset()):
+                if raises:
+                    return [id_of(x) for x in at(n, ints[i], {ints[j] for j in skip})]
+                hits = decided.get((n, i))
+                if hits is None:
+                    hits = decided[n, i] = tuple(id_of(x) for x in at(n, ints[i]))
+                return [j for j in hits if j not in skip] if skip else hits
+
+            entry = self._relations[r, upto] = (related, on_grid)
+        return entry
+
+
+def _pair_grid(G, Gb, delta, hcap) -> _Grid:
+    """The grid of G's and Gb's configurations whose known states are
+    Gb's, the abstract candidates of (69) and of the discretized
+    relation."""
+    return _Grid(Gb.configs(), delta, hcap, more=() if G is Gb else G.configs())
+
+
+def _ranks(w: TimeInterval, delta) -> TimeInterval:
+    """The ranks n with n*delta in w, as a closed integer window."""
+    lo = math.ceil(w.lo / delta)
+    if not is_finite(w.hi):
+        return TimeInterval(lo, w.hi)
+    hi = w.hi / delta
+    return TimeInterval(lo, math.floor(hi) if w.closed_hi else math.ceil(hi) - 1, True)
+
+
+def _on_grid(r: TimedStateRelation, D: int, delta) -> TimedStateRelation:
+    """r over numerators and ranks: with a = A/D, c = C/D and t = n*p/q,
+    a constraint times m*D*q (m its coefficients' lcm denominator) has
+    integer coefficients.  Windows and dom(r) become ranks; a clause
+    with B/E symbols or a `dynamic` part, which raises, is kept."""
+    p, q = delta.numerator, delta.denominator
+
+    def scaled(con: AffineConstraint) -> AffineConstraint:
+        lhs = con.lhs
+        m = math.lcm(lhs.const.denominator, *(v.denominator for _, v in lhs.coefs))
+        coefs = tuple((k, v.numerator * (m // v.denominator) * (D * p if k == "t" else q))
+                      for k, v in lhs.coefs)
+        const = lhs.const.numerator * (m // lhs.const.denominator) * D * q
+        return AffineConstraint(LinExpr(coefs, const), con.op)
+
+    clauses = tuple(
+        Clause(cl.constraints if cl.uses_endpoints() else tuple(map(scaled, cl.constraints)),
+               None if cl.window is None else _ranks(cl.window, delta),
+               cl.concrete_mode, cl.abstract_mode, cl.dynamic)
+        for cl in r.clauses
+    )
+    domain = None if r.domain is None else tuple(_ranks(w, delta) for w in r.domain)
+    return TimedStateRelation(clauses, domain)
 
 
 def grid_alignment_check(h_or_graph, delta, horizon=None):
@@ -111,7 +298,7 @@ def timeful_sample(s: Trajectory, delta, horizon=None) -> tuple:
     Each sample is the state of the first configuration holding n*delta,
     UNDEFINED where none does, as trajectory_eval gives it; one pointer
     walks the configurations in time order, passing each once the grid
-    is beyond its end."""
+    is beyond its last rank."""
     delta = grid_step(delta)
     dur = s.duration
     if not is_finite(dur) or (horizon is not None and Q(horizon) < dur):
@@ -119,65 +306,42 @@ def timeful_sample(s: Trajectory, delta, horizon=None) -> tuple:
         if dur is None:
             raise TruncatedInput("unbounded trajectory needs an explicit horizon")
     configs, k = s.configs, 0
+    held = [_ranks(c.interval, delta) for c in configs]  # ranks each holds
     out = []
-    n = 0
-    while n * delta < dur:
-        t = n * delta
-        while k < len(configs) and _ends_before(configs[k].interval, t):
+    for n in range(math.ceil(dur / delta)):
+        while k < len(held) and held[k].hi < n:
             k += 1
         j = k
-        while j < len(configs) and not configs[j].interval.contains(t):
+        while j < len(held) and not held[j].contains(n):
             j += 1
-        out.append(TimefulState(configs[j].state_at(t) if j < len(configs) else UNDEFINED, n))
-        n += 1
+        out.append(TimefulState(configs[j].state_at(n * delta) if j < len(configs)
+                                else UNDEFINED, n))
     return tuple(out)
-
-
-def _ends_before(interval, t) -> bool:
-    """The interval holds no time at or after t."""
-    return interval.hi < t or (interval.hi == t and not interval.closed_hi)
 
 
 def timeless_sample(s: Trajectory, delta, horizon=None) -> tuple:
     return tuple(u.state for u in timeful_sample(s, delta, horizon))
 
 
+def _closed_piece(c, t):
+    """The piece of c holding t, c's interval taken closed: its last
+    piece past its end."""
+    ps = pieces(c)
+    return next((p for p in ps if p.interval.contains(t)), ps[-1])
+
+
 def _state_closed(c, t) -> State:
     """State at t with the configuration's interval taken closed (the
     value a right-open configuration approaches at its end)."""
-    ps = pieces(c)
-    for p in ps:
-        if p.interval.contains(t):
-            return p.flow.state_at(t)
-    return ps[-1].flow.state_at(t)
+    return _closed_piece(c, t).flow.state_at(t)
 
 
 def grid_states(c, delta, hcap) -> dict:
     """{rank n: <state of c at n*delta, n>} for the ranks of
     _grid_points(c, delta, hcap), each state the one _state_closed
-    gives, in rank order.  A plain configuration evaluates its first
-    point as rate*t + offset per variable and adds the exact rate*delta
-    at each later point; a piecewise one is evaluated point by point."""
-    hi = c.e if is_finite(c.e) else hcap
-    if hi is None:
-        raise TruncatedInput(f"unbounded {c!r} needs an explicit horizon")
-    if hcap is not None:
-        hi = min(hi, hcap)
-    first = c.b / delta
-    first = int(first) + (0 if first.denominator == 1 else 1)
-    ranks = range(first, math.floor(hi / delta) + 1)
-    if isinstance(c, PiecewiseConfiguration):
-        return {n: TimefulState(_state_closed(c, n * delta), n) for n in ranks}
-    out = {}
-    mode, lines = c.flow.mode, c.flow.lines
-    names = [k for k, _ in lines]
-    steps = [rate * delta for _, (rate, _) in lines]
-    t = first * delta
-    values = [rate * t + offset for _, (rate, offset) in lines]
-    for n in ranks:
-        out[n] = TimefulState(State(mode, tuple(zip(names, values))), n)
-        values = [v + step for v, step in zip(values, steps)]
-    return out
+    gives, in rank order: c's table on its own grid."""
+    grid = _Grid((c,), delta, hcap)
+    return {n: grid.node(_Node(n, i)) for n, i in grid.tables[c].items()}
 
 
 def relation_discretize(
@@ -186,46 +350,72 @@ def relation_discretize(
     d1: DiscreteTransitionSystem,
     d2: DiscreteTransitionSystem,
     extra_abstract: tuple = (),
+    grid: Optional[_Grid] = None,
 ) -> frozenset:
     """Rank-preserving pairs related by r at the sample time; refuses
     when r has a domain gap at an inhabited grid point.  extra_abstract
     admits abstract candidates that the sampled system never reaches.
-    r is compiled once over every abstract state (related_candidates)."""
+    An UNDEFINED state (id -1 on a grid) is related to nothing.
+
+    The states are interned on a new grid, the candidates first, and the
+    pairs are read from r compiled over the candidates.  On `grid` (the
+    _pair_grid both systems were discretized on) d1 and d2 are keyed by
+    its nodes, and so are the pairs returned; r, compiled over the
+    grid's ids up to the last candidate (its known states at least), is
+    read leaving out those that are no candidate, as if compiled over
+    the candidates alone."""
     delta = Q(delta)
+    keyed = grid is not None
+    if keyed:
+        concrete, abstract = d1.states, d2.states | {grid.key(v) for v in extra_abstract}
+    else:
+        grid = _Grid((), delta)
+        abstract = {grid.key(v) for v in (*d2.states, *extra_abstract)}
+        concrete = {grid.key(u) for u in d1.states}
     by_rank: dict = {}
-    for v in d2.states | set(extra_abstract):
-        by_rank.setdefault(v.rank, []).append(v)
-    for n in sorted({u.rank for u in d1.states} | set(by_rank)):
-        if not r.in_domain(n * delta):
+    for v in abstract:
+        by_rank.setdefault(v.rank, set()).add(v.id)
+    upto = max(grid.known, max((v.id + 1 for v in abstract), default=0))
+    related, on_grid = grid.related(r, upto)
+    for n in sorted({u.rank for u in concrete} | set(by_rank)):
+        if not on_grid.in_domain(n):
             raise DomainGapAtGridPoint(f"rank {n} (t={n * delta})")
-    related_at = related_candidates(r, {v.state for vs in by_rank.values() for v in vs})
-    pairs = set()
-    for u in d1.states:
-        vs = by_rank.get(u.rank)
-        if vs:
-            related = related_at(u.rank * delta, u.state)
-            pairs.update((u, v) for v in vs if v.state in related)
-    return frozenset(pairs)
+    skip = set(range(upto)).difference(*by_rank.values())
+    pairs = frozenset((u, _Node(u.rank, j)) for u in concrete if u.id >= 0 and u.rank in by_rank
+                      for j in related(u.rank, u.id, skip) if j in by_rank[u.rank])
+    if keyed:
+        return pairs
+    node = grid.node
+    return frozenset((node(u), node(v)) for u, v in pairs)
 
 
-def hts_discretize(h_or_graph, delta, horizon=None) -> DiscreteTransitionSystem:
+def hts_discretize(
+    h_or_graph, delta, horizon=None, grid: Optional[_Grid] = None
+) -> DiscreteTransitionSystem:
     """Transition rules: (a) internal steps strictly inside a
     configuration, (b) the last step jumps to the successor's first
     state, (c) a successor-free configuration closes onto its own final
-    state (marked as a closing edge), (d) initial states at rank 0."""
+    state (marked as a closing edge), (d) initial states at rank 0.
+
+    The rules run on the nodes of a grid of the graph's configurations.
+    Given one (with the same delta and horizon), the system is returned
+    keyed by its nodes; otherwise by TimefulStates."""
     delta = grid_step(delta)
     G = system_graph(h_or_graph, horizon)
     ok, witness = grid_alignment_check(G, delta)
     if not ok:
         raise Misaligned(repr(witness))
     hcap = Q(horizon) if horizon is not None else None
-    tables, at = _grid_tables(G.configs(), delta, hcap)
+    keyed = grid is not None
+    if not keyed:
+        grid = _Grid(G.configs(), delta, hcap)
+    at = grid.at
     edges, closing, from_tau = set(), set(), set()
     states = set()
     for c in G.configs():
         # (a) internal steps between consecutive ranks; the end rank of a
         # configuration that ends within the horizon belongs to (b)/(c)
-        inner = list(tables[c].values())
+        inner = [_Node(n, i) for n, i in grid.tables[c].items()]
         ends = is_finite(c.e) and (hcap is None or c.e <= hcap)
         if ends:
             inner.pop()
@@ -235,16 +425,16 @@ def hts_discretize(h_or_graph, delta, horizon=None) -> DiscreteTransitionSystem:
         if not ends:
             continue
         n_end = int(c.e / delta)
-        u = at(c, n_end - 1)
+        u = _Node(n_end - 1, at(c, n_end - 1))
         succs = G.succ(c)
         if succs:
             for c2 in succs:  # (b)
-                v = at(c2, n_end)
+                v = _Node(n_end, at(c2, n_end))
                 edges.add((u, v))
                 from_tau.add((u, v))
                 states.update((u, v))
         elif c not in G.truncated:  # (c)
-            v = at(c, n_end)
+            v = _Node(n_end, at(c, n_end))
             edges.add((u, v))
             closing.add((u, v))
             states.update((u, v))
@@ -252,13 +442,17 @@ def hts_discretize(h_or_graph, delta, horizon=None) -> DiscreteTransitionSystem:
             states.add(u)
     initial = set()
     for c in G.initial:  # (d)
-        u = at(c, int(c.b / delta))
+        n = int(c.b / delta)
+        u = _Node(n, at(c, n))
         initial.add(u)
         states.add(u)
-    return DiscreteTransitionSystem(
-        frozenset(states), frozenset(initial), frozenset(edges),
-        frozenset(closing), frozenset(from_tau),
-    )
+    if keyed:
+        return DiscreteTransitionSystem(frozenset(states), frozenset(initial),
+                                        frozenset(edges), frozenset(closing), frozenset(from_tau))
+    node = grid.node
+    pairs = [frozenset((node(u), node(v)) for u, v in keys) for keys in (edges, closing, from_tau)]
+    return DiscreteTransitionSystem(frozenset(map(node, states)), frozenset(map(node, initial)),
+                                    *pairs)
 
 
 def timeless_discretize(h_or_graph, delta, horizon=None):
@@ -280,16 +474,21 @@ def discrete_traces(
 
 def theorem6_check(h, delta, horizon):
     """Dual computation: sample the generated trajectories vs generate
-    the discretized system.  Returns (ok, diff, notes)."""
+    the discretized system, on the nodes of one grid: each sampled trace
+    is keyed by the nodes of its states.  Returns (ok, diff, notes)."""
     delta = Q(delta)
     sem = semantics_generate(h, horizon)
-    lhs = frozenset(timeful_sample(s, delta, horizon) for s in sem.trajectories)
-    d = hts_discretize(h, delta, horizon)
+    sampled = [timeful_sample(s, delta, horizon) for s in sem.trajectories]
+    G = system_graph(h, horizon)
+    grid = _Grid(G.configs(), grid_step(delta), Q(horizon))
+    d = hts_discretize(G, delta, horizon, grid)
     max_rank = int(Q(horizon) / delta)
-    rhs = frozenset(
+    generated = {
         t for t in discrete_traces(d, include_closing=False, max_rank=max_rank)
         if t[-1].rank * delta <= Q(horizon)
-    )
+    }
+    key = grid.key
+    lhs = {tuple(map(key, t)): t for t in sampled}
     # strict-sampling vs closing-rule reconciliation: trim nothing on the
     # sampling side, exclude closing edges on the generation side, and
     # report what was excluded
@@ -299,8 +498,9 @@ def theorem6_check(h, delta, horizon):
             f"{len(d.closing)} closing edge(s) excluded from trace generation "
             "to match the strict sampling convention"
         )
-    diff = {"only_sampled": lhs - rhs, "only_generated": rhs - lhs}
-    return (lhs == rhs), diff, notes
+    diff = {"only_sampled": frozenset(lhs[t] for t in lhs.keys() - generated),
+            "only_generated": frozenset(tuple(map(grid.node, t)) for t in generated - lhs.keys())}
+    return lhs.keys() == generated, diff, notes
 
 
 def timeless_overapprox_demo(h, delta, horizon, max_len=4):
@@ -344,24 +544,12 @@ def _grid_points(c, delta, hcap):
         n += 1
 
 
-_NO_RANKS: dict = {}
-
-
-def _grid_tables(configs, delta, hcap):
-    """One grid_states table per distinct configuration of `configs`,
-    and at(c, n), <state of c at n*delta, n>: read from the tables, or
-    evaluated by _state_closed at a rank or configuration outside them
-    (a successor entered off its own start, say)."""
-    tables: dict = {}
-    for c in configs:
-        if c not in tables:
-            tables[c] = grid_states(c, delta, hcap)
-
-    def at(c, n) -> TimefulState:
-        u = tables.get(c, _NO_RANKS).get(n)
-        return u if u is not None else TimefulState(_state_closed(c, n * delta), n)
-
-    return tables, at
+def _end_rank(c, delta) -> Optional[int]:
+    """e(c)/delta if that is a rank, else None."""
+    if not is_finite(c.e):
+        return None
+    x = c.e / delta
+    return x.numerator if x.denominator == 1 else None
 
 
 def _exists_related(r: TimedStateRelation, c, cb, overlap, hcap) -> bool:
@@ -373,20 +561,20 @@ def _exists_related(r: TimedStateRelation, c, cb, overlap, hcap) -> bool:
 
 
 def discretization_hypotheses(
-    r: TimedStateRelation, h, hb, delta, horizon=None
+    r: TimedStateRelation, h, hb, delta, horizon=None, grid: Optional[_Grid] = None
 ) -> dict:
     """Check the four soundness hypotheses over the reachable finite
     universes; violations carry the sub-case label and a witness.
 
-    Every grid state is evaluated once: one grid_states table per
-    configuration of both graphs (one set of tables when they are the
-    same graph) feeds the abstract-state table, (68), (69) and (71).
+    Every grid state is evaluated once, on the one grid of both graphs
+    (`grid`, or their _pair_grid), whose ids feed the abstract states,
+    (68), (69) and (71).
 
     (69) asks, at each concrete grid point (n, state s of c), whether r
     relates s to an abstract state that no abstract configuration
-    reaches at rank n.  r is compiled once (relation.related_candidates)
-    over every abstract grid state, in repr order; (69) reads it leaving
-    out the states reached at rank n, and (71) asks it about single
+    reaches at rank n.  r is compiled once (_Grid.related) over every
+    abstract grid state; (69) reads it leaving out the states reached
+    at rank n, listing them in repr order, and (71) asks it about single
     pairs.  An abstract state off every abstract grid (a successor not
     starting where its source ends) is no candidate and raises
     NonConsecutiveEdge.  A relation with B/E symbols is refused with
@@ -396,32 +584,32 @@ def discretization_hypotheses(
     G, Gb = system_graph(h, horizon), system_graph(hb, horizon)
     report = {"(68)": [], "(69)": [], "(70)": [], "(71)": []}
 
-    tables, at = _grid_tables(
-        G.configs() if Gb is G else (*G.configs(), *Gb.configs()), delta, hcap
-    )
+    if grid is None:
+        grid = _pair_grid(G, Gb, delta, hcap)
+    tables, known = grid.tables, grid.known
+    related, on_grid = grid.related(r, known)
     # (68): r defined wherever some concrete configuration is inhabited
     for c in G.configs():
         for n in tables[c]:
-            if not r.in_domain(n * delta):
+            if not on_grid.in_domain(n):
                 report["(68)"].append((n, c))
     # (69): related abstract states must come from reachable configurations
-    abstract_states = {}
+    reached: dict = {}
     for cb in Gb.configs():
-        for n, ub in tables[cb].items():
-            abstract_states.setdefault(n, set()).add(ub.state)
-    known = set().union(*abstract_states.values())
-    related_at = related_candidates(r, sorted(known, key=repr))
-
-    def rel_at(n, s, sb) -> bool:
-        related = sb in related_at(n * delta, s)
-        if not (related or sb in known):
-            raise NonConsecutiveEdge(f"(71): {sb!r} at rank {n} is on no abstract grid")
-        return related
-
+        for n, j in tables[cb].items():
+            reached.setdefault(n, set()).add(j)
     for c in G.configs():
-        for n, u in tables[c].items():
-            for sb in related_at(n * delta, u.state, skip=abstract_states.get(n, ())):
-                report["(69)"].append((n, c, sb))
+        for n, i in tables[c].items():
+            hits = related(n, i, reached.get(n, frozenset()))
+            report["(69)"].extend((n, c, sb) for sb in sorted(map(grid.state, hits), key=repr))
+
+    def rel_at(n, i, j) -> bool:
+        if j in related(n, i):
+            return True
+        if j >= known:
+            raise NonConsecutiveEdge(f"(71): {grid.state(j)!r} at rank {n} is on no abstract grid")
+        return False
+
     pairs = overlapping(G.configs(), Gb.configs())
     # (70): blocking abstract configurations end with the concrete one
     for c, cb, w in pairs:
@@ -433,36 +621,35 @@ def discretization_hypotheses(
     for c, cb, w in pairs:
         if not _exists_related(r, c, cb, w, hcap):
             continue
-        ends, abstract = {c.e, cb.e}, tables[cb]
-        for n, u in tables[c].items():
-            t = n * delta
-            if not (cb.b <= t <= cb.e):
+        abstract, c_end, cb_end = tables[cb], _end_rank(c, delta), _end_rank(cb, delta)
+        for n, i in tables[c].items():
+            j = abstract.get(n)
+            if j is None:  # n*delta outside [b(cb), e(cb)]
                 continue
-            s, sb = u.state, abstract[n].state
-            if t not in ends:
-                if not rel_at(n, s, sb):
+            if n != c_end and n != cb_end:
+                if not rel_at(n, i, j):
                     report["(71)"].append(("a", n, c, cb))
             # (b)/(c) fire only when the end lands strictly inside
             # the other configuration's domain (open ends excluded)
-            if t == c.e and cb.interval.contains(t) and c not in G.truncated:
+            if n == c_end and cb.interval.contains(c.e) and c not in G.truncated:
                 succs = G.succ(c)
                 for c2 in succs:
-                    if not rel_at(n, at(c2, n).state, sb):
+                    if not rel_at(n, grid.at(c2, n), j):
                         report["(71)"].append(("b.1", n, c, cb, c2))
-                if succs and all(at(c2, n).state != s for c2 in succs):
-                    if rel_at(n, s, sb):
+                if succs and all(grid.at(c2, n) != i for c2 in succs):
+                    if rel_at(n, i, j):
                         report["(71)"].append(("b.2", n, c, cb))
-                if not succs and not rel_at(n, s, sb):
+                if not succs and not rel_at(n, i, j):
                     report["(71)"].append(("b.3", n, c, cb))
-            if t == cb.e and c.interval.contains(t) and cb not in Gb.truncated:
+            if n == cb_end and c.interval.contains(cb.e) and cb not in Gb.truncated:
                 succs = Gb.succ(cb)
                 for cb2 in succs:
-                    if not rel_at(n, s, at(cb2, n).state):
+                    if not rel_at(n, i, grid.at(cb2, n)):
                         report["(71)"].append(("c.1", n, c, cb, cb2))
-                if succs and all(at(cb2, n).state != sb for cb2 in succs):
-                    if rel_at(n, s, sb):
+                if succs and all(grid.at(cb2, n) != j for cb2 in succs):
+                    if rel_at(n, i, j):
                         report["(71)"].append(("c.2", n, c, cb))
-                if not succs and not rel_at(n, s, sb):
+                if not succs and not rel_at(n, i, j):
                     report["(71)"].append(("c.3", n, c, cb))
     report["ok"] = not any(report[k] for k in ("(68)", "(69)", "(70)", "(71)"))
     return report
@@ -470,17 +657,48 @@ def discretization_hypotheses(
 
 def _step_demands(d1: DiscreteTransitionSystem, d2: DiscreteTransitionSystem, s, sb):
     """Each step s -> s2 of d1 with its answers (s2, sb2), sb -> sb2 in d2."""
-    return [(s2, {(s2, sb2) for sb2 in d2.succ(sb)}) for s2 in d1.succ(s)]
+    answers = d2.succ(sb)
+    return [(s2, {(s2, sb2) for sb2 in answers}) for s2 in d1.succ(s)]
 
 
-def milner_sim_check(R: frozenset, d1: DiscreteTransitionSystem, d2: DiscreteTransitionSystem):
+def milner_sim_check(
+    R: frozenset, d1: DiscreteTransitionSystem, d2: DiscreteTransitionSystem,
+    grid: Optional[_Grid] = None,
+):
     """R^-1 o t1 included in t2 o R^-1: every step of a pair's concrete
-    state has an answer in R.  Returns (ok, witness or None)."""
-    for s, sb in R:
-        for s2, answers in _step_demands(d1, d2, s, sb):
-            if answers.isdisjoint(R):
-                return False, (s, sb, s2)
-    return True, None
+    state has an answer in R.  Returns (ok, witness or None); the
+    witness is the failing (s, sb, s2) of least rank, then reprs, so no
+    set order chooses it.  On `grid`, R and the systems are keyed by its
+    nodes, and the witness is given in TimefulStates."""
+    failing = []
+    for s, sb in sorted(R, key=lambda pair: pair[0].rank):
+        if failing and s.rank > failing[0][0].rank:
+            break
+        failing += [(s, sb, s2) for s2, answers in _step_demands(d1, d2, s, sb)
+                    if answers.isdisjoint(R)]
+    if not failing:
+        return True, None
+    if grid is not None:
+        failing = [tuple(map(grid.node, w)) for w in failing]
+    return False, failing[0] if len(failing) == 1 else min(
+        failing, key=lambda w: tuple(map(repr, w)))
+
+
+def theorem7_check(r: TimedStateRelation, h, hb, delta, horizon=None, extra_abstract=()):
+    """Theorem 7 on one grid: the hypotheses (68)-(71), the
+    discretization of each distinct side, the discretized relation and
+    the Milner check, all on the _pair_grid of the two graphs, so each
+    grid state is evaluated and r compiled once.  Returns (hypotheses
+    report, Milner verdict, witness or None)."""
+    delta = grid_step(delta)
+    G = system_graph(h, horizon)
+    Gb = G if hb is h else system_graph(hb, horizon)
+    grid = _pair_grid(G, Gb, delta, Q(horizon) if horizon is not None else None)
+    hyp = discretization_hypotheses(r, G, Gb, delta, horizon, grid)
+    d1 = hts_discretize(G, delta, horizon, grid)
+    d2 = d1 if Gb is G else hts_discretize(Gb, delta, horizon, grid)
+    R = relation_discretize(r, delta, d1, d2, extra_abstract, grid)
+    return (hyp, *milner_sim_check(R, d1, d2, grid))
 
 
 def greatest_discrete_simulation(

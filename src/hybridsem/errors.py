@@ -45,10 +45,6 @@ class TruncatedInput(HybridSemError):
     pass
 
 
-class InitialNotAtZero(HybridSemError):
-    pass
-
-
 class NonConsecutiveEdge(HybridSemError):
     pass
 

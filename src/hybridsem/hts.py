@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .affine import LinExpr, parse_constraint, parse_expr
+from .affine import LinExpr, parse_constraint, parse_expr, read_rational
 from .errors import (
     BranchingExplosion,
     FinalNotClosed,
@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
 )
 from .flow_config import Configuration, make_config
-from .relation import _known_keys, _rational, _strings, _typed
+from .relation import _known_keys, _strings, _typed
 from .time_core import INF, Q, TimeInterval, is_finite
 from .trajectory import trajectory_validate
 
@@ -412,7 +412,7 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
         if unknown:
             raise ParseError(f"{what} names undeclared variable(s) {', '.join(unknown)}")
 
-    zeta = _rational(doc.get("zeta", "1/1000"), "system zeta")
+    zeta = read_rational(doc.get("zeta", "1/1000"), "system zeta")
     schemas = []
     for m in _typed(doc["modes"], list, "system modes"):
         _known_keys(m, ("name", "rates", "entry", "exit", "terminal"), "mode")
@@ -434,7 +434,7 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
             else:
                 raise ParseError(f"{where}: unknown exit type {exit_doc['type']!r}")
             known(exit_cond.value.symbols(), f"{where} exit")
-        rates = {k: _rational(v, f"{where} rates") for k, v in
+        rates = {k: read_rational(v, f"{where} rates") for k, v in
                  _known_keys(m.get("rates", {}), declared, f"{where} rates").items()}
         entry = tuple(parse_constraint(c) for c in _strings(m.get("entry", []), f"{where} entry"))
         for c in entry:
@@ -465,7 +465,7 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
         _known_keys(i, ("mode", "values"), "initial state")
         where = f"initial state in {declared_mode(i['mode'], 'initial state')}"
         values = _known_keys(i["values"], declared, where)
-        values = {k: _rational(v, where) for k, v in values.items()}
+        values = {k: read_rational(v, where) for k, v in values.items()}
         unset = sorted(declared - set(values))
         if unset:
             raise ParseError(f"{where} gives no value to {', '.join(unset)}")

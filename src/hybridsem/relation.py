@@ -52,7 +52,14 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional
 
-from .affine import COMPARE, ENDPOINT_SYMBOLS, AffineConstraint, LinExpr, parse_constraint
+from .affine import (
+    COMPARE,
+    ENDPOINT_SYMBOLS,
+    AffineConstraint,
+    LinExpr,
+    parse_constraint,
+    read_rational,
+)
 from .errors import EndpointSymbolsUnbound, NonOverlappingPair, ParseError
 from .flow_config import PiecewiseConfiguration, State, overlapping, pieces
 from .time_core import INF, NEG_INF, Q, TimeInterval, interval_intersect, is_finite, tmin
@@ -161,7 +168,7 @@ def state_related(r: TimedStateRelation, t, s: State, sbar: State) -> bool:
     part raises EndpointSymbolsUnbound; the window lifts
     (config_related and the rest) bind them from their configurations.
     """
-    return bool(related_candidates(r, (sbar,))(t, s))
+    return bool(related_candidates(r, (sbar,))(Q(t), s))
 
 
 def _split_clause(clause: Clause):
@@ -232,7 +239,7 @@ def related_candidates(r: TimedStateRelation, candidates) -> Callable:
     def at(t, s: State, skip=frozenset()) -> list:
         if not r.in_domain(t):
             return []
-        env = {"t": Q(t)}
+        env = {"t": t}
         env.update(("c_" + k, v) for k, v in s.vars)
         related = set()
         for clause, split, rows, key, index in compiled:
@@ -694,17 +701,6 @@ def _strings(value, where: str) -> list:
     return [_typed(v, str, where) for v in _typed(value, list, where)]
 
 
-def _rational(value, where: str):
-    """The rational an integer, a Fraction or a string such as "1/3"
-    gives.  A float is refused: its value is the binary neighbour of
-    the decimal written, so a file is read with JSON decimals parsed as
-    Fractions (cli._read), and 0.1 is 1/10."""
-    if isinstance(value, bool) or not isinstance(value, (int, Q, str)):
-        raise ParseError(f"{where}: expected an integer, a Fraction or a string"
-                         f" (a float is not exact), not {value!r}")
-    return Q(value)
-
-
 def _known_keys(doc, keys, where: str) -> dict:
     unknown = sorted(set(_typed(doc, dict, where)) - set(keys))
     if unknown:
@@ -714,8 +710,8 @@ def _known_keys(doc, keys, where: str) -> dict:
 
 def _window_from_json(w, where: str) -> TimeInterval:
     hi = _known_keys(w, ("lo", "hi", "closed_hi"), where).get("hi", "inf")
-    lo, closed = _rational(w["lo"], where), _typed(w.get("closed_hi", False), bool, where)
-    window = TimeInterval(lo, INF if hi in ("inf", None) else _rational(hi, where), closed)
+    lo, closed = read_rational(w["lo"], where), _typed(w.get("closed_hi", False), bool, where)
+    window = TimeInterval(lo, INF if hi in ("inf", None) else read_rational(hi, where), closed)
     if not window.contains(window.lo):
         raise ParseError(f"{where}: empty window")
     return window

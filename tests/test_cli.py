@@ -15,6 +15,7 @@ from hybridsem.casestudy import GALLERY_NAMES
 from hybridsem.cli import build_parser, main
 from hybridsem.errors import ParseError
 from hybridsem.hts import hts_from_json
+from hybridsem.affine import MAX_DIGITS, MAX_EXPONENT
 from hybridsem.relation import relation_from_json
 
 
@@ -209,6 +210,8 @@ BAD_SYSTEMS = {
     "zeta-negative": {**SYSTEM, "zeta": "-1"},
     # JSON Infinity reaches the loader as a float, which is never exact
     "rate-float": _variant(rates={"u": float("inf")}),
+    # a huge exponent is refused before Fraction expands it
+    "zeta-exponent": {**SYSTEM, "zeta": "1e-1000000"},
 }
 # misspelt keys; dropped silently, a misspelt guard would match every
 # mode and check-sim would answer true with exit 0
@@ -292,6 +295,8 @@ def _bad_input_cases(tmp_path):
         ("validate", "--fixture", "tank-impl", "--zeta=-1/100"),
         ("validate", "--fixture", "example10", "--zeta=0"),
         ("check-refinement", "--zeta=0"),
+        # a flag value goes through the same bounded reader as a file
+        ("validate", "--fixture", "tank-automaton", "--zeta=1e-1000000"),
     ]
 
 
@@ -324,6 +329,23 @@ def test_library_loaders_refuse_floats():
                                          "window": {"lo": 0.5}}]})
     h = hts_from_json(_variant(rates={"u": Fraction(1, 10)}))
     assert h.schemas[0].rates == (("u", Fraction(1, 10)),)
+
+
+def test_numbers_past_the_bounds_are_refused_unexpanded(tmp_path, capsys):
+    """One reader bounds every number before Fraction reads it: a JSON
+    decimal literal, a string in a file and a library document alike.
+    Numbers within the bounds keep their exact value."""
+    literal = tmp_path / "literal.json"
+    literal.write_text(json.dumps(SYSTEM).replace('"1/1000"', "1e-1000000"))
+    assert run("validate", "--system", str(literal)) == 2
+    assert "exponent" in capsys.readouterr().err
+    for text in ("1e-1000000", "1E+1001", "1" * (MAX_DIGITS + 1), "1/" + "7" * MAX_DIGITS):
+        with pytest.raises(ParseError):
+            hts_from_json({**SYSTEM, "zeta": text})
+    edge = "1e-" + str(MAX_EXPONENT)
+    assert hts_from_json({**SYSTEM, "zeta": edge}).zeta == Fraction(1, 10 ** MAX_EXPONENT)
+    with pytest.raises(ParseError):
+        relation_from_json({"clauses": [{"constraints": [], "window": {"lo": "2e1001"}}]})
 
 
 def test_out_of_range_parameters_are_bad_input(tmp_path):
