@@ -346,14 +346,14 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
 
     # stage i: every automaton trajectory refines the specification
     sem3 = semantics_generate(automaton, horizon)
-    stage1 = {"witnesses": {}, "unmatched": [], "predicate_failures": []}
+    stage1 = {"witnesses": [], "unmatched": [], "predicate_failures": []}
     for s in sorted(sem3.trajectories, key=repr):
         w = spec_witness(s)
         ok_pred, viol = spec_predicate_check(w, p.zeta)
         if not ok_pred:
             stage1["predicate_failures"].append((s, viol))
         if traj_related_timewise(rels["r39"], s, w):
-            stage1["witnesses"][s] = w
+            stage1["witnesses"].append((s, w))
         else:
             stage1["unmatched"].append(s)
     stage1["ok"] = not stage1["unmatched"] and not stage1["predicate_failures"]
@@ -364,23 +364,20 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
     # trajectory is checked against its own companion (companions of
     # different trajectories share no transition structure)
     sem6 = semantics_generate(impl, horizon)
-    witness1 = {s: abstract_witness(s) for s in sem6.trajectories}
-    nested_all = True
-    nest_witness = None
-    sims = []
-    for s in sorted(sem6.trajectories, key=repr):
-        w = witness1[s]
+    trajectories = sorted(sem6.trajectories, key=repr)
+    companions = [abstract_witness(s) for s in trajectories]
+    nested_all, nest_witness, sims = True, None, []
+    for s, w in zip(trajectories, companions):
         nested, nw = well_nested_check((s,), (w,))
         if not nested and nested_all:
             nested_all, nest_witness = False, nw
-        G, Gb = (config_graph(replace(sem6, trajectories=frozenset((t,)))) for t in (s, w))
+        G, Gb = (config_graph(replace(sem6, trajectories=(t,))) for t in (s, w))
         sim = sim_check(rels["R53"], G, Gb, mode="sync" if nested else "async")
         sims.append((s, sim))
     verdict = all(sim.verdict for _, sim in sims)
     # window-by-window certification of each published clause
     phase: dict = {}
-    for s in sorted(sem6.trajectories, key=repr):
-        w = witness1[s]
+    for s, w in zip(trajectories, companions):
         for c, cb, _ in overlapping(s.configs, w.configs):
             if s.truncated and c is s.configs[-1]:
                 # horizon artifact: the published endpoint constraints
@@ -408,9 +405,9 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
     report["stages"]["ii"] = stage2
 
     # stage iii: composition through the companions down to the spec view
-    witness2 = {w: spec_witness(w) for w in witness1.values()}
     ok3, failures, certified = compose_check(
-        rels["R53"], rels["r39"], sorted(sem6.trajectories, key=repr), witness1, witness2
+        rels["R53"], rels["r39"], trajectories, dict(zip(trajectories, companions)),
+        {w: spec_witness(w) for w in companions},
     )
     off_obs = []
     for s, ww, cp, tp in certified:

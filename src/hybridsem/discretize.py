@@ -40,7 +40,7 @@ from .affine import AffineConstraint, LinExpr
 from .errors import DomainGapAtGridPoint, Misaligned, NonConsecutiveEdge, TruncatedInput
 from .flow_config import UNDEFINED, PiecewiseConfiguration, State, overlapping, pieces
 from .relation import Clause, TimedStateRelation, exists_window_related, related_candidates
-from .hts import maximal_paths, semantics_generate
+from .hts import maximal_paths, reach, semantics_generate
 from .simulation import greatest_fixpoint, system_graph
 from .time_core import Q, TimeInterval, is_finite
 from .trajectory import Trajectory, grid_step
@@ -412,7 +412,7 @@ def hts_discretize(
     at = grid.at
     edges, closing, from_tau = set(), set(), set()
     states = set()
-    for c in G.configs():
+    for k, (c, succs) in enumerate(G.succ_map):
         # (a) internal steps between consecutive ranks; the end rank of a
         # configuration that ends within the horizon belongs to (b)/(c)
         inner = [_Node(n, i) for n, i in grid.tables[c].items()]
@@ -426,14 +426,13 @@ def hts_discretize(
             continue
         n_end = int(c.e / delta)
         u = _Node(n_end - 1, at(c, n_end - 1))
-        succs = G.succ(c)
         if succs:
             for c2 in succs:  # (b)
                 v = _Node(n_end, at(c2, n_end))
                 edges.add((u, v))
                 from_tau.add((u, v))
                 states.update((u, v))
-        elif c not in G.truncated:  # (c)
+        elif k not in G.cut:  # (c)
             v = _Node(n_end, at(c, n_end))
             edges.add((u, v))
             closing.add((u, v))
@@ -474,12 +473,14 @@ def discrete_traces(
 
 def theorem6_check(h, delta, horizon):
     """Dual computation: sample the generated trajectories vs generate
-    the discretized system, on the nodes of one grid: each sampled trace
-    is keyed by the nodes of its states.  Returns (ok, diff, notes)."""
+    the discretized system, both from one reach of h, on the nodes of one
+    grid: each sampled trace is keyed by the nodes of its states.
+    Returns (ok, diff, notes)."""
     delta = Q(delta)
-    sem = semantics_generate(h, horizon)
-    sampled = [timeful_sample(s, delta, horizon) for s in sem.trajectories]
-    G = system_graph(h, horizon)
+    g = reach(h, horizon)
+    sampled = [timeful_sample(s, delta, horizon)
+               for s in semantics_generate(g, horizon).trajectories]
+    G = system_graph(g)
     grid = _Grid(G.configs(), grid_step(delta), Q(horizon))
     d = hts_discretize(G, delta, horizon, grid)
     max_rank = int(Q(horizon) / delta)

@@ -46,6 +46,7 @@ __all__ = [
     "make_config",
     "pieces",
     "overlapping",
+    "overlap_ids",
 ]
 
 
@@ -223,7 +224,13 @@ def pieces(c) -> tuple:
 def overlapping(xs, ys) -> list:
     """(x, y, window) for every x in xs and y in ys whose intervals meet,
     window being their intersection, in the order of the nested loop
-    over xs and then ys.
+    over xs and then ys."""
+    xs, ys = list(xs), list(ys)
+    return [(xs[i], ys[j], w) for i, j, w in overlap_ids(xs, ys)]
+
+
+def overlap_ids(xs, ys) -> list:
+    """overlapping(xs, ys) by position: (i, j, window) for xs[i], ys[j].
 
     One sweep over start times, in integers: each finite end is scaled
     to an integer over the lcm of their denominators, and an unbounded
@@ -232,9 +239,8 @@ def overlapping(xs, ys) -> list:
     never compared.  A window is built from its inputs' own ends, as
     interval_intersect builds it.
     """
-    items = list(xs)
-    n = len(items)
-    items += ys
+    items = [*xs, *ys]
+    n = len(xs)
     ivs = [item.interval for item in items]
     ends = [e for iv in ivs for e in (iv.lo, iv.hi) if e is not INF]
     D = lcm(*(e.denominator for e in ends))
@@ -258,7 +264,7 @@ def overlapping(xs, ys) -> list:
                                                  x.hi if hi[i] == h else y.hi, closed)))
         active[side].append(g)
     found.sort(key=lambda f: f[:2])
-    return [(items[i], items[j], w) for i, j, w in found]
+    return [(i, j - n, w) for i, j, w in found]
 
 
 def config_concat(c, d):

@@ -233,18 +233,18 @@ def hts_validate(h: HybridTransitionSystem, horizon=None, depth: int = 32) -> li
     return report
 
 
-def successors(h: HybridTransitionSystem, p) -> tuple:
-    """The one successor step.  A position is an index into the explicit
-    configurations (two indices may hold equal configurations), or a
-    schema configuration itself.  A non-final explicit configuration
-    without an edge, and a non-terminal schema configuration without an
-    admissible successor, raise FinalNotClosed; an explicit edge to a
-    configuration that does not start where its source ends raises
-    NonConsecutiveEdge."""
+def successors(h: HybridTransitionSystem, p, c, intern=None) -> tuple:
+    """The one successor step of position p, which holds configuration c.
+    Positions are ints: indices into an explicit system's configurations
+    (two may hold equal ones), p stepping along its edges, or the ids
+    `intern` gives schema configurations when first met.  A non-final
+    explicit configuration without an edge, and a non-terminal schema
+    configuration without an admissible successor, raise FinalNotClosed;
+    an explicit edge to a configuration that does not start where its
+    source ends raises NonConsecutiveEdge."""
     if h.explicit is not None:
         ex = h.explicit
         out = ex.succ[p]
-        c = ex.configs[p]
         if not out and not config_is_final(c):
             raise FinalNotClosed(f"non-final configuration {c!r} has no successor")
         for q in out:
@@ -253,31 +253,33 @@ def successors(h: HybridTransitionSystem, p) -> tuple:
                     f"edge {c!r} -> {ex.configs[q]!r}: the target does not start at the source's end"
                 )
         return out
-    schema = h.schema(p.flow.mode)
+    schema = h.schema(c.flow.mode)
     if schema.terminal:
         return ()
-    exit_values = p.flow.state_at(p.e).as_dict()
+    exit_values = c.flow.state_at(c.e).as_dict()
     out = []
     for edge in h.edges:
-        if edge.src == p.flow.mode:
-            nxt = h.schema(edge.dst).instantiate(p.e, edge.apply(exit_values), h.zeta)
+        if edge.src == c.flow.mode:
+            nxt = h.schema(edge.dst).instantiate(c.e, edge.apply(exit_values), h.zeta)
             if nxt is not None:
-                out.append(nxt)
+                out.append(intern(nxt))
     if not out:
-        raise FinalNotClosed(f"non-terminal configuration {p!r} has no admissible successor")
+        raise FinalNotClosed(f"non-terminal configuration {c!r} has no admissible successor")
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class Reached:
-    """Positions reached from the initial ones, with their successors
-    (none at a leaf) and configurations (cut at the horizon)."""
+    """Positions (ints, see `successors`) reached from the initial ones, with
+    their successors (none at a leaf) and configurations (cut at the
+    horizon); `distinct` when no two hold equal ones, as in a schema system."""
 
     initial: tuple
     succ: dict
     config: dict
     truncated: frozenset  # leaves cut by the horizon or the depth bound
     horizon: object
+    distinct: bool
 
 
 def reach(h: HybridTransitionSystem, horizon, depth: int = 64) -> Reached:
@@ -296,17 +298,26 @@ def reach(h: HybridTransitionSystem, horizon, depth: int = 64) -> Reached:
         raise ParamConstraintViolated(f"horizon {horizon} is negative")
     ex = h.explicit
     if ex is not None:
-        starts, value = [i for i in ex.initial if ex.configs[i].b == 0], ex.configs.__getitem__
+        table, intern = ex.configs, None
+        starts = [i for i in ex.initial if table[i].b == 0]
     else:
+        table, ids = [], {}
+
+        def intern(c) -> int:
+            p = ids.setdefault(c, len(table))
+            if p == len(table):
+                table.append(c)
+            return p
+
         starts = [h.schema(m).instantiate(Q(0), dict(v), h.zeta) for m, v in h.initial]
-        starts, value = [c for c in starts if c is not None], (lambda c: c)
+        starts = [intern(c) for c in starts if c is not None]
     bounded = is_finite(horizon)
     rank, config, succ, truncated = {}, {}, {}, set()
     queue = deque()
 
     def visit(p, n) -> bool:
         if p not in rank:
-            c = value(p)
+            c = table[p]
             if c.b >= horizon:
                 return False
             rank[p], config[p] = n, c
@@ -330,9 +341,9 @@ def reach(h: HybridTransitionSystem, horizon, depth: int = 64) -> Reached:
         else:
             if ex is not None and config_is_final(c):
                 raise FinalNotClosed(f"edge out of final configuration {c!r}")
-            nexts = dict.fromkeys(successors(h, p))
+            nexts = dict.fromkeys(successors(h, p, c, intern))
             succ[p] = tuple(q for q in nexts if visit(q, rank[p] + 1))
-    return Reached(initial, succ, config, frozenset(truncated), horizon)
+    return Reached(initial, succ, config, frozenset(truncated), horizon, ex is None)
 
 
 def maximal_paths(starts, adj: dict, max_len: Optional[int] = None,
@@ -357,12 +368,13 @@ def maximal_paths(starts, adj: dict, max_len: Optional[int] = None,
 def semantics_generate(h: HybridTransitionSystem, horizon, depth: int = 64,
                        max_trajectories: int = 10000) -> Semantics:
     """Maximal trajectories up to the horizon and depth bound: the
-    maximal paths of the reached positions.
+    maximal paths of the reached positions.  `h` may be what `reach`
+    returned for the system, horizon and depth.
 
     Trajectories still extendable at a bound are flagged truncated.
     Finite maximal trajectories end in a final configuration.
     """
-    g = reach(h, horizon, depth)
+    g = h if isinstance(h, Reached) else reach(h, horizon, depth)
     trajectories = frozenset(
         trajectory_validate(
             [g.config[p] for p in path],

@@ -48,6 +48,7 @@ cross-checks the kernel.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional
@@ -439,17 +440,24 @@ def _plain(c, d) -> bool:
 
 def _piece_windows(c, d, window: TimeInterval):
     """Piece pairs of c and d with their shared window cut to `window`."""
-    if _plain(c, d):
-        w = interval_intersect(c.interval, d.interval)
-        if w is not None:
-            w = interval_intersect(w, window)
-        if w is not None:
-            yield c, d, w
+    w = interval_intersect(c.interval, d.interval)
+    w = w and interval_intersect(w, window)
+    if w is None:
         return
-    for cp, dp, w in overlapping(pieces(c), pieces(d)):
-        w = interval_intersect(w, window)
-        if w is not None:
-            yield cp, dp, w
+    if _plain(c, d):
+        yield c, d, w
+        return
+    for cp, dp, v in overlapping(_meeting(pieces(c), w), _meeting(pieces(d), w)):
+        v = interval_intersect(v, window)
+        if v is not None:
+            yield cp, dp, v
+
+
+def _meeting(ps, w: TimeInterval) -> tuple:
+    """Those of the contiguous pieces ps, in order, that meet w in their cover."""
+    starts = [p.b for p in ps]
+    end = (bisect_right if w.closed_hi else bisect_left)(starts, w.hi) if is_finite(w.hi) else None
+    return ps[bisect_right(starts, w.lo) - 1:end]
 
 
 def forall_window_related(r: TimedStateRelation, c, d, window: TimeInterval) -> bool:

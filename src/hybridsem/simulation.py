@@ -33,10 +33,11 @@ from .flow_config import (
     config_concat,
     config_slice,
     is_empty,
+    overlap_ids,
     overlapping,
     pieces,
 )
-from .hts import reach
+from .hts import Reached, reach
 from .relation import (
     Clause,
     TimedStateRelation,
@@ -76,10 +77,11 @@ MAX_UNIVERSE = 4000
 
 @dataclass(frozen=True)
 class ConfigGraph:
-    """Finite configuration universe with successor structure."""
+    """Finite configuration universe with successor structure.  The id of
+    a configuration is its position in succ_map, where checks read it."""
 
     initial: tuple
-    succ_map: tuple  # (config, tuple of successors)
+    succ_map: tuple  # (config, tuple of successors), each config listed once
     truncated: frozenset = frozenset()  # horizon artifacts, status unknown
 
     def configs(self) -> tuple:
@@ -92,41 +94,57 @@ class ConfigGraph:
     def succ(self, c) -> tuple:
         return self._succ.get(c, ())
 
-    def blocking(self, c) -> bool:
-        return not self.succ(c) and c not in self.truncated
+    @cached_property
+    def cut(self) -> frozenset:
+        """The ids of the truncated configurations."""
+        return frozenset(i for i, (c, _) in enumerate(self.succ_map) if c in self.truncated)
 
 
-def _graph(initial, succ: dict, truncated) -> ConfigGraph:
-    """ConfigGraph of successor sets, listed by repr."""
-    items = tuple(sorted(
-        ((c, tuple(sorted(v, key=repr))) for c, v in succ.items()), key=lambda kv: repr(kv[0])
-    ))
-    return ConfigGraph(tuple(dict.fromkeys(initial)), items, frozenset(truncated))
+def _graph(nodes, succ, initial, truncated) -> ConfigGraph:
+    """ConfigGraph of the configurations nodes[k] with successor ids
+    succ[k], initial and truncated ones given by id: listed by repr, and
+    the successors of each, ties in id order."""
+    reprs, truncated = [repr(c) for c in nodes], set(truncated)
+    by_repr = lambda ks: sorted(dict.fromkeys(ks), key=reprs.__getitem__)
+    order = by_repr(range(len(nodes)))
+    g = ConfigGraph(tuple(nodes[k] for k in dict.fromkeys(initial)),
+                    tuple((nodes[k], tuple(nodes[m] for m in by_repr(succ[k]))) for k in order),
+                    frozenset(nodes[k] for k in truncated))
+    # the ids are known here, so the cached `cut` need hash no configuration
+    g.__dict__["cut"] = frozenset(i for i, k in enumerate(order) if k in truncated)
+    return g
 
 
 def config_graph(semantics) -> ConfigGraph:
     """Successor structure observed in given trajectories."""
-    succ: dict = {}
-    for s in semantics.trajectories:
-        for i, c in enumerate(s.configs):
-            succ.setdefault(c, set()).update(s.configs[i + 1 : i + 2])
-    return _graph(
-        (s.configs[0] for s in semantics.trajectories), succ,
-        (s.configs[-1] for s in semantics.trajectories if s.truncated),
-    )
+    ids: dict = {}
+    paths = [([ids.setdefault(c, len(ids)) for c in s.configs], s.truncated)
+             for s in semantics.trajectories]
+    succ = [[] for _ in ids]
+    for path, _ in paths:
+        for k, m in zip(path, path[1:]):
+            succ[k].append(m)
+    return _graph(list(ids), succ, (p[0] for p, _ in paths), (p[-1] for p, cut in paths if cut))
 
 
 def system_graph(h_or_graph, horizon=None) -> ConfigGraph:
     """The configuration graph of a system reached up to the horizon
-    (unbounded when None) by `hts.reach`; positions holding equal
-    configurations are merged.  A ConfigGraph is returned as it is."""
+    (unbounded when None) by `hts.reach`, or of what it reached;
+    positions holding equal configurations are merged.  A ConfigGraph
+    is returned as it is."""
     if isinstance(h_or_graph, ConfigGraph):
         return h_or_graph
-    g = reach(h_or_graph, INF if horizon is None else horizon)
-    succ: dict = {}
+    g = h_or_graph
+    if not isinstance(g, Reached):
+        g = reach(g, INF if horizon is None else horizon)
+    ids: dict = {}
+    node = {p: i if g.distinct else ids.setdefault(c, len(ids))
+            for i, (p, c) in enumerate(g.config.items())}
+    nodes = list(g.config.values()) if g.distinct else list(ids)
+    succ = [[] for _ in nodes]
     for p, nexts in g.succ.items():
-        succ.setdefault(g.config[p], set()).update(g.config[q] for q in nexts)
-    return _graph((g.config[p] for p in g.initial), succ, (g.config[p] for p in g.truncated))
+        succ[node[p]] += (node[q] for q in nexts)
+    return _graph(nodes, succ, (node[p] for p in g.initial), (node[p] for p in g.truncated))
 
 
 @dataclass
@@ -209,10 +227,10 @@ def sim_transfer(related: Callable, succ_abstract, c, cbar, c_prime) -> list:
     return [resp for resp in _responses(succ_abstract, c, cbar, c_prime) if related(*resp[1:])]
 
 
-def _related_pairs(r: TimedStateRelation, overlaps) -> list:
-    """The pairs of `overlaps` (from `overlapping`) related by gamma(r),
-    each decided on the overlap already found."""
-    return [(c, cb) for c, cb, w in overlaps if config_related(r, c, cb, w)]
+def _related_pairs(r: TimedStateRelation, xs, ys, overlaps) -> list:
+    """The id pairs of `overlaps` (from `overlap_ids(xs, ys)`) related by
+    gamma(r), each decided on the overlap already found."""
+    return [(i, j) for i, j, w in overlaps if config_related(r, xs[i], ys[j], w)]
 
 
 def _universe_guard(G: ConfigGraph, Gb: ConfigGraph):
@@ -221,14 +239,12 @@ def _universe_guard(G: ConfigGraph, Gb: ConfigGraph):
         raise UniverseTooLarge(f"{n} candidate pairs")
 
 
-def _nested(overlaps):
-    """(59) on the pairs of `overlaps` (from `overlapping`): overlap
-    implies containment of the concrete interval in the abstract one.
-    Returns (ok, witness)."""
-    for c, cb, _ in overlaps:
-        if not c.interval.subset_of(cb.interval):
-            return False, (c, cb)
-    return True, None
+def _nested(xs, ys, overlaps):
+    """(59) on the pairs of `overlaps` (from `overlap_ids(xs, ys)`):
+    overlap implies containment of the concrete interval in the abstract
+    one.  Returns the first (i, j) where it fails, or None."""
+    return next(((i, j) for i, j, _ in overlaps if not xs[i].interval.subset_of(ys[j].interval)),
+                None)
 
 
 def _initialized(related: Callable, G: ConfigGraph, Gb: ConfigGraph):
@@ -258,30 +274,30 @@ def sim_check(
     _universe_guard(G, Gb)
     related = lambda c, d: config_related(r, c, d)
     report = SimReport(True)
-    overlaps = overlapping(G.configs(), Gb.configs())
-    nested_ok, nested_w = _nested(overlaps)
-    if mode == "sync" and not nested_ok:
+    xs, ys = G.configs(), Gb.configs()
+    overlaps = overlap_ids(xs, ys)
+    bad = _nested(xs, ys, overlaps)
+    nested_w = bad and (xs[bad[0]], ys[bad[1]])
+    if mode == "sync" and bad:
         raise SyncRequiresWellNesting(f"overlap without nesting at {nested_w!r}")
     violations = []
-    pairs = _related_pairs(r, overlaps)
-    for c, cb in pairs:
-        for c_prime in G.succ(c):
+    pairs = _related_pairs(r, xs, ys, overlaps)
+    for i, j in pairs:
+        c, cb, after = xs[i], ys[j], Gb.succ_map[j][1]
+        for c_prime in G.succ_map[i][1]:
             if mode == "sync":
-                ok = _sync_step_ok(related, Gb, c_prime, cb)
+                ok = _sync_step_ok(related, after, c_prime, cb)
             else:
-                ok = bool(sim_transfer(related, Gb.succ, c, cb, c_prime))
+                ok = bool(sim_transfer(related, lambda _: after, c, cb, c_prime))
             if not ok:
                 violations.append((c, cb, c_prime, "no abstract response"))
     # hypotheses; a truncated c is a horizon artifact, never blocking
-    blocking_ok, blocking_w = True, None
-    for c, cb in pairs:
-        if G.blocking(c) and Gb.succ(cb):
-            blocking_ok, blocking_w = False, (c, cb)
-            break
+    blocking_w = next(((xs[i], ys[j]) for i, j in pairs if not G.succ_map[i][1]
+                       and i not in G.cut and Gb.succ_map[j][1]), None)
     report.hypothesis_results = {
         "init(56)": _initialized(related, G, Gb),
-        "blocking(57)": (blocking_ok, blocking_w),
-        "well_nested(59)": (nested_ok, nested_w),
+        "blocking(57)": (blocking_w is None, blocking_w),
+        "well_nested(59)": (bad is None, nested_w),
     }
     report.violations = violations
     report.verdict = not violations
@@ -290,13 +306,13 @@ def sim_check(
     return report
 
 
-def _sync_step_ok(related, Gb: ConfigGraph, c_prime, cb) -> bool:
-    """(52): the concrete successor against the sliced abstract side."""
+def _sync_step_ok(related, after, c_prime, cb) -> bool:
+    """(52): the concrete successor against cb sliced, or spliced with one of `after`."""
     if c_prime.e <= cb.e:
         sa = splice(cb, EPSILON, c_prime.b, c_prime.e)
         if sa is not None and related(c_prime, sa):
             return True
-    for cb_prime in Gb.succ(cb):
+    for cb_prime in after:
         m2 = tmin(c_prime.e, cb_prime.e)
         sa = splice(cb, cb_prime, c_prime.b, m2)
         if sa is not None:
@@ -373,35 +389,34 @@ def greatest_simulation(
     intersected with a configuration relation).  Each concrete step
     demands a sim_transfer response, which stands for the starting pairs
     with its canonical keys; a response outside the universes raises
-    NotSliceClosed."""
+    NotSliceClosed.  The fixpoint runs on members' ids, in repr order."""
     universe_c, universe_a = list(universe_c), list(universe_a)
-    key_c, key_a = (
-        {c: canonical_key(c) for c in sorted(slice_closure(own, _cut_points(other)), key=repr)}
-        for own, other in ((universe_c, universe_a), (universe_a, universe_c))
-    )
-    keys_c, keys_a = set(key_c.values()), set(key_a.values())
-    start = [
-        (c, a)
-        for c, a, _ in overlapping(list(key_c), list(key_a))
-        if related is None or related(c, a)
-    ]
+    sides = []
+    for own, other, succ in ((universe_c, universe_a, succ_c), (universe_a, universe_c, succ_a)):
+        members = sorted(slice_closure(own, _cut_points(other)), key=repr)
+        key_ids: dict = {}
+        keys = [key_ids.setdefault(canonical_key(c), len(key_ids)) for c in members]
+        sides.append((members, key_ids, keys, [succ(c) for c in members]))
+    (cs, kid_c, key_c, after_c), (as_, kid_a, key_a, after_a) = sides
+    start = [(i, j) for i, j, _ in overlap_ids(cs, as_)
+             if related is None or related(cs[i], as_[j])]
     by_key: dict = {}
-    for c, a in start:
-        by_key.setdefault((key_c[c], key_a[a]), []).append((c, a))
+    for i, j in start:
+        by_key.setdefault((key_c[i], key_a[j]), []).append((i, j))
 
     def pairs_of(sc, sa) -> list:
-        kc, ka = canonical_key(sc), canonical_key(sa)
-        if kc not in keys_c or ka not in keys_a:
+        kc, ka = kid_c.get(canonical_key(sc)), kid_a.get(canonical_key(sa))
+        if kc is None or ka is None:
             raise NotSliceClosed(f"splice {sc!r}/{sa!r} leaves the universe")
         return by_key.get((kc, ka), [])
 
     def demands(pair):
-        c, a = pair
-        for c_prime in succ_c(c):
-            responses = sim_transfer(lambda *_: True, succ_a, c, a, c_prime)
+        i, j = pair
+        for c_prime in after_c[i]:
+            responses = sim_transfer(lambda *_: True, lambda _: after_a[j], cs[i], as_[j], c_prime)
             yield {q for _, sc, sa in responses for q in pairs_of(sc, sa)}
 
-    return greatest_fixpoint(start, demands)
+    return {(cs[i], as_[j]) for i, j in greatest_fixpoint(start, demands)}
 
 
 def theorem4_match(
@@ -481,10 +496,9 @@ def well_nested_check(T: Iterable, Tb: Iterable):
     returns (ok, witness (s, sb, i, j)), i and j configuration ranks."""
     for s in T:
         for sb in Tb:
-            ok, w = _nested(overlapping(s.configs, sb.configs))
-            if not ok:
-                c, cb = w
-                return False, (s, sb, s.configs.index(c), sb.configs.index(cb))
+            bad = _nested(s.configs, sb.configs, overlap_ids(s.configs, sb.configs))
+            if bad:
+                return False, (s, sb, *bad)
     return True, None
 
 
@@ -506,12 +520,12 @@ def compose_check(
     failures = []
     certified = []
     for s in T:
-        if s not in witness1:
+        mid = witness1.get(s)
+        if mid is None:
             raise MissingIntermediateWitness(repr(s))
-        mid = witness1[s]
-        if mid not in witness2:
+        top = witness2.get(mid)
+        if top is None:
             raise MissingIntermediateWitness(repr(mid))
-        top = witness2[mid]
         bound = TimeInterval(Q(0), tmin(s.duration, top.duration), False)
         for c, cmid, w1 in overlapping(s.configs, mid.configs):
             w1 = interval_intersect(w1, bound)
@@ -593,14 +607,16 @@ def preservation_check(
     report = SimReport(True)
     violations = []
     progress_ok, progress_w = True, None
-    for c, cb in _related_pairs(r, overlapping(G.configs(), Gb.configs())):
+    xs, ys = G.configs(), Gb.configs()
+    for i, j in _related_pairs(r, xs, ys, overlap_ids(xs, ys)):
+        c, cb, after = xs[i], ys[j], Gb.succ_map[j][1]
         # EPSILON last: the concrete side stays while the abstract steps
-        for c_prime in (*G.succ(c), EPSILON):
-            for cb_prime, sc, sa in _responses(Gb.succ, c, cb, c_prime):
+        for c_prime in (*G.succ_map[i][1], EPSILON):
+            for cb_prime, sc, sa in _responses(lambda _: after, c, cb, c_prime):
                 if not related(sc, sa):
                     reason = "abstract stay" if cb_prime is EPSILON else repr(cb_prime)
                     violations.append((c, cb, c_prime, reason + " not preserved"))
-        if G.succ(c) and not Gb.succ(cb) and cb not in Gb.truncated:
+        if G.succ_map[i][1] and not after and j not in Gb.cut:
             progress_ok, progress_w = False, (c, cb)
     report.violations = violations
     report.verdict = not violations

@@ -34,7 +34,6 @@ from hybridsem.hts import Edge, ExitCondition, HybridTransitionSystem, ModeSchem
 from hybridsem.simulation import (
     ConfigGraph,
     SimReport,
-    _related_pairs,
     _universe_guard,
     bisim_check,
     canonical_key,
@@ -410,7 +409,13 @@ def test_splice_and_slice_closure_propagate_programming_errors(monkeypatch):
 # --- the reference preservation check and transfer ---------------------------
 # The earlier preservation_check, which built its three splice windows
 # inline, and the earlier sim_transfer, which tried the stay first; both
-# kept verbatim apart from their names.
+# kept verbatim apart from their names.  _ref_related_pairs is the earlier
+# _related_pairs, which returned configuration pairs, on G and Gb.
+
+
+def _ref_related_pairs(r, G, Gb) -> list:
+    return [(c, cb) for c, cb, w in overlapping(G.configs(), Gb.configs())
+            if config_related(r, c, cb, w)]
 
 
 def _ref_sim_transfer(related, succ_abstract, c, cbar, c_prime) -> list:
@@ -444,7 +449,7 @@ def _ref_preservation_check(r, G, Gb) -> SimReport:
     report = SimReport(True)
     violations = []
     progress_ok, progress_w = True, None
-    for c, cb in _related_pairs(r, overlapping(G.configs(), Gb.configs())):
+    for c, cb in _ref_related_pairs(r, G, Gb):
         for c_prime in G.succ(c):
             for cb_prime in Gb.succ(cb):
                 m1 = tmin(c_prime.b, cb_prime.b)
@@ -533,7 +538,7 @@ def test_preservation_and_transfer_match_the_reference():
             seen["concrete stays" if c_prime is EPSILON
                  else "stay" if reason.startswith("abstract stay") else "step"] += 1
         related = lambda c, d: config_related(r, c, d)
-        for c, cb in _related_pairs(r, overlapping(G.configs(), Gb.configs())):
+        for c, cb in _ref_related_pairs(r, G, Gb):
             for c_prime in (*G.succ(c), EPSILON):
                 for rel_ in (related, lambda *_: True):
                     cands = sim_transfer(rel_, Gb.succ, c, cb, c_prime)
