@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
+from .records import record
 from .time_core import Q
 
 __all__ = ["LinExpr", "AffineConstraint", "parse_expr", "parse_constraint", "read_rational"]
@@ -31,7 +31,7 @@ COMPARE = {"=": operator.eq, "<=": operator.le, ">=": operator.ge,
            "<": operator.lt, ">": operator.gt}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinExpr:
     coefs: tuple  # sorted (symbol, Fraction) pairs, zero coefs dropped
     const: Fraction
@@ -95,7 +95,7 @@ class LinExpr:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AffineConstraint:
     """lhs OP 0 with OP in =, <=, >=, <, >."""
 

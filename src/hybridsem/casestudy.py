@@ -16,8 +16,6 @@ and those findings are reported verbatim, never patched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .affine import AffineConstraint, LinExpr, parse_constraint
 from .discretize import TimefulState
 from .errors import ParamConstraintViolated, UnknownFixture
@@ -30,7 +28,10 @@ from .flow_config import (
     overlapping,
     pieces,
 )
-from .hts import Edge, ExitCondition, HybridTransitionSystem, ModeSchema, semantics_generate
+from .hts import (
+    Edge, ExitCondition, HybridTransitionSystem, ModeSchema, Semantics, semantics_generate
+)
+from .records import record
 from .relation import Clause, TimedStateRelation, config_related, traj_related_timewise
 from .simulation import ConfigGraph, compose_check, config_graph, sim_check, well_nested_check
 from .time_core import INF, Q, TimeInterval, is_finite
@@ -56,7 +57,7 @@ DEFAULT_ZETA = Q(1, 100)
 DEFAULT_X0 = (Q(0), Q(1), Q(2))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TankParams:
     epsilon: Q
     zeta: Q
@@ -182,7 +183,7 @@ def spec_predicate_check(s: Trajectory, zeta) -> tuple:
     return (not violations), violations
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TankSpec:
     """Level-only view: any single-configuration trajectory whose flow
     satisfies the predicate is a member of the specified semantics."""
@@ -371,7 +372,7 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
         nested, nw = well_nested_check((s,), (w,))
         if not nested and nested_all:
             nested_all, nest_witness = False, nw
-        G, Gb = (config_graph(replace(sem6, trajectories=(t,))) for t in (s, w))
+        G, Gb = (config_graph(Semantics((t,), sem6.horizon, sem6.depth_limit)) for t in (s, w))
         sim = sim_check(rels["R53"], G, Gb, mode="sync" if nested else "async")
         sims.append((s, sim))
     verdict = all(sim.verdict for _, sim in sims)

@@ -118,6 +118,16 @@ def _read(path, parse):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _write(path, text):
+    """Write text to path; a path that cannot be written is bad input."""
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    print(f"wrote {path}")
+
+
 # part of an input -> the file flag that gives it and that file's parser
 _FILE_PARTS = {
     "system": ("system", hts_from_json),
@@ -237,9 +247,7 @@ def cmd_discretize(args):
     h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1), horizon=Q(30))
     doc = hts_discretize(h, delta, hz).to_dict()
     if args.out:
-        with open(args.out, "w") as f:
-            json.dump(jsonable(doc), f, indent=2, sort_keys=True)
-        print(f"wrote {args.out}")
+        _write(args.out, json.dumps(jsonable(doc), indent=2, sort_keys=True))
     else:
         emit(doc, args.json)
     return PASS
@@ -414,15 +422,9 @@ def cmd_plot(args):
         raise ParseError("no trajectories to plot")
     s = trajs[0]
     grid = grid_step(_q(args.grid or "1/10"))
-    out = args.out or "plot.svg"
-    svg = render_svg(s, grid)
-    with open(out, "w") as f:
-        f.write(svg)
-    print(f"wrote {out}")
+    _write(args.out or "plot.svg", render_svg(s, grid))
     if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(trajectory_csv(s, grid))
-        print(f"wrote {args.csv}")
+        _write(args.csv, trajectory_csv(s, grid))
     return PASS
 
 

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from .affine import AffineConstraint, LinExpr
 from .errors import DomainGapAtGridPoint, Misaligned, NonConsecutiveEdge, TruncatedInput
 from .flow_config import UNDEFINED, PiecewiseConfiguration, State, overlapping, pieces
+from .records import record
 from .relation import Clause, TimedStateRelation, exists_window_related, related_candidates
 from .hts import maximal_paths, reach, semantics_generate
 from .simulation import greatest_fixpoint, system_graph
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TimefulState:
     state: State
     rank: int
@@ -74,7 +74,7 @@ class TimefulState:
         return f"<{self.state!r},{self.rank}>"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiscreteTransitionSystem:
     states: frozenset
     initial: frozenset

@@ -14,13 +14,13 @@ conventions require.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping, Optional
 
 from .errors import DurationBelowZeta, EmptyIntersection, NonConsecutive
+from .records import record
 from .time_core import (
     INF,
     NEG_INF,
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class State:
     mode: str
     vars: tuple  # ordered (name, Fraction) pairs
@@ -73,7 +73,7 @@ class State:
         return f"<{self.mode}; {inner}>"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AffineFlow:
     mode: str
     lines: tuple  # ordered (name, (rate, offset)), value rate*t + offset
@@ -117,7 +117,7 @@ class AffineFlow:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Configuration:
     flow: AffineFlow
     interval: TimeInterval
@@ -173,7 +173,7 @@ def cfg_e(c):
     return NEG_INF if c is EPSILON else c.interval.hi
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PiecewiseConfiguration:
     """A finite piecewise-affine flow over a single contiguous interval.
 

@@ -14,10 +14,10 @@ closure on the left, meet closure on the right.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import LawsViolated
+from .records import record
 
 __all__ = [
     "FinitePoset",
@@ -33,7 +33,7 @@ __all__ = [
 MAX_CARRIER = 64
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinitePoset:
     elements: tuple
     leq: frozenset  # pairs (x, y) with x <= y
@@ -98,7 +98,7 @@ def powerset_lattice(base: Iterable) -> FinitePoset:
     ))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Connection:
     alpha: Callable
     gamma: Callable

@@ -11,12 +11,11 @@ so images of affine flows stay affine and all checks remain exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .affine import LinExpr
 from .discretize import TimefulState, timeful_sample
 from .flow_config import AffineFlow, Configuration, PiecewiseConfiguration, State
 from .hts import HybridTransitionSystem, semantics_generate
+from .records import record
 from .time_core import Q
 from .trajectory import Trajectory
 
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StateHom:
     """mode_map relabels modes (identity for missing keys); out_vars
     maps each output variable to an affine expression of input vars."""

@@ -18,7 +18,6 @@ or unbounded.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -33,6 +32,7 @@ from .errors import (
     ParseError,
 )
 from .flow_config import Configuration, make_config
+from .records import record
 from .relation import _known_keys, _strings, _typed
 from .time_core import INF, Q, TimeInterval, is_finite
 from .trajectory import trajectory_validate
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExitCondition:
     """Determines the unique configuration duration from the entry state.
 
@@ -76,7 +76,7 @@ class ExitCondition:
         return (self.value.eval(entry) - Q(entry[self.var])) / rate
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModeSchema:
     mode: str
     rates: tuple  # sorted (var, Fraction)
@@ -118,7 +118,7 @@ class ModeSchema:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Edge:
     src: str
     dst: str
@@ -136,7 +136,7 @@ class Edge:
         return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExplicitSystem:
     configs: tuple  # Configuration
     edges: tuple  # (i, j) index pairs
@@ -151,7 +151,7 @@ class ExplicitSystem:
         return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HybridTransitionSystem:
     variables: tuple
     zeta: Fraction
@@ -187,7 +187,7 @@ class HybridTransitionSystem:
         raise KeyError(mode)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Semantics:
     trajectories: frozenset
     horizon: object
@@ -268,7 +268,7 @@ def successors(h: HybridTransitionSystem, p, c, intern=None) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Reached:
     """Positions (ints, see `successors`) reached from the initial ones, with
     their successors (none at a leaf) and configurations (cut at the
@@ -283,19 +283,19 @@ class Reached:
 
 
 def reach(h: HybridTransitionSystem, horizon, depth: int = 64) -> Reached:
-    """Breadth-first worklist over positions.  A reached position is
-    a leaf cut at the horizon when it ends after it, complete when final,
-    cut at the horizon when it ends on it, and cut by depth when first
-    reached at rank `depth`; otherwise its successors are reached.  A
-    position starting at or after the horizon is not reached.  Following an
-    edge out of a final explicit configuration, or ending a non-final one
-    without an edge, raises FinalNotClosed, and following an edge whose
-    target does not start at its source's end raises NonConsecutiveEdge,
+    """Breadth-first worklist over positions (horizon > 0, depth >= 0).
+    A reached position is a leaf cut at the horizon when it ends after it,
+    complete when final, cut at the horizon when it ends on it, and cut by
+    depth when first reached at rank `depth`; otherwise its successors are
+    reached.  A position starting at or after the horizon is not reached.
+    Following an edge out of a final explicit configuration, or ending a
+    non-final one without an edge, raises FinalNotClosed, and following an
+    edge whose target does not start at its source's end raises NonConsecutiveEdge,
     as `hts_validate` reports all three; such a configuration cut at the
     horizon (ending on it, say) or by depth is a leaf like any other."""
     horizon = Q(horizon) if is_finite(horizon) else INF
-    if horizon < 0:
-        raise ParamConstraintViolated(f"horizon {horizon} is negative")
+    if horizon <= 0 or depth < 0:
+        raise ParamConstraintViolated(f"need horizon > 0 and depth >= 0, got {horizon}, {depth}")
     ex = h.explicit
     if ex is not None:
         table, intern = ex.configs, None

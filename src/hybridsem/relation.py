@@ -49,7 +49,6 @@ cross-checks the kernel.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional
 
@@ -63,6 +62,7 @@ from .affine import (
 )
 from .errors import EndpointSymbolsUnbound, NonOverlappingPair, ParseError
 from .flow_config import PiecewiseConfiguration, State, overlapping, pieces
+from .records import factory, record
 from .time_core import INF, NEG_INF, Q, TimeInterval, interval_intersect, is_finite, tmin
 
 __all__ = [
@@ -84,7 +84,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Clause:
     constraints: tuple  # AffineConstraint
     window: Optional[TimeInterval] = None  # None = all of time
@@ -119,11 +119,11 @@ class Clause:
         return True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TimedStateRelation:
     clauses: tuple
     domain: Optional[tuple] = None  # time windows; None = total
-    _by_modes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _by_modes: dict = factory(dict, init=False)
 
     def in_domain(self, t) -> bool:
         if self.domain is None:
@@ -152,7 +152,7 @@ class TimedStateRelation:
         return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConfigRelation:
     pairs: tuple  # (Configuration, Configuration), overlapping
 

@@ -12,7 +12,6 @@ ends within the staying side's current configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
@@ -38,6 +37,7 @@ from .flow_config import (
     pieces,
 )
 from .hts import Reached, reach
+from .records import factory, record
 from .relation import (
     Clause,
     TimedStateRelation,
@@ -75,7 +75,7 @@ __all__ = [
 MAX_UNIVERSE = 4000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConfigGraph:
     """Finite configuration universe with successor structure.  The id of
     a configuration is its position in succ_map, where checks read it."""
@@ -147,12 +147,12 @@ def system_graph(h_or_graph, horizon=None) -> ConfigGraph:
     return _graph(nodes, succ, (node[p] for p in g.initial), (node[p] for p in g.truncated))
 
 
-@dataclass
+@record()
 class SimReport:
     verdict: bool
-    violations: list = field(default_factory=list)  # (c, cbar, c_prime, reason)
-    hypothesis_results: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+    violations: list = factory(list)  # (c, cbar, c_prime, reason)
+    hypothesis_results: dict = factory(dict)
+    notes: list = factory(list)
 
     def to_dict(self):
         return {

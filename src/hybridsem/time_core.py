@@ -12,11 +12,11 @@ configuration duration that rules out zeno behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 from .errors import DurationBelowZeta, NegativeTime
+from .records import record
 
 __all__ = [
     "Q",
@@ -123,7 +123,7 @@ def time_str(t) -> str:
     return str(t)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TimeInterval:
     lo: Fraction
     hi: object  # Fraction or INF

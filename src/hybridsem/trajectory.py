@@ -11,7 +11,6 @@ completeness reject or qualify truncated inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -24,6 +23,7 @@ from .errors import (
     TruncatedInput,
 )
 from .flow_config import UNDEFINED, Configuration, config_slice, is_empty, pieces
+from .records import record
 from .time_core import INF, Q, is_finite, time_str
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Trajectory:
     configs: tuple
     truncated: bool = False
@@ -59,7 +59,7 @@ class Trajectory:
         return f"Traj({list(self.configs)}{tag})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiscreteTrace:
     states: tuple
 

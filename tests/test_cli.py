@@ -297,6 +297,17 @@ def _bad_input_cases(tmp_path):
         ("check-refinement", "--zeta=0"),
         # a flag value goes through the same bounded reader as a file
         ("validate", "--fixture", "tank-automaton", "--zeta=1e-1000000"),
+        # an output file that cannot be written
+        ("plot", "--fixture", "tank-automaton", "--out", "/nonexistent/x.svg"),
+        ("discretize", "--fixture", "tank-automaton", "--x0", "1", "--delta", "1/16",
+         "--horizon", "4", "--out", "/nonexistent/x.json"),
+        # a zero horizon reaches nothing, so every check would hold vacuously
+        ("check-theorem", "6", "--fixture", "tank-automaton", "--x0", "1", "--delta", "1/16",
+         "--horizon", "0"),
+        ("check-theorem", "7", "--fixture", "tank-automaton", "--x0", "1", "--delta", "1/16",
+         "--horizon", "0"),
+        ("check-refinement", "--horizon", "0"),
+        ("trajectories", "--fixture", "tank-automaton", "--depth", "-1"),
     ]
 
 
@@ -348,9 +359,27 @@ def test_numbers_past_the_bounds_are_refused_unexpanded(tmp_path, capsys):
         relation_from_json({"clauses": [{"constraints": [], "window": {"lo": "2e1001"}}]})
 
 
-def test_out_of_range_parameters_are_bad_input(tmp_path):
+def test_out_of_range_parameters_are_bad_input(tmp_path, capsys):
+    """Decided in process: each case exits 2 with an input error, and no
+    exception escapes main."""
     for argv in _bad_input_cases(tmp_path):
-        _assert_bad_input(argv)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2, (argv, err)
+        assert "input error:" in err, (argv, err)
+
+
+def test_bad_input_exits_2_from_a_fresh_process(tmp_path):
+    """One case of each kind through `python -m hybridsem.cli`: a bad
+    file, a bad flag value and a bad fixture."""
+    path = tmp_path / "exit-type.json"
+    path.write_text(json.dumps(BAD_SYSTEMS["exit-type"]))
+    _assert_bad_input(("validate", "--system", str(path), "--horizon", "3"))
+    _assert_bad_input(("sample", "--fixture", "example10", "--delta", "0"))
+    _assert_bad_input(("gallery", "fig11", "--x0", "1"))
 
 
 @pytest.mark.parametrize("argv", [
