@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import ExitStack
 from fractions import Fraction
 
 from .affine import ENDPOINT_SYMBOLS, LinExpr, read_rational
@@ -36,7 +38,7 @@ from .simulation import (
     system_graph,
 )
 from .time_core import INF, Q, is_finite
-from .trajectory import grid_step, trajectory_csv, trajectory_eval, trajectory_timeline
+from .trajectory import grid_step, grid_times, trajectory_csv, trajectory_eval, trajectory_timeline
 
 PASS, FAIL, BADINPUT = 0, 1, 2
 
@@ -113,19 +115,31 @@ def _read(path, parse):
     """parse of the JSON at path, a decimal read as the Fraction it writes."""
     try:
         with open(path) as f:
-            return parse(json.load(f, parse_float=lambda text: read_rational(text, path)))
+            try:
+                doc = json.load(f, parse_float=lambda text: read_rational(text, path))
+            except RecursionError as exc:
+                raise ParseError(f"{path}: JSON nested too deeply") from exc
+        return parse(doc)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _write(path, text):
-    """Write text to path; a path that cannot be written is bad input."""
+def _write(*outputs):
+    """Write each (path, text), every path opened first: a refused call writes nothing."""
+    made = [path for path, _ in outputs if not os.path.exists(path)]
     try:
-        with open(path, "w") as f:
-            f.write(text)
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(path, "a")) for path, _ in outputs]
+            for f, (_, text) in zip(files, outputs):
+                f.truncate(0)
+                f.write(text)
+                f.flush()  # a path given twice ends with its last text
     except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    print(f"wrote {path}")
+        for path in filter(os.path.exists, made):
+            os.remove(path)
+        raise ParseError(f"cannot write: {exc}") from exc
+    for path, _ in outputs:
+        print(f"wrote {path}")
 
 
 # part of an input -> the file flag that gives it and that file's parser
@@ -247,7 +261,7 @@ def cmd_discretize(args):
     h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1), horizon=Q(30))
     doc = hts_discretize(h, delta, hz).to_dict()
     if args.out:
-        _write(args.out, json.dumps(jsonable(doc), indent=2, sort_keys=True))
+        _write((args.out, json.dumps(jsonable(doc), indent=2, sort_keys=True)))
     else:
         emit(doc, args.json)
     return PASS
@@ -422,9 +436,10 @@ def cmd_plot(args):
         raise ParseError("no trajectories to plot")
     s = trajs[0]
     grid = grid_step(_q(args.grid or "1/10"))
-    _write(args.out or "plot.svg", render_svg(s, grid))
+    outputs = [(args.out or "plot.svg", render_svg(s, grid))]
     if args.csv:
-        _write(args.csv, trajectory_csv(s, grid))
+        outputs.append((args.csv, trajectory_csv(s, grid)))
+    _write(*outputs)
     return PASS
 
 
@@ -432,16 +447,10 @@ def render_svg(s, grid, width=640, panel_h=160, margin=40) -> str:
     """One panel per variable, time horizontal, mode changes as
     vertical rules."""
     names = pieces(s.configs[0])[0].flow.var_names()
-    dur = s.duration
-    dur = dur if is_finite(dur) else Q(1)
-    times = []
-    t = Q(0)
-    while t <= dur:
-        times.append(t)
-        t += grid
+    dur = s.duration if is_finite(s.duration) else Q(1)
     marks = [t for t in trajectory_timeline(s) if is_finite(t)]
     rows = {n: [] for n in names}
-    for t in times:
+    for t in grid_times(dur, grid):
         st = trajectory_eval(s, t)
         if st is None or not hasattr(st, "var"):
             continue

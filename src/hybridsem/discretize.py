@@ -40,9 +40,9 @@ from .errors import DomainGapAtGridPoint, Misaligned, NonConsecutiveEdge, Trunca
 from .flow_config import UNDEFINED, PiecewiseConfiguration, State, overlapping, pieces
 from .records import record
 from .relation import Clause, TimedStateRelation, exists_window_related, related_candidates
-from .hts import maximal_paths, reach, semantics_generate
+from .hts import NO_TRAJECTORY, maximal_paths, reach, semantics_generate
 from .simulation import greatest_fixpoint, system_graph
-from .time_core import Q, TimeInterval, is_finite
+from .time_core import INF, Q, TimeInterval, is_finite, rank_of, rank_range
 from .trajectory import Trajectory, grid_step
 
 __all__ = [
@@ -127,16 +127,16 @@ class _Grid:
     """The states of one discretization interned as dense ids, each
     value a numerator over D, the lcm of delta's q and of every L*q of
     the configurations' int_lines.  tables[c] is {rank n: id of c's
-    state at n*delta} over c's closed interval, capped at the horizon;
-    ints[i] is state i with numerators for values.  The ids of the
-    tables of `configs` are the `known` states, those of `more` and any
-    interned later come after them."""
+    state at n*delta} over c's closed interval, up to `cap`, the last
+    rank in the horizon; ints[i] is state i with numerators for values.
+    The ids of the tables of `configs` are the `known` states, those of
+    `more` and any interned later come after them."""
 
     def __init__(self, configs, delta, hcap=None, more=()):
-        self.delta, self.hcap = delta, hcap
-        self.p, q = delta.numerator, delta.denominator
-        self.D = math.lcm(q, *(L * q for c in (*configs, *more) for piece in pieces(c)
-                               for _, (_, _, L) in piece.flow.int_lines))
+        self.delta, self.p, self.q = delta, delta.numerator, delta.denominator
+        self.cap = INF if hcap is None else _ranks(TimeInterval(Q(0), hcap, True), delta).hi
+        self.D = math.lcm(self.q, *(L * self.q for c in (*configs, *more) for piece in pieces(c)
+                                    for _, (_, _, L) in piece.flow.int_lines))
         self.ints: list = []
         self._ids: dict = {}
         self._states: dict = {}
@@ -161,20 +161,16 @@ class _Grid:
 
     def _id(self, flow, n) -> int:
         """The id of flow's state at rank n: numerators over D."""
-        p, q, D = self.p, self.delta.denominator, self.D
+        p, q, D = self.p, self.q, self.D
         return self._intern(flow.mode, tuple((k, (R * n * p + O * q) * (D // (L * q)))
                                              for k, (R, O, L) in flow.int_lines))
 
     def _table(self, c) -> dict:
-        hi = c.e if is_finite(c.e) else self.hcap
-        if hi is None:
+        first, last = rank_range(TimeInterval(c.b, c.e, True), self.p, self.q)
+        last = min(last, self.cap)
+        if last is INF:
             raise TruncatedInput(f"unbounded {c!r} needs an explicit horizon")
-        if self.hcap is not None:
-            hi = min(hi, self.hcap)
-        delta = self.delta
-        first = c.b / delta
-        first = int(first) + (0 if first.denominator == 1 else 1)
-        ranks = range(first, math.floor(hi / delta) + 1)
+        delta, ranks = self.delta, range(first, last + 1)
         if isinstance(c, PiecewiseConfiguration):
             return {n: self._id(_closed_piece(c, n * delta).flow, n) for n in ranks}
         return {n: self._id(c.flow, n) for n in ranks}
@@ -245,11 +241,8 @@ def _pair_grid(G, Gb, delta, hcap) -> _Grid:
 
 def _ranks(w: TimeInterval, delta) -> TimeInterval:
     """The ranks n with n*delta in w, as a closed integer window."""
-    lo = math.ceil(w.lo / delta)
-    if not is_finite(w.hi):
-        return TimeInterval(lo, w.hi)
-    hi = w.hi / delta
-    return TimeInterval(lo, math.floor(hi) if w.closed_hi else math.ceil(hi) - 1, True)
+    first, last = rank_range(w, delta.numerator, delta.denominator)
+    return TimeInterval(first, last, last is not INF)
 
 
 def _on_grid(r: TimedStateRelation, D: int, delta) -> TimedStateRelation:
@@ -281,11 +274,10 @@ def grid_alignment_check(h_or_graph, delta, horizon=None):
     """Every configuration must start and end on the grid; returns
     (ok, witness configuration or None)."""
     delta = grid_step(delta)
+    p, q = delta.numerator, delta.denominator
     G = system_graph(h_or_graph, horizon)
     for c in G.configs():
-        if (c.b / delta).denominator != 1:
-            return False, c
-        if is_finite(c.e) and (c.e / delta).denominator != 1:
+        if rank_of(c.b, p, q) is None or is_finite(c.e) and rank_of(c.e, p, q) is None:
             return False, c
     return True, None
 
@@ -300,15 +292,15 @@ def timeful_sample(s: Trajectory, delta, horizon=None) -> tuple:
     walks the configurations in time order, passing each once the grid
     is beyond its last rank."""
     delta = grid_step(delta)
-    dur = s.duration
-    if not is_finite(dur) or (horizon is not None and Q(horizon) < dur):
-        dur = Q(horizon) if horizon is not None else None
-        if dur is None:
-            raise TruncatedInput("unbounded trajectory needs an explicit horizon")
+    last = _ranks(TimeInterval(Q(0), s.duration), delta).hi
+    if horizon is not None:
+        last = min(last, _ranks(TimeInterval(Q(0), Q(horizon)), delta).hi)
+    if last is INF:
+        raise TruncatedInput("unbounded trajectory needs an explicit horizon")
     configs, k = s.configs, 0
     held = [_ranks(c.interval, delta) for c in configs]  # ranks each holds
     out = []
-    for n in range(math.ceil(dur / delta)):
+    for n in range(last + 1):
         while k < len(held) and held[k].hi < n:
             k += 1
         j = k
@@ -405,18 +397,18 @@ def hts_discretize(
     ok, witness = grid_alignment_check(G, delta)
     if not ok:
         raise Misaligned(repr(witness))
-    hcap = Q(horizon) if horizon is not None else None
     keyed = grid is not None
     if not keyed:
-        grid = _Grid(G.configs(), delta, hcap)
-    at = grid.at
+        grid = _Grid(G.configs(), delta, Q(horizon) if horizon is not None else None)
+    at, p, q = grid.at, grid.p, grid.q
     edges, closing, from_tau = set(), set(), set()
     states = set()
     for k, (c, succs) in enumerate(G.succ_map):
         # (a) internal steps between consecutive ranks; the end rank of a
         # configuration that ends within the horizon belongs to (b)/(c)
         inner = [_Node(n, i) for n, i in grid.tables[c].items()]
-        ends = is_finite(c.e) and (hcap is None or c.e <= hcap)
+        n_end = rank_of(c.e, p, q)
+        ends = n_end is not None and n_end <= grid.cap
         if ends:
             inner.pop()
         for u, v in zip(inner, inner[1:]):
@@ -424,7 +416,6 @@ def hts_discretize(
             states.update((u, v))
         if not ends:
             continue
-        n_end = int(c.e / delta)
         u = _Node(n_end - 1, at(c, n_end - 1))
         if succs:
             for c2 in succs:  # (b)
@@ -441,7 +432,7 @@ def hts_discretize(
             states.add(u)
     initial = set()
     for c in G.initial:  # (d)
-        n = int(c.b / delta)
+        n = rank_of(c.b, p, q)
         u = _Node(n, at(c, n))
         initial.add(u)
         states.add(u)
@@ -475,7 +466,7 @@ def theorem6_check(h, delta, horizon):
     """Dual computation: sample the generated trajectories vs generate
     the discretized system, both from one reach of h, on the nodes of one
     grid: each sampled trace is keyed by the nodes of its states.
-    Returns (ok, diff, notes)."""
+    Returns (ok, diff, notes); no trajectory fails, with a note."""
     delta = Q(delta)
     g = reach(h, horizon)
     sampled = [timeful_sample(s, delta, horizon)
@@ -483,11 +474,7 @@ def theorem6_check(h, delta, horizon):
     G = system_graph(g)
     grid = _Grid(G.configs(), grid_step(delta), Q(horizon))
     d = hts_discretize(G, delta, horizon, grid)
-    max_rank = int(Q(horizon) / delta)
-    generated = {
-        t for t in discrete_traces(d, include_closing=False, max_rank=max_rank)
-        if t[-1].rank * delta <= Q(horizon)
-    }
+    generated = discrete_traces(d, include_closing=False, max_rank=grid.cap)
     key = grid.key
     lhs = {tuple(map(key, t)): t for t in sampled}
     # strict-sampling vs closing-rule reconciliation: trim nothing on the
@@ -499,9 +486,11 @@ def theorem6_check(h, delta, horizon):
             f"{len(d.closing)} closing edge(s) excluded from trace generation "
             "to match the strict sampling convention"
         )
+    if not sampled:
+        notes.append(NO_TRAJECTORY)
     diff = {"only_sampled": frozenset(lhs[t] for t in lhs.keys() - generated),
             "only_generated": frozenset(tuple(map(grid.node, t)) for t in generated - lhs.keys())}
-    return lhs.keys() == generated, diff, notes
+    return bool(sampled) and lhs.keys() == generated, diff, notes
 
 
 def timeless_overapprox_demo(h, delta, horizon, max_len=4):
@@ -545,14 +534,6 @@ def _grid_points(c, delta, hcap):
         n += 1
 
 
-def _end_rank(c, delta) -> Optional[int]:
-    """e(c)/delta if that is a rank, else None."""
-    if not is_finite(c.e):
-        return None
-    x = c.e / delta
-    return x.numerator if x.denominator == 1 else None
-
-
 def _exists_related(r: TimedStateRelation, c, cb, overlap, hcap) -> bool:
     """Exists t in the overlap of c and cb, and in dom(r), with related
     states; an unbounded overlap is cut to the closed window [lo, horizon]."""
@@ -587,7 +568,7 @@ def discretization_hypotheses(
 
     if grid is None:
         grid = _pair_grid(G, Gb, delta, hcap)
-    tables, known = grid.tables, grid.known
+    tables, known, p, q = grid.tables, grid.known, grid.p, grid.q
     related, on_grid = grid.related(r, known)
     # (68): r defined wherever some concrete configuration is inhabited
     for c in G.configs():
@@ -622,7 +603,7 @@ def discretization_hypotheses(
     for c, cb, w in pairs:
         if not _exists_related(r, c, cb, w, hcap):
             continue
-        abstract, c_end, cb_end = tables[cb], _end_rank(c, delta), _end_rank(cb, delta)
+        abstract, c_end, cb_end = tables[cb], rank_of(c.e, p, q), rank_of(cb.e, p, q)
         for n, i in tables[c].items():
             j = abstract.get(n)
             if j is None:  # n*delta outside [b(cb), e(cb)]

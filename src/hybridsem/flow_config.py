@@ -28,6 +28,7 @@ from .time_core import (
     TimeInterval,
     interval_intersect,
     is_finite,
+    rank_range,
     time_str,
 )
 
@@ -232,36 +233,33 @@ def overlapping(xs, ys) -> list:
 def overlap_ids(xs, ys) -> list:
     """overlapping(xs, ys) by position: (i, j, window) for xs[i], ys[j].
 
-    One sweep over start times, in integers: each finite end is scaled
-    to an integer over the lcm of their denominators, and an unbounded
-    end to one past them all.  A pair is compared only when the later
-    start is not past the earlier end, so pairs that cannot meet are
-    never compared.  A window is built from its inputs' own ends, as
-    interval_intersect builds it.
+    One sweep over start times, in integers: over 2D (D the lcm of the
+    finite ends' denominators) an interval's rank_range ends on an even
+    tick if closed, an odd one if open, and past all others if unbounded,
+    so two intervals meet where their ranges meet, and the earlier end
+    closes the window when even.  Pairs are compared only when the later
+    start is not past the earlier end; windows keep their inputs' ends.
     """
-    items = [*xs, *ys]
     n = len(xs)
-    ivs = [item.interval for item in items]
-    ends = [e for iv in ivs for e in (iv.lo, iv.hi) if e is not INF]
-    D = lcm(*(e.denominator for e in ends))
-    top = 1 + max((e.numerator * (D // e.denominator) for e in ends), default=0)
-    lo = [iv.lo.numerator * (D // iv.lo.denominator) for iv in ivs]
-    hi = [top if iv.hi is INF else iv.hi.numerator * (D // iv.hi.denominator) for iv in ivs]
+    ivs = [item.interval for item in (*xs, *ys)]
+    D2 = 2 * lcm(*(e.denominator for iv in ivs for e in (iv.lo, iv.hi) if e is not INF))
+    spans = [rank_range(iv, 1, D2) for iv in ivs]
+    top = 1 + 2 * max((e for span in spans for e in span if e is not INF), default=0)
+    lo = [first for first, _ in spans]
+    hi = [top if last is INF else last for _, last in spans]
     active = ([], [])  # indices per side whose interval may still meet a later start
     found = []
     # a stable sort: equal starts keep xs before ys, each in input order
-    for g in sorted(range(len(items)), key=lo.__getitem__):
+    for g in sorted(range(len(ivs)), key=lo.__getitem__):
         t, side = lo[g], int(g >= n)
         waiting = active[1 - side]
         waiting[:] = [m for m in waiting if t <= hi[m]]
         for m in waiting:
             i, j = (g, m) if side == 0 else (m, g)
-            x, y, h = ivs[i], ivs[j], min(hi[i], hi[j])
-            # the earlier end closes the window, both if they tie; INF never does
-            closed = (h < hi[i] or x.closed_hi) and (h < hi[j] or y.closed_hi) and h < top
-            if t < h or closed and t == h:
-                found.append((i, j, TimeInterval(y.lo if lo[i] < lo[j] else x.lo,
-                                                 x.hi if hi[i] == h else y.hi, closed)))
+            h = min(hi[i], hi[j])
+            if t <= h:
+                found.append((i, j, TimeInterval(ivs[j].lo if lo[i] < lo[j] else ivs[i].lo,
+                                                 ivs[i if hi[i] == h else j].hi, h % 2 == 0)))
         active[side].append(g)
     found.sort(key=lambda f: f[:2])
     return [(i, j - n, w) for i, j, w in found]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .affine import LinExpr
 from .discretize import TimefulState, timeful_sample
 from .flow_config import AffineFlow, Configuration, PiecewiseConfiguration, State
-from .hts import HybridTransitionSystem, semantics_generate
+from .hts import NO_TRAJECTORY, HybridTransitionSystem, semantics_generate
 from .records import record
 from .time_core import Q
 from .trajectory import Trajectory
@@ -89,17 +89,20 @@ def hom_system(h: StateHom, sys: HybridTransitionSystem) -> HybridTransitionSyst
 
 
 def theorem1_check(h: StateHom, sys: HybridTransitionSystem, horizon):
-    """Image of the semantics equals the semantics of the image."""
+    """Image of the semantics equals the semantics of the image; no trajectory fails."""
     lhs = frozenset(
         hom_trajectory(h, s) for s in semantics_generate(sys, horizon).trajectories
     )
     rhs = semantics_generate(hom_system(h, sys), horizon).trajectories
-    return (lhs == rhs), {"only_mapped": lhs - rhs, "only_generated": rhs - lhs}
+    diff = {"only_mapped": lhs - rhs, "only_generated": rhs - lhs}
+    return bool(lhs) and lhs == rhs, diff if lhs else {**diff, "note": NO_TRAJECTORY}
 
 
 def theorem3_check(h: StateHom, trajectories, delta, horizon=None):
-    """Sampling then mapping equals mapping then sampling."""
+    """Sampling then mapping equals mapping then sampling; no trajectory fails."""
     delta = Q(delta)
+    if not trajectories:
+        return False, NO_TRAJECTORY
     for s in trajectories:
         a = tuple(
             TimefulState(hom_state(h, u.state), u.rank)

@@ -50,9 +50,12 @@ __all__ = [
     "reach",
     "maximal_paths",
     "semantics_generate",
+    "NO_TRAJECTORY",
     "blocking_check",
     "config_is_final",
 ]
+
+NO_TRAJECTORY = "no trajectory: no initial configuration starts at 0 (InitialNotAtZero)"
 
 
 @record(frozen=True)

@@ -63,7 +63,9 @@ from .affine import (
 from .errors import EndpointSymbolsUnbound, NonOverlappingPair, ParseError
 from .flow_config import PiecewiseConfiguration, State, overlapping, pieces
 from .records import factory, record
-from .time_core import INF, NEG_INF, Q, TimeInterval, interval_intersect, is_finite, tmin
+from .time_core import (
+    INF, NEG_INF, Q, TimeInterval, interval_intersect, is_finite, rank_range, ticks, tmin,
+)
 
 __all__ = [
     "Clause",
@@ -142,14 +144,7 @@ class TimedStateRelation:
         return entry
 
     def domain_boundaries(self) -> list:
-        if self.domain is None:
-            return []
-        out = []
-        for w in self.domain:
-            out.append(w.lo)
-            if is_finite(w.hi):
-                out.append(w.hi)
-        return out
+        return [b for w in self.domain or () for b in (w.lo, w.hi) if b is not INF]
 
 
 @record(frozen=True)
@@ -357,28 +352,14 @@ def _window_points(r: TimedStateRelation, clauses, window: TimeInterval) -> tupl
     and over 2D a cut x is 2x and the midpoint of cuts x, y is x + y."""
     lo, hi = window.lo, window.hi
     finite = is_finite(hi)
+    ends = (lo, hi) if finite else (lo,)
     bounds = r.domain_boundaries()
-    for w, _ in clauses:
-        if w is not None:
-            bounds.append(w.lo)
-            if is_finite(w.hi):
-                bounds.append(w.hi)
-    dens = [b.denominator for b in bounds]
-    dens.append(lo.denominator)
-    if finite:
-        dens.append(hi.denominator)
-    for _, cons in clauses:
-        dens.extend(A for _, A, _ in cons if A)
-    D = lcm(*dens)
-    lo_d = lo.numerator * (D // lo.denominator)
-    hi_d = hi.numerator * (D // hi.denominator) if finite else None
-    cuts = {lo_d}
-    if finite:
-        cuts.add(hi_d)
-    for b in bounds:
-        x = b.numerator * (D // b.denominator)
-        if lo_d < x and (not finite or x < hi_d):
-            cuts.add(x)
+    bounds += (b for w, _ in clauses if w is not None for b in (w.lo, w.hi) if b is not INF)
+    D = lcm(*(t.denominator for t in (*ends, *bounds)),
+            *(A for _, cons in clauses for _, A, _ in cons if A))
+    lo_d, hi_d = ticks(lo, D), ticks(hi, D) if finite else None
+    cuts = {ticks(t, D) for t in ends}
+    cuts.update(x for x in (ticks(b, D) for b in bounds) if lo_d < x and (not finite or x < hi_d))
     for clause in clauses:
         cuts.update(_constraint_roots(clause, lo_d, hi_d, D))
     if not finite:
@@ -393,13 +374,9 @@ def _window_points(r: TimedStateRelation, clauses, window: TimeInterval) -> tupl
 
 
 def _over(w: TimeInterval, D2: int, last: int) -> range:
-    """The integers P with P/D2 in w, up to `last` when w is unbounded;
-    D2 is a multiple of the denominators of w's bounds, so a closed end
-    admits P = its numerator over D2 and an open one stops below it."""
-    lo = w.lo.numerator * (D2 // w.lo.denominator)
-    if not is_finite(w.hi):
-        return range(lo, last + 1)
-    return range(lo, w.hi.numerator * (D2 // w.hi.denominator) + w.closed_hi)
+    """The integers P with P/D2 in w, up to `last` when w is unbounded."""
+    first, end = rank_range(w, 1, D2)
+    return range(first, (last if end is INF else end) + 1)
 
 
 def _decisions(r: TimedStateRelation, cp, dp, window: TimeInterval, endpoints):

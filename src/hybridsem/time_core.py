@@ -7,7 +7,8 @@ end time is NEG_INF).  No floats appear anywhere in verdicts.
 Intervals are left-closed, right-open by default; a closed right end
 marks a final configuration.  Every interval constructed through
 interval_make has duration at least zeta, the system-level minimum
-configuration duration that rules out zeno behavior.
+configuration duration that rules out zeno behavior.  Times are read
+as integers only through rank_range, rank_of and ticks.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ __all__ = [
     "tmin",
     "tmax",
     "time_str",
+    "rank_range",
+    "rank_of",
+    "ticks",
 ]
 
 Q = Fraction
@@ -211,3 +215,23 @@ def interval_intersect(i: TimeInterval, j: TimeInterval):
     if (hi < lo) if closed else not (lo < hi):
         return None
     return TimeInterval(lo, hi, closed)
+
+
+def rank_range(w: TimeInterval, p: int, q: int) -> tuple:
+    """(first, last): the least and greatest n with n*p/q in w (p, q > 0);
+    last is INF for an unbounded w, even one marked closed, < first for none."""
+    first = -(-w.lo.numerator * q // (w.lo.denominator * p))
+    if w.hi is INF:
+        return first, INF
+    return first, (w.hi.numerator * q - (not w.closed_hi)) // (w.hi.denominator * p)
+
+
+def rank_of(t, p: int, q: int):
+    """n with n*p/q == t, or None when t (INF included) is off the grid."""
+    n, r = (None, 1) if t is INF else divmod(t.numerator * q, t.denominator * p)
+    return None if r else n
+
+
+def ticks(t, D: int) -> int:
+    """t*D for a finite t whose denominator divides D."""
+    return t.numerator * (D // t.denominator)

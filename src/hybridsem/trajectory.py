@@ -24,7 +24,7 @@ from .errors import (
 )
 from .flow_config import UNDEFINED, Configuration, config_slice, is_empty, pieces
 from .records import record
-from .time_core import INF, Q, is_finite, time_str
+from .time_core import INF, Q, TimeInterval, is_finite, rank_of, rank_range, time_str
 
 __all__ = [
     "Trajectory",
@@ -34,6 +34,7 @@ __all__ = [
     "trajectory_timeline",
     "trajectory_sample",
     "grid_step",
+    "grid_times",
     "trajectory_slice",
     "prefix_of",
     "maximal_filter",
@@ -110,6 +111,12 @@ def grid_step(delta) -> Fraction:
     return delta
 
 
+def grid_times(dur, step: Fraction) -> list:
+    """The times n*step in [0, dur], in order, for a positive step."""
+    p, q = step.numerator, step.denominator
+    return [Q(n * p, q) for n in range(rank_range(TimeInterval(Q(0), dur, True), p, q)[1] + 1)]
+
+
 def trajectory_sample(s: Trajectory, delta, horizon=None) -> DiscreteTrace:
     """h_delta: states at times n*delta up to the duration.
 
@@ -121,7 +128,8 @@ def trajectory_sample(s: Trajectory, delta, horizon=None) -> DiscreteTrace:
 
     finite = is_finite(s.duration)
     states = timeless_sample(s, delta, None if finite else horizon)
-    if finite and s.complete and (s.duration / grid_step(delta)).denominator == 1:
+    delta = grid_step(delta)
+    if s.complete and rank_of(s.duration, delta.numerator, delta.denominator) is not None:
         states += (s.configs[-1].state_at(s.duration),)
     return DiscreteTrace(states)
 
@@ -188,12 +196,8 @@ def trajectory_csv(s: Trajectory, grid) -> str:
     grid = grid_step(grid)
     names = pieces(s.configs[0])[0].flow.var_names()
     times = set(t for t in trajectory_timeline(s) if is_finite(t))
-    dur = s.duration
-    if is_finite(dur):
-        n = 0
-        while n * grid <= dur:
-            times.add(n * grid)
-            n += 1
+    if is_finite(s.duration):
+        times.update(grid_times(s.duration, grid))
     lines = ["time,mode," + ",".join(names)]
     for t in sorted(times):
         st = trajectory_eval(s, t)

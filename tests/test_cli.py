@@ -14,7 +14,7 @@ import pytest
 from hybridsem.casestudy import GALLERY_NAMES
 from hybridsem.cli import build_parser, main
 from hybridsem.errors import ParseError
-from hybridsem.hts import hts_from_json
+from hybridsem.hts import NO_TRAJECTORY, hts_from_json
 from hybridsem.affine import MAX_DIGITS, MAX_EXPONENT
 from hybridsem.relation import relation_from_json
 
@@ -135,6 +135,38 @@ def test_plot_writes_svg(tmp_path, capsys):
     assert text.startswith("<svg") and "dash" in text
 
 
+def test_refused_plot_writes_nothing(tmp_path, capsys):
+    """Both files are opened before either is written: a CSV path that
+    cannot be opened leaves no new SVG and an existing one as it was."""
+    out = tmp_path / "x.svg"
+    argv = ("plot", "--fixture", "tank-automaton", "--out", str(out),
+            "--csv", "/nonexistent/x.csv")
+    assert run(*argv) == 2
+    assert not out.exists()
+    out.write_text("kept")
+    assert run(*argv) == 2
+    assert out.read_text() == "kept"
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out and "input error:" in captured.err
+
+
+def test_theorems_fail_on_a_system_without_trajectory(tmp_path, capsys):
+    """The only initial state fails its mode's entry, so the system has
+    no trajectory, which validate reports as InitialNotAtZero: theorems
+    3 and 6 fail with the note instead of holding vacuously."""
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps(_variant(
+        entry=["u = 0"], initial=[{"mode": "up", "values": {"u": "1"}}])))
+    assert run("validate", "--system", str(system), "--json") == 1
+    assert "InitialNotAtZero" in capsys.readouterr().out
+    for n in ("3", "6"):
+        assert run("check-theorem", n, "--system", str(system), "--delta", "1",
+                   "--horizon", "5", "--json") == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False
+        assert NO_TRAJECTORY in (doc["witness"] if n == "3" else doc["notes"])
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "hybridsem.cli", "validate", "--fixture", "example10"],
@@ -253,6 +285,9 @@ def _bad_input_cases(tmp_path):
     # c_v names no variable of the system: the clause could never hold
     foreign = tmp_path / "foreign.json"
     foreign.write_text(json.dumps({"clauses": [{"constraints": ["c_v = a_u"]}]}))
+    # nested deeper than the JSON decoder recurses
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
     for name, doc in BAD_RELATIONS.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -262,6 +297,8 @@ def _bad_input_cases(tmp_path):
         *bad_files,
         ("check-sim", "--system", str(system), "--abstract", str(system),
          "--relation", str(foreign)),
+        ("validate", "--system", str(deep)),
+        ("check-sim", "--fixture", "tank-automaton", "--relation", str(deep)),
         ("sample", "--fixture", "example10", "--delta", "0"),
         ("sample", "--fixture", "example10", "--delta", "-1"),
         ("discretize", "--fixture", "example10", "--delta", "0"),
@@ -392,8 +429,13 @@ def test_bad_input_exits_2_from_a_fresh_process(tmp_path):
     ("check-theorem", "7", "--fixture", "tank-impl"),
     ("check-theorem", "7", "--fixture", "tankfoo"),
 ])
-def test_fixture_lacking_what_a_check_needs_is_bad_input(argv):
-    _assert_bad_input(argv)
+def test_fixture_lacking_what_a_check_needs_is_bad_input(argv, capsys):
+    """Decided in process, with the checks of _assert_bad_input."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2, (argv, err)
+    assert "input error:" in err
+    assert "Traceback" not in err
 
 
 TANK_FLAGS = {"--x0", "--epsilon", "--zeta"}

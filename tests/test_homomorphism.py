@@ -15,7 +15,8 @@ from hybridsem.homomorphism import (
     theorem1_check,
     theorem3_check,
 )
-from hybridsem.hts import semantics_generate
+from hybridsem.discretize import theorem6_check
+from hybridsem.hts import NO_TRAJECTORY, HybridTransitionSystem, semantics_generate
 from hybridsem.trajectory import trajectory_timeline, trajectory_validate
 
 from conftest import random_explicit, random_trajectory, rnd_q
@@ -87,3 +88,20 @@ def test_image_system_generates_mapped_semantics():
     lhs = {hom_trajectory(h, s) for s in semantics_generate(sys, 10).trajectories}
     rhs = set(semantics_generate(mapped, 10).trajectories)
     assert lhs == rhs
+
+
+def test_theorems_fail_on_a_system_without_trajectory():
+    """The only initial configuration starts at 1, so reach drops it and
+    the system has no trajectory: theorems 1, 3 and 6 fail with the note
+    instead of holding vacuously."""
+    sys = HybridTransitionSystem.from_explicit(
+        ("u",), Q(1, 100), (make_config("m", 1, 3, {"u": 0}, {"u": 1}, closed_hi=True),),
+        (), (0,))
+    h = StateHom.make()
+    ok, diff = theorem1_check(h, sys, 5)
+    assert not ok and diff["note"] == NO_TRAJECTORY
+    assert not diff["only_mapped"] and not diff["only_generated"]
+    assert theorem3_check(h, semantics_generate(sys, 5).trajectories, 1, 5) == (
+        False, NO_TRAJECTORY)
+    ok, diff, notes = theorem6_check(sys, 1, 5)
+    assert not ok and NO_TRAJECTORY in notes
