@@ -407,8 +407,7 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
 
     # stage iii: composition through the companions down to the spec view
     ok3, failures, certified = compose_check(
-        rels["R53"], rels["r39"], trajectories, dict(zip(trajectories, companions)),
-        {w: spec_witness(w) for w in companions},
+        rels["R53"], rels["r39"], trajectories, companions, [spec_witness(w) for w in companions],
     )
     off_obs = []
     for s, ww, cp, tp in certified:

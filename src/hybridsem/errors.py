@@ -81,10 +81,6 @@ class SyncRequiresWellNesting(HybridSemError):
     pass
 
 
-class NotSliceClosed(HybridSemError):
-    pass
-
-
 class NoInitialWitness(HybridSemError):
     pass
 

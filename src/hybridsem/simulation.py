@@ -21,7 +21,6 @@ from .errors import (
     LocalSimulationGap,
     MissingIntermediateWitness,
     NoInitialWitness,
-    NotSliceClosed,
     PremiseFailed,
     SyncRequiresWellNesting,
     UniverseTooLarge,
@@ -384,39 +383,46 @@ def greatest_simulation(
     succ_a: Callable,
     related: Optional[Callable] = None,
 ) -> set:
-    """Greatest fixpoint of R -> R cap F_s(R) over slice-closed
-    universes, starting from all overlapping pairs (optionally
-    intersected with a configuration relation).  Each concrete step
-    demands a sim_transfer response, which stands for the starting pairs
-    with its canonical keys; a response outside the universes raises
-    NotSliceClosed.  The fixpoint runs on members' ids, in repr order."""
-    universe_c, universe_a = list(universe_c), list(universe_a)
-    sides = []
-    for own, other, succ in ((universe_c, universe_a, succ_c), (universe_a, universe_c, succ_a)):
-        members = sorted(slice_closure(own, _cut_points(other)), key=repr)
-        key_ids: dict = {}
-        keys = [key_ids.setdefault(canonical_key(c), len(key_ids)) for c in members]
-        sides.append((members, key_ids, keys, [succ(c) for c in members]))
-    (cs, kid_c, key_c, after_c), (as_, kid_a, key_a, after_a) = sides
-    start = [(i, j) for i, j, _ in overlap_ids(cs, as_)
-             if related is None or related(cs[i], as_[j])]
-    by_key: dict = {}
-    for i, j in start:
-        by_key.setdefault((key_c[i], key_a[j]), []).append((i, j))
+    """Greatest fixpoint of R -> R cap F_s(R) on the demand closure of the
+    overlapping pairs of the given universes (optionally intersected with
+    a configuration relation), returned on its pairs of given ones.  Each
+    concrete step demands a sim_transfer response, interned by canonical
+    keys: the given pairs with its keys, or else one pair of its own (on
+    the given configurations with those keys, if any), decided once and
+    given its demands in turn.  A slice or splice that is no given
+    configuration has no successor, so no response leaves the closure;
+    past MAX_UNIVERSE pairs in it, UniverseTooLarge is raised."""
+    cs, as_ = list(universe_c), list(universe_a)
+    key_c, key_a = [canonical_key(c) for c in cs], [canonical_key(a) for a in as_]
+    # each key's given configuration, the first where several share one
+    own_c, own_a = (dict(zip(ks[::-1], xs[::-1])) for ks, xs in ((key_c, cs), (key_a, as_)))
+    pairs: list = []  # id -> (c, a), the related pairs of the closure
+    by_key: dict = {}  # (canonical key, canonical key) -> ids of its related pairs
+
+    def add(key, c, a) -> list:
+        ids = by_key.setdefault(key, [])
+        if related is None or related(c, a):
+            if len(pairs) == MAX_UNIVERSE:
+                raise UniverseTooLarge(f"demand closure past {MAX_UNIVERSE} pairs")
+            ids.append(len(pairs))
+            pairs.append((c, a))
+        return ids
+
+    for i, j, _ in overlap_ids(cs, as_):
+        add((key_c[i], key_a[j]), cs[i], as_[j])
+    given = len(pairs)
 
     def pairs_of(sc, sa) -> list:
-        kc, ka = kid_c.get(canonical_key(sc)), kid_a.get(canonical_key(sa))
-        if kc is None or ka is None:
-            raise NotSliceClosed(f"splice {sc!r}/{sa!r} leaves the universe")
-        return by_key.get((kc, ka), [])
+        key = (canonical_key(sc), canonical_key(sa))
+        ids = by_key.get(key)
+        return ids if ids is not None else add(key, own_c.get(key[0], sc), own_a.get(key[1], sa))
 
-    def demands(pair):
-        i, j = pair
-        for c_prime in after_c[i]:
-            responses = sim_transfer(lambda *_: True, lambda _: after_a[j], cs[i], as_[j], c_prime)
-            yield {q for _, sc, sa in responses for q in pairs_of(sc, sa)}
-
-    return {(cs[i], as_[j]) for i, j in greatest_fixpoint(start, demands)}
+    demands = []  # pairs grows as its demands are built, so every pair gets them
+    for c, a in pairs:
+        demands.append([{q for _, sc, sa in sim_transfer(lambda *_: True, succ_a, c, a, c_prime)
+                         for q in pairs_of(sc, sa)} for c_prime in succ_c(c)])
+    return {pairs[p] for p in greatest_fixpoint(range(len(pairs)), demands.__getitem__)
+            if p < given}
 
 
 def theorem4_match(
@@ -506,26 +512,24 @@ def compose_check(
     r1: TimedStateRelation,
     r2: TimedStateRelation,
     T: Iterable,
-    witness1: dict,
-    witness2: dict,
+    mids: Iterable,
+    tops: Iterable,
 ):
     """Theorem-5 style composition: certify each concrete trajectory
     against the top level through the intermediate witness trajectory.
 
-    witness1 maps each member of T to its intermediate trajectory,
-    witness2 maps intermediates to top-level trajectories.  Returns
-    (ok, failures, certified); certified lists every window where both
-    relations hold as (s, window, concrete piece, top-level piece).
+    mids holds the intermediate trajectory of each member of T, and tops
+    the top-level trajectory of each intermediate, in the order of T; a
+    length that differs from T's raises MissingIntermediateWitness.
+    Returns (ok, failures, certified); certified lists every window where
+    both relations hold as (s, window, concrete piece, top-level piece).
     """
+    T, mids, tops = list(T), list(mids), list(tops)
+    if not len(T) == len(mids) == len(tops):
+        raise MissingIntermediateWitness(f"{len(T)}, {len(mids)} and {len(tops)} trajectories")
     failures = []
     certified = []
-    for s in T:
-        mid = witness1.get(s)
-        if mid is None:
-            raise MissingIntermediateWitness(repr(s))
-        top = witness2.get(mid)
-        if top is None:
-            raise MissingIntermediateWitness(repr(mid))
+    for s, mid, top in zip(T, mids, tops):
         bound = TimeInterval(Q(0), tmin(s.duration, top.duration), False)
         for c, cmid, w1 in overlapping(s.configs, mid.configs):
             w1 = interval_intersect(w1, bound)

@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Optional
 
 from hybridsem.errors import (
     FinalNotClosed,
+    HybridSemError,
     NonConsecutiveEdge,
-    NotSliceClosed,
     ParamConstraintViolated,
     SyncRequiresWellNesting,
 )
@@ -35,6 +35,10 @@ from hybridsem.simulation import (
 )
 from hybridsem.time_core import INF, Q, TimeInterval, is_finite, tmin
 from hybridsem.trajectory import trajectory_validate
+
+
+class NotSliceClosed(HybridSemError):
+    """A splice leaves the slice-closed universes (this reference only)."""
 
 
 def successors(h: HybridTransitionSystem, p) -> tuple:

@@ -66,6 +66,10 @@ def _calls() -> dict:
     calls["galois-laws"] = ("galois-laws",)
     # the tank automaton against itself under r39 (same output as TANK_FILES)
     calls["check-sim_tank-automaton"] = ("check-sim", *TANK, "--horizon", "9")
+    # two samples of the tank against themselves: the splices of one
+    # sample's steps run through two flows of the other's windows
+    calls["greatest-sim_tank-automaton"] = (
+        "greatest-sim", "--fixture", "tank-automaton", "--x0", "0,1/2", "--horizon", "6")
     # a generated pair (3 unit-dwell modes; the abstract side lacks m0 -> m1)
     calls["greatest-sim_branching-k3"] = (
         "greatest-sim", "--system", _input("branching-k3"),

@@ -139,7 +139,7 @@ def test_piecewise_state_lookup():
     assert p.b == 0 and p.e == 2
 
 
-@settings(max_examples=60)
+@settings(derandomize=True, max_examples=60)
 @given(small_q, small_q, st.integers(1, 5))
 def test_slice_value_preservation_property(u0, rate, width):
     c = make_config("m", 0, width, {"u": u0}, {"u": rate}, closed_hi=True)
@@ -150,7 +150,7 @@ def test_slice_value_preservation_property(u0, rate, width):
         assert s.state_at(t) == c.state_at(t)
 
 
-@settings(max_examples=40)
+@settings(derandomize=True, max_examples=40)
 @given(st.integers(1, 4), st.integers(1, 3))
 def test_sample_counts(width, den):
     s = chain(("m", 0, width, 0, 1))

@@ -38,7 +38,7 @@ def naive(xs, ys):
     return out
 
 
-@settings(max_examples=300, deadline=None)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.lists(items(), max_size=7), st.lists(items(), max_size=7))
 def test_overlapping_matches_nested_loop_in_order(xs, ys):
     assert overlapping(xs, ys) == naive(xs, ys)
@@ -84,7 +84,7 @@ def mixed_sides(draw):
             [item() for _ in range(draw(st.integers(0, 7)))])
 
 
-@settings(max_examples=400, deadline=None)
+@settings(derandomize=True, deadline=None, max_examples=400)
 @given(mixed_sides())
 def test_overlapping_with_mixed_denominators_matches_nested_loop(sides):
     xs, ys = sides

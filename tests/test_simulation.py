@@ -2,6 +2,7 @@
 canonical keys, transfer candidates, the greatest-fixpoint computation
 and the derived checks."""
 
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -13,7 +14,7 @@ from hybridsem.casestudy import (
     gallery_fixture,
     tank_relations,
 )
-from hybridsem.errors import NotSliceClosed, PremiseFailed
+from hybridsem.errors import MissingIntermediateWitness, PremiseFailed, UniverseTooLarge
 from hybridsem.flow_config import (
     EPSILON,
     PiecewiseConfiguration,
@@ -190,14 +191,14 @@ def test_greatest_simulation_empty_when_values_disagree():
 
 def test_greatest_simulation_tank_pinned():
     """The tank automaton against itself under r39 (x0 in {0, 1, 2},
-    horizon 12); the count was taken with the round-robin removal loop
-    that the worklist engine replaced."""
+    horizon 12): 24 pairs of graph configurations, which are the 497
+    pairs found over slice-closed universes restricted to the graph's."""
     p = TankParams.make(x0_samples=(0, 1, 2))
     r = tank_relations(p)["r39"]
     G = config_graph(semantics_generate(build_tank_automaton(p), 12))
     R = greatest_simulation(G.configs(), G.configs(), G.succ, G.succ,
                             related=lambda c, d: config_related(r, c, d))
-    assert len(R) == 497
+    assert len(R) == 24
 
 
 def _branching(k, dropped=None):
@@ -227,17 +228,66 @@ def test_greatest_simulation_branching_pair_past_the_trajectory_cap():
     assert len(R) == sum(min((m - i) % k + 1, h) for i in range(k))
 
 
-def test_greatest_simulation_splice_across_flows_leaves_universe():
-    # c $ c' cut to [1, 3] runs through mode m and then mode n: no
-    # slice of a single universe configuration has that key
+def _brute_force_gsim(C, A, succ_c, succ_a, related):
+    """The given pairs in the union of every simulation over the pairs
+    reached from the given ones by responses, enumerated over all their
+    subsets.  A pair is kept by canonical keys and steps as the given
+    configurations with its keys, or not at all."""
+    own = {canonical_key(x): x for x in (*C, *A)}
+    succ = lambda f, x: f(own.get(canonical_key(x), x))
+    cands, todo = {}, [(c, a) for c, a, _ in overlapping(C, A)]
+    while todo:
+        c, a = todo.pop()
+        key = (canonical_key(c), canonical_key(a))
+        if key not in cands and related(c, a):
+            cands[key] = (c, a)
+            todo += [resp[1:] for cp in succ(succ_c, c)
+                     for resp in sim_transfer(related, lambda x: succ(succ_a, x), c, a, cp)]
+    union = set()
+    for bits in itertools.product((0, 1), repeat=len(cands)):
+        R = {k for k, b in zip(cands, bits) if b}
+        if all(any((canonical_key(sc), canonical_key(sa)) in R
+                   for _, sc, sa in sim_transfer(related, lambda x: succ(succ_a, x), c, a, cp))
+               for c, a in (cands[k] for k in R) for cp in succ(succ_c, c)):
+            union |= R
+    return {(c, a) for c, a, _ in overlapping(C, A)
+            if (canonical_key(c), canonical_key(a)) in union}
+
+
+def test_greatest_simulation_splice_across_flows():
+    """c $ c' cut to [1, 3] runs through mode m and then mode n, so no
+    slice of one graph configuration has its key: the pair is decided
+    on its own, as a brute-force search over simulations decides it."""
     c = make_config("m", 0, 2, {"u": 0}, {"u": 0})
     c2 = make_config("n", 2, 3, {"u": 0}, {"u": 0}, closed_hi=True)
     a = make_config("m", 0, 1, {"u": 0}, {"u": 0})
     a2 = make_config("n", 1, 3, {"u": 0}, {"u": 0}, closed_hi=True)
     succ_c, succ_a = {c: (c2,)}, {a: (a2,)}
-    with pytest.raises(NotSliceClosed):
-        greatest_simulation([c, c2], [a, a2], lambda x: succ_c.get(x, ()),
-                            lambda x: succ_a.get(x, ()))
+    args = ([c, c2], [a, a2], lambda x: succ_c.get(x, ()), lambda x: succ_a.get(x, ()))
+    for related, count in (
+        (lambda c, a: True, 3),
+        (lambda c, a: len(pieces(c)) == len(pieces(a)) == 1, 2),  # no splice across flows
+        (lambda c, a: c.e <= 2 or a.b == 0, 0),
+    ):
+        R = greatest_simulation(*args, related=related)
+        assert R == _brute_force_gsim(*args, related)
+        assert len(R) == count
+
+
+def test_greatest_simulation_caps_its_demand_closure(monkeypatch):
+    """The tank at horizon 12 closes on its 30 related graph pairs, of
+    which 24 survive; a cap below 30 fails closed."""
+    import hybridsem.simulation as simulation
+
+    p = TankParams.make(x0_samples=(0, 1, 2))
+    r = tank_relations(p)["r39"]
+    G = system_graph(build_tank_automaton(p), 12)
+    args = (G.configs(), G.configs(), G.succ, G.succ, lambda c, d: config_related(r, c, d))
+    monkeypatch.setattr(simulation, "MAX_UNIVERSE", 30)
+    assert len(greatest_simulation(*args)) == 24
+    monkeypatch.setattr(simulation, "MAX_UNIVERSE", 29)
+    with pytest.raises(UniverseTooLarge, match="past 29 pairs"):
+        greatest_simulation(*args)
 
 
 def test_theorem4_match_prefers_finite_end_past_1e9():
@@ -268,9 +318,11 @@ def test_compose_check_nested_intermediate():
     fx = gallery_fixture("fig6")
     (s,), (mid,), (top,) = fx["T"], fx["Tb"], fx["Tbb"]
     ok, failures, _ = compose_check(
-        fx["relation"], fx["relation"], fx["T"], {s: mid}, {mid: top}
+        fx["relation"], fx["relation"], fx["T"], [mid], [top]
     )
     assert ok and failures == []
+    with pytest.raises(MissingIntermediateWitness):
+        compose_check(fx["relation"], fx["relation"], fx["T"], [mid], [])
 
 
 def _compose_by_whole_configs(r1, r2, T, witness1, witness2):
@@ -346,7 +398,7 @@ def test_compose_check_matches_whole_configuration_windows():
             Clause((parse_constraint(f"t >= E_c - {rng.randint(0, 2)}"),),
                    concrete_mode=rng.choice((None, "m"))),
         )) for _ in range(2))
-        got = compose_check(r1, r2, [s], {s: mid}, {mid: top})
+        got = compose_check(r1, r2, [s], [mid], [top])
         assert got == _compose_by_whole_configs(r1, r2, [s], {s: mid}, {mid: top})
         seen["ok" if got[0] else "failed"] += 1
         seen["windows"] += len(got[1]) + len(got[2])
