@@ -7,7 +7,10 @@ common time window:  c $ c' <m1,m2>  with  m1 = min(b(c'), b(cbar')),
 m2 = min(e(c'), e(cbar')).  An empty-successor placeholder means "the
 other side stays in its current configuration"; its window is the
 stepping side's successor interval, admissible only when that interval
-ends within the staying side's current configuration.
+ends within the staying side's current configuration.  `_responses`
+enumerates these splices for every check: the synchronous simulation
+(52) is the asynchronous one on the well-nested universes (59) it
+requires, so both decide each step by `sim_transfer`.
 """
 
 from __future__ import annotations
@@ -264,12 +267,20 @@ def sim_check(
     Gb: ConfigGraph,
     mode: str = "async",
 ) -> SimReport:
-    """Simulation check of gamma(r) over the finite universes.
+    """Simulation check of gamma(r) over the finite universes: every
+    concrete step of a related pair needs a sim_transfer response.  Mode
+    "sync", the synchronous check (52), first refuses universes that fail
+    (59) with SyncRequiresWellNesting; "async" is the general check.
 
-    async mode checks the general asynchronous condition for every
-    related pair; sync mode uses the simplified well-nested form and
-    refuses if the universes are not well-nested.
-    """
+    One step rule serves both, given that every edge joins consecutive
+    configurations, as in every graph of `reach`, `config_graph` and the
+    gallery.  Well-nested, a related (c, cbar) has e(c) <= e(cbar), so the
+    window of a step c -> c' starts at b(c') (c' starts at e(c), each
+    abstract successor at e(cbar)), c adds nothing from there on, and the
+    responses are (52)'s two cases: c' against cbar cut to c', and c' cut
+    to m2 against (cbar $ cbar') cut to [b(c'), m2)."""
+    if mode not in ("async", "sync"):
+        raise ValueError(f"unknown mode {mode!r}")
     _universe_guard(G, Gb)
     related = lambda c, d: config_related(r, c, d)
     report = SimReport(True)
@@ -284,11 +295,7 @@ def sim_check(
     for i, j in pairs:
         c, cb, after = xs[i], ys[j], Gb.succ_map[j][1]
         for c_prime in G.succ_map[i][1]:
-            if mode == "sync":
-                ok = _sync_step_ok(related, after, c_prime, cb)
-            else:
-                ok = bool(sim_transfer(related, lambda _: after, c, cb, c_prime))
-            if not ok:
+            if not sim_transfer(related, lambda _: after, c, cb, c_prime):
                 violations.append((c, cb, c_prime, "no abstract response"))
     # hypotheses; a truncated c is a horizon artifact, never blocking
     blocking_w = next(((xs[i], ys[j]) for i, j in pairs if not G.succ_map[i][1]
@@ -303,22 +310,6 @@ def sim_check(
     if G.truncated or Gb.truncated:
         report.notes.append("horizon-bounded verdict: universes are truncated prefixes")
     return report
-
-
-def _sync_step_ok(related, after, c_prime, cb) -> bool:
-    """(52): the concrete successor against cb sliced, or spliced with one of `after`."""
-    if c_prime.e <= cb.e:
-        sa = splice(cb, EPSILON, c_prime.b, c_prime.e)
-        if sa is not None and related(c_prime, sa):
-            return True
-    for cb_prime in after:
-        m2 = tmin(c_prime.e, cb_prime.e)
-        sa = splice(cb, cb_prime, c_prime.b, m2)
-        if sa is not None:
-            sc = splice(c_prime, EPSILON, c_prime.b, m2)
-            if sc is not None and related(sc, sa):
-                return True
-    return False
 
 
 def slice_closure(configs: Iterable, extra_points: Iterable = ()) -> set:

@@ -75,6 +75,12 @@ def _calls() -> dict:
         "greatest-sim", "--system", _input("branching-k3"),
         "--abstract", _input("branching-k3-drop0"), "--relation", _input("eq-u"),
         "--horizon", "4")
+    # the same pair under both step rules: well-nested, so --sync checks
+    # it and lists the asynchronous violations
+    pair = ("--system", _input("branching-k3"), "--abstract", _input("branching-k3-drop0"),
+            "--relation", _input("eq-u"), "--horizon", "4")
+    calls["check-sim_branching-k3"] = ("check-sim", *pair)
+    calls["check-sim-sync_branching-k3"] = ("check-sim", *pair, "--sync")
     return {name: argv + ("--json",) for name, argv in calls.items()}
 
 

@@ -69,11 +69,12 @@ def _explicit(rng):
                                                 tuple(layers[0]))
 
 
-def _branching(k, dropped=None):
-    """k unit-dwell modes, all initial; mode i steps to i or i+1 mod k and
-    sets u to the target's index, except for the edge dropped -> dropped+1."""
+def _branching(k, dropped=None, dwell=1):
+    """k modes of the given dwell, all initial; mode i steps to i or i+1
+    mod k and sets u to the target's index, except for the edge
+    dropped -> dropped+1."""
     modes = tuple(
-        ModeSchema.make(f"m{i}", {"u": 0}, exit=ExitCondition("duration", LinExpr.constant(1)))
+        ModeSchema.make(f"m{i}", {"u": 0}, exit=ExitCondition("duration", LinExpr.constant(dwell)))
         for i in range(k)
     )
     edges = tuple(
