@@ -17,10 +17,11 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ParseError
 from .records import record
-from .time_core import Q
+from .time_core import Q, exact
 
 __all__ = ["LinExpr", "AffineConstraint", "parse_expr", "parse_constraint", "read_rational"]
 
@@ -56,8 +57,17 @@ class LinExpr:
     def eval(self, env) -> Fraction:
         total = self.const
         for k, v in self.coefs:
-            total += v * Q(env[k])
+            total += v * exact(env[k])
         return total
+
+    @cached_property
+    def int_terms(self) -> tuple:
+        """((numerator, denominator) of const, ((symbol, numerator,
+        denominator), ...) of coefs): the integers the window kernel reads,
+        taken from the Fractions once per expression."""
+        c = self.const
+        return (c.numerator, c.denominator), tuple(
+            (k, v.numerator, v.denominator) for k, v in self.coefs)
 
     def subst(self, env) -> "LinExpr":
         """Replace symbols found in env (symbol -> LinExpr or rational)."""

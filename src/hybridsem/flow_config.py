@@ -26,6 +26,7 @@ from .time_core import (
     NEG_INF,
     Q,
     TimeInterval,
+    exact,
     interval_intersect,
     is_finite,
     rank_range,
@@ -83,11 +84,11 @@ class AffineFlow:
     def make(mode, anchor, initial: Mapping, rate: Mapping) -> "AffineFlow":
         """The flow through `initial` at time `anchor`, with `rate` (0
         for a variable it leaves out)."""
-        anchor = Q(anchor)
+        anchor = exact(anchor)
         lines = []
         for k in sorted(initial):
-            r = Q(rate.get(k, 0))
-            lines.append((k, (r, Q(initial[k]) - r * anchor)))
+            r = exact(rate.get(k, 0))
+            lines.append((k, (r, exact(initial[k]) - r * anchor)))
         return AffineFlow(mode, tuple(lines))
 
     @property
@@ -184,7 +185,7 @@ class PiecewiseConfiguration:
 
     pieces: tuple  # Configuration, contiguous, all but last right-open
 
-    @property
+    @cached_property
     def interval(self) -> TimeInterval:
         first, last = self.pieces[0], self.pieces[-1]
         return TimeInterval(first.b, last.e, last.interval.closed_hi)
@@ -209,8 +210,8 @@ class PiecewiseConfiguration:
 
 
 def make_config(mode, lo, hi, initial, rate, closed_hi=False) -> Configuration:
-    lo = Q(lo)
-    hi = Q(hi) if is_finite(hi) else INF
+    lo = exact(lo)
+    hi = exact(hi) if is_finite(hi) else INF
     flow = AffineFlow.make(mode, lo, initial, rate)
     return Configuration(flow, TimeInterval(lo, hi, closed_hi))
 
@@ -298,8 +299,7 @@ def config_slice(c, t1, t2, closed=False, zeta=None):
     """
     if c is EPSILON:
         return EPSILON
-    t1 = Q(t1)
-    window = TimeInterval(t1, Q(t2) if is_finite(t2) else INF, closed)
+    window = TimeInterval(t1, t2 if is_finite(t2) else INF, closed)
     inter = interval_intersect(c.interval, window)
     if inter is None:
         raise EmptyIntersection(f"{c!r} sliced at {window!r}")
@@ -308,12 +308,12 @@ def config_slice(c, t1, t2, closed=False, zeta=None):
     kept = []
     for piece in pieces(c):
         sub = interval_intersect(piece.interval, inter)
-        if sub is None or (is_finite(sub.hi) and sub.d == 0 and not sub.closed_hi):
+        if sub is None:
             continue
-        if sub.d == 0:
-            # degenerate point piece: keep only if it is the closing endpoint
-            if not (sub.closed_hi and sub.hi == inter.hi):
-                continue
+        # a point piece (interval_intersect gives no empty [t,t)): keep it
+        # only if it is the closing endpoint
+        if sub.hi == sub.lo and sub.hi != inter.hi:
+            continue
         kept.append(Configuration(piece.flow, sub))
     if not kept:
         raise EmptyIntersection(f"{c!r} sliced at {window!r}")

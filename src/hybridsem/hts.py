@@ -34,7 +34,7 @@ from .errors import (
 from .flow_config import Configuration, make_config
 from .records import record
 from .relation import _known_keys, _strings, _typed
-from .time_core import INF, Q, TimeInterval, is_finite
+from .time_core import INF, Q, TimeInterval, exact, is_finite
 from .trajectory import trajectory_validate
 
 __all__ = [
@@ -73,10 +73,10 @@ class ExitCondition:
     def duration_for(self, entry: dict, rates: dict):
         if self.kind == "duration":
             return self.value.eval(entry)
-        rate = Q(rates.get(self.var, 0))
+        rate = exact(rates.get(self.var, 0))
         if rate == 0:
             return None
-        return (self.value.eval(entry) - Q(entry[self.var])) / rate
+        return (self.value.eval(entry) - exact(entry[self.var])) / rate
 
 
 @record(frozen=True)
@@ -117,7 +117,7 @@ class ModeSchema:
         if dur is None or dur < zeta:
             return None
         return make_config(
-            self.mode, t0, Q(t0) + dur, entry_values, rates, closed_hi=self.terminal
+            self.mode, t0, exact(t0) + dur, entry_values, rates, closed_hi=self.terminal
         )
 
 

@@ -37,8 +37,11 @@ denominators and of every A, so each decision point is an integer P
 standing for P/(2D), and a constraint is decided by the sign of
 A*P + 2D*B: one integer multiply-add per constraint and point, and no
 Fraction built (the integer-coefficient form of exact polyhedra
-libraries).  A window where no clause compiles and r has no domain is
-decided at its first point, and config_related gives that verdict for
+libraries).  A window's start is decided first, from its own numerator
+and denominator, and the other points are found only past it, since
+most unrelated pairs already fail there.  A window where no clause
+compiles and r has no domain is decided at that first point, and
+config_related gives that verdict for
 a plain pair whose modes admit no clause without entering the kernel.
 traj_related_rankwise decides its for-all
 by an exact cover of solution spans over Fractions instead, sharing no
@@ -292,9 +295,11 @@ def _compile(r: TimedStateRelation, cp, dp, endpoints) -> list:
     table = None
     out = []
     for clause in r.admitted(cp.flow.mode, dp.flow.mode)[0]:
-        cons = clause.effective_constraints(endpoints)
-        if cons is None:
-            continue
+        cons = clause.constraints
+        if clause.dynamic is not None:
+            cons = clause.effective_constraints(endpoints)
+            if cons is None:
+                continue
         if table is None:
             table = {"t": (1, 0, 1)}
             table.update((k, (0, v.numerator, v.denominator)) for k, v in endpoints.items())
@@ -313,13 +318,13 @@ def _in_t(lhs: LinExpr, table: dict) -> tuple:
     """Integers (A, B) in lowest terms with A*t + B a positive multiple
     of lhs, each symbol read from table as (R, O, L), its value being
     (R*t + O)/L; one lcm clears every denominator."""
-    const = lhs.const
+    (cn, cd), coefs = lhs.int_terms
     terms = []
-    for sym, coef in lhs.coefs:
+    for sym, num, den in coefs:
         R, O, L = table[sym]
-        terms.append((coef.numerator, coef.denominator * L, R, O))
-    m = lcm(const.denominator, *[den for _, den, _, _ in terms])
-    A, B = 0, const.numerator * (m // const.denominator)
+        terms.append((num, den * L, R, O))
+    m = lcm(cd, *[den for _, den, _, _ in terms])
+    A, B = 0, cn * (m // cd)
     for num, den, R, O in terms:
         k = num * (m // den)
         A += k * R
@@ -382,12 +387,23 @@ def _over(w: TimeInterval, D2: int, last: int) -> range:
 def _decisions(r: TimedStateRelation, cp, dp, window: TimeInterval, endpoints):
     """Whether the states of the plain affine configurations cp and dp
     are related, at each decision point of the window inside dom(r).
-    When no clause compiles and r has no domain, the first point of a
-    nonempty window decides: no point is related."""
+
+    The first point of a nonempty window is its start lo = n/d.  It is
+    decided before the other points are found, each constraint by the
+    sign of A*n + B*d, so a window refuted there (most unrelated pairs
+    are) costs no roots, cuts or midpoints.  When no clause compiles and
+    r has no domain, that first decision is the verdict: no point is
+    related."""
     clauses = _compile(r, cp, dp, endpoints)
-    if not clauses and r.domain is None and window.contains(window.lo):
-        yield False
-        return
+    lo = window.lo
+    if window.contains(lo) and r.in_domain(lo):
+        n, d = lo.numerator, lo.denominator
+        yield any(
+            (w is None or w.contains(lo)) and all(cmp(A * n + B * d, 0) for cmp, A, B in cons)
+            for w, cons in clauses
+        )
+        if not clauses and r.domain is None:
+            return
     D, points = _window_points(r, clauses, window)
     D2, last = 2 * D, points[-1] if points else 0
     checks = [
@@ -396,7 +412,7 @@ def _decisions(r: TimedStateRelation, cp, dp, window: TimeInterval, endpoints):
         for w, cons in clauses
     ]
     domain = None if r.domain is None else [_over(w, D2, last) for w in r.domain]
-    for P in points:
+    for P in points[1:]:  # points[0] is lo, decided above
         if domain is None or any(P in w for w in domain):
             yield any(
                 (w is None or P in w) and all(cmp(A * P + B, 0) for cmp, A, B in cons)

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Optional
 
 from .affine import AffineConstraint, LinExpr
 from .errors import (
+    EmptyIntersection,
     HybridSemError,
     LocalSimulationGap,
     MissingIntermediateWitness,
@@ -50,7 +51,7 @@ from .relation import (
     traj_related_rankwise,
     traj_related_timewise,
 )
-from .time_core import INF, Q, TimeInterval, interval_intersect, is_finite, tmin
+from .time_core import INF, Q, TimeInterval, earlier, interval_intersect, is_finite, tmin
 from .trajectory import Trajectory, trajectory_validate
 
 __all__ = [
@@ -172,14 +173,15 @@ class SimReport:
 
 
 def splice(c, c_next, m1, m2):
-    """(c $ c_next)<m1, m2>; returns None for an empty window."""
-    if m2 <= m1:
+    """(c $ c_next)<m1, m2>; returns None for an empty window or an empty
+    slice.  m1 is finite, m2 finite or INF."""
+    if m2 is not INF and not earlier(m1, m2):
         return None
     cat = config_concat(c, c_next) if not is_empty(c_next) else c
     closed = cat.interval.closed_hi and cat.interval.hi == m2
     try:
         return config_slice(cat, m1, m2, closed=closed)
-    except HybridSemError:
+    except EmptyIntersection:
         return None
 
 

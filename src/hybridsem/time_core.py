@@ -8,7 +8,9 @@ Intervals are left-closed, right-open by default; a closed right end
 marks a final configuration.  Every interval constructed through
 interval_make has duration at least zeta, the system-level minimum
 configuration duration that rules out zeno behavior.  Times are read
-as integers only through rank_range, rank_of and ticks.
+as integers only through rank_range, rank_of and ticks, and finite
+times are compared by `earlier`, which cross-multiplies their numerators
+and denominators instead of going through Fraction's comparison.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .records import record
 
 __all__ = [
     "Q",
+    "exact",
     "INF",
     "NEG_INF",
     "TimeInterval",
@@ -28,6 +31,7 @@ __all__ = [
     "interval_closure",
     "interval_intersect",
     "is_finite",
+    "earlier",
     "tmin",
     "tmax",
     "time_str",
@@ -37,6 +41,11 @@ __all__ = [
 ]
 
 Q = Fraction
+
+
+def exact(x) -> Fraction:
+    """x as a Fraction: x itself when it is one, so that no copy is built."""
+    return x if x.__class__ is Fraction else Fraction(x)
 
 
 class _Extended:
@@ -103,10 +112,16 @@ def is_finite(t) -> bool:
     return not isinstance(t, _Extended)
 
 
+def earlier(a, b) -> bool:
+    """a < b for finite times (Fractions or ints), in integers."""
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
 def tmin(*ts):
+    """The least of finite times and INF."""
     out = ts[0]
     for t in ts[1:]:
-        if t < out:
+        if out is INF or (t is not INF and earlier(t, out)):
             out = t
     return out
 
@@ -146,22 +161,25 @@ class TimeInterval:
         return self.hi - self.lo
 
     def contains(self, t) -> bool:
-        if not is_finite(t):
+        if not is_finite(t) or earlier(t, self.lo):
             return False
-        if t < self.lo:
-            return False
-        if t < self.hi:
+        hi = self.hi
+        if hi is INF or earlier(t, hi):
             return True
-        return self.closed_hi and t == self.hi
+        return self.closed_hi and not earlier(hi, t)
 
     def subset_of(self, other: "TimeInterval") -> bool:
-        if self.lo < other.lo:
+        if earlier(self.lo, other.lo):
             return False
-        if self.hi < other.hi:
+        shi, ohi = self.hi, other.hi
+        if shi is INF or ohi is INF:
+            if shi is not ohi:
+                return shi is not INF
+        elif earlier(shi, ohi):
             return True
-        if self.hi == other.hi:
-            return other.closed_hi or not self.closed_hi
-        return False
+        elif earlier(ohi, shi):
+            return False
+        return other.closed_hi or not self.closed_hi
 
     def __repr__(self):
         close = "]" if self.closed_hi else ")"
@@ -193,26 +211,27 @@ def interval_closure(i: TimeInterval) -> TimeInterval:
 def interval_intersect(i: TimeInterval, j: TimeInterval):
     """Exact set intersection; returns None when empty.
 
-    At most four comparisons of finite endpoints: one for the start, at
-    most two for the end (which also decide whether it is closed), and
-    one of start against end.  INF is the only unbounded end.
+    At most four comparisons of finite endpoints, each by `earlier`: one
+    for the start, at most two for the end (which also decide whether it
+    is closed), and one of start against end.  INF is the only unbounded
+    end.
 
     Sub-zeta intersections are reported as-is; callers that need the
     minimum-duration guarantee enforce it themselves.
     """
-    lo = j.lo if i.lo < j.lo else i.lo
+    lo = j.lo if earlier(i.lo, j.lo) else i.lo
     ihi, jhi = i.hi, j.hi
     if ihi is INF:
         if jhi is INF:
             return TimeInterval(lo, INF, False)
         hi, closed = jhi, j.closed_hi
-    elif jhi is INF or ihi < jhi:
+    elif jhi is INF or earlier(ihi, jhi):
         hi, closed = ihi, i.closed_hi
-    elif jhi < ihi:
+    elif earlier(jhi, ihi):
         hi, closed = jhi, j.closed_hi
     else:
         hi, closed = ihi, i.closed_hi and j.closed_hi
-    if (hi < lo) if closed else not (lo < hi):
+    if earlier(hi, lo) if closed else not earlier(lo, hi):
         return None
     return TimeInterval(lo, hi, closed)
 
