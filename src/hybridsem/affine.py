@@ -112,6 +112,10 @@ class AffineConstraint:
     lhs: LinExpr
     op: str
 
+    def __post_init__(self):
+        if self.op not in COMPARE:
+            raise ValueError(f"unknown comparison {self.op!r}")
+
     def symbols(self) -> set:
         return self.lhs.symbols()
 

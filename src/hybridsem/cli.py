@@ -120,7 +120,7 @@ def _read(path, parse):
             except RecursionError as exc:
                 raise ParseError(f"{path}: JSON nested too deeply") from exc
         return parse(doc)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -282,7 +282,7 @@ def config_concat(c, d):
     # drop the closing bracket of c's last piece: d's state wins at the join
     last = left[-1]
     if last.interval.closed_hi:
-        if last.interval.d == 0:
+        if last.e == last.b:
             left.pop()
         else:
             left[-1] = Configuration(

@@ -412,13 +412,14 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
 
     Fails closed with ParseError on a key it does not know (a misspelt
     "rates" would leave every rate 0) or that its exit type does not
-    read, on an unknown exit type, on an empty list of initial states
-    (every check would pass vacuously), on an edge or initial state
-    naming an undeclared mode, on a rate, reset, initial value, exit or
-    constraint naming an undeclared variable, on an initial state that
-    leaves a declared variable without a value, and on a value of the
-    wrong JSON type."""
-    _known_keys(doc, ("variables", "zeta", "modes", "edges", "initial"), "system")
+    read, on a required key it lacks, on an unknown exit type, on an
+    empty list of initial states (every check would pass vacuously), on
+    an edge or initial state naming an undeclared mode, on a rate,
+    reset, initial value, exit or constraint naming an undeclared
+    variable, on an initial state that leaves a declared variable
+    without a value, and on a value of the wrong JSON type."""
+    _known_keys(doc, ("variables", "zeta", "modes", "edges", "initial"), "system",
+                ("variables", "modes", "initial"))
     variables = tuple(_strings(doc["variables"], "system variables"))
     declared = set(variables)
 
@@ -430,17 +431,18 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
     zeta = read_rational(doc.get("zeta", "1/1000"), "system zeta")
     schemas = []
     for m in _typed(doc["modes"], list, "system modes"):
-        _known_keys(m, ("name", "rates", "entry", "exit", "terminal"), "mode")
+        _known_keys(m, ("name", "rates", "entry", "exit", "terminal"), "mode", ("name",))
         where = f"mode {_typed(m['name'], str, 'mode name')}"
         exit_doc = m.get("exit")
         exit_cond = None
         if exit_doc is not None:
-            _known_keys(exit_doc, ("type", "value", "target", "var"), f"{where} exit")
+            _known_keys(exit_doc, ("type", "value", "target", "var"), f"{where} exit", ("type",))
             if exit_doc["type"] == "duration":
-                _known_keys(exit_doc, ("type", "value"), f"{where} duration exit")
+                _known_keys(exit_doc, ("type", "value"), f"{where} duration exit", ("value",))
                 exit_cond = ExitCondition("duration", parse_expr(str(exit_doc["value"])))
             elif exit_doc["type"] == "reach":
-                _known_keys(exit_doc, ("type", "target", "var"), f"{where} reach exit")
+                _known_keys(exit_doc, ("type", "target", "var"), f"{where} reach exit",
+                            ("target", "var"))
                 exit_cond = ExitCondition(
                     "reach", parse_expr(str(exit_doc["target"])),
                     _typed(exit_doc["var"], str, f"{where} exit var"),
@@ -465,7 +467,7 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
 
     edges = []
     for e in _typed(doc.get("edges", []), list, "system edges"):
-        _known_keys(e, ("src", "dst", "reset"), "edge")
+        _known_keys(e, ("src", "dst", "reset"), "edge", ("src", "dst"))
         where = f"edge {e['src']} -> {e['dst']}"
         reset = {k: parse_expr(str(v)) for k, v in
                  _known_keys(e.get("reset", {}), declared, f"{where} reset").items()}
@@ -477,7 +479,7 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
         raise ParseError("system: no initial state")
     initial = []
     for i in doc["initial"]:
-        _known_keys(i, ("mode", "values"), "initial state")
+        _known_keys(i, ("mode", "values"), "initial state", ("mode", "values"))
         where = f"initial state in {declared_mode(i['mode'], 'initial state')}"
         values = _known_keys(i["values"], declared, where)
         values = {k: read_rational(v, where) for k, v in values.items()}

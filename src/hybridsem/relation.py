@@ -13,9 +13,17 @@ constraints over the symbols
 
 A state pair is related at time t iff t is in dom(r) and some clause
 whose window contains t and whose guards match has all constraints
-satisfied.  Bare state pairs have one membership procedure,
-related_candidates, which compiles r once against fixed candidate
-abstract states; state_related is it with one candidate.
+satisfied.  A clause holds on a pair only where every symbol it names
+(Clause.symbols, and those of its `dynamic` part) is bound: t; c_<v>
+and a_<v> for a variable v that the concrete or abstract side has; on a
+configuration pair B_*, and E_* only for a finite end.  A bare state
+pair binds no B/E symbol, so reaching a clause that reads one or has a
+`dynamic` part raises EndpointSymbolsUnbound.  Each procedure below
+decides this before it evaluates a clause, so a clause naming any other
+symbol never holds; the CLI refuses such a relation as bad input.  Bare
+state pairs have one membership procedure, related_candidates, which
+compiles r once against fixed candidate abstract states; state_related
+is it with one candidate.
 
 Window verdicts (for all, or for some, t in a window) are decided
 exactly, once per pair of affine pieces, in Python integers.  Modes and
@@ -41,17 +49,17 @@ libraries).  A window's start is decided first, from its own numerator
 and denominator, and the other points are found only past it, since
 most unrelated pairs already fail there.  A window where no clause
 compiles and r has no domain is decided at that first point, and
-config_related gives that verdict for
-a plain pair whose modes admit no clause without entering the kernel.
-traj_related_rankwise decides its for-all
-by an exact cover of solution spans over Fractions instead, sharing no
-code with the kernel, so that comparing it with traj_related_timewise
-cross-checks the kernel.
+config_related gives that verdict for a plain pair whose modes admit no
+clause without entering the kernel.  traj_related_rankwise decides its
+for-all by an exact cover of solution spans over Fractions instead,
+sharing no code with the kernel, so that comparing it with
+traj_related_timewise cross-checks the kernel.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional
 
@@ -99,13 +107,13 @@ class Clause:
     # apply for those endpoints (e.g. a coefficient would divide by zero)
     dynamic: Optional[Callable] = None
 
+    @cached_property
+    def symbols(self) -> frozenset:
+        """The symbols its constraints name (not those of a `dynamic` part)."""
+        return frozenset().union(*(c.symbols() for c in self.constraints))
+
     def uses_endpoints(self) -> bool:
-        if self.dynamic is not None:
-            return True
-        syms = set()
-        for c in self.constraints:
-            syms |= c.symbols()
-        return any(s in syms for s in ENDPOINT_SYMBOLS)
+        return self.dynamic is not None or not self.symbols.isdisjoint(ENDPOINT_SYMBOLS)
 
     def effective_constraints(self, endpoints) -> Optional[tuple]:
         """Static plus dynamically built constraints; None = inapplicable."""
@@ -170,24 +178,6 @@ def state_related(r: TimedStateRelation, t, s: State, sbar: State) -> bool:
     return bool(related_candidates(r, (sbar,))(Q(t), s))
 
 
-def _split_clause(clause: Clause):
-    """The constraints of a clause without endpoint symbols, each as
-    (comparison, a_* terms, t and c_* terms, constant); None when some
-    symbol is none of these, so the clause never holds."""
-    out = []
-    for con in clause.constraints:
-        abstract, rest = [], []
-        for sym, coef in con.lhs.coefs:
-            if sym.startswith("a_"):
-                abstract.append((sym, coef))
-            elif sym.startswith("c_") or sym == "t":
-                rest.append((sym, coef))
-            else:
-                return None
-        out.append((COMPARE[con.op], abstract, rest, con.lhs.const))
-    return out
-
-
 def related_candidates(r: TimedStateRelation, candidates) -> Callable:
     """Membership in r for one state against a fixed sequence of
     candidate abstract states: at(t, s, skip) lists the candidates sb
@@ -199,41 +189,42 @@ def related_candidates(r: TimedStateRelation, candidates) -> Callable:
     Each constraint's left side is split in two: the a_* terms are
     evaluated here once per candidate, and t, the c_* terms and the
     constant once per call, so a candidate costs one exact comparison
-    per constraint.  Clause windows, concrete guards and dom(r) are
-    decided once per call.  A clause naming a variable that one side
-    lacks, or a symbol that is none of t, c_* and a_*, never holds.
+    per constraint.  Clause windows, concrete guards, dom(r) and whether
+    t and the c_* of the state bind a clause's other symbols are decided
+    once per call, and whether a candidate binds its a_* symbols once per
+    candidate; a clause with a symbol left unbound does not hold.
 
     The rows of a clause with an `=` constraint are indexed by the a_*
     value of its first one, so a call reads only the rows whose value
     equals that constraint's bound, and decides those on every
     constraint; a clause without `=` reads all its rows."""
     candidates = tuple(candidates)
-    compiled = []  # (clause, split constraints or None, rows, key, {a_* value: rows})
+    compiled = []  # (clause, split or None, symbols bound per call, rows, key, {a_* value: rows})
     for clause in r.clauses:
         matching = [j for j, sb in enumerate(candidates)
                     if clause.abstract_mode is None or clause.abstract_mode == sb.mode]
         if clause.uses_endpoints():
-            compiled.append((clause, None, [(j, None) for j in matching], None, None))
+            compiled.append((clause, None, None, [(j, None) for j in matching], None, None))
             continue
-        split = _split_clause(clause)
-        if split is None:
-            continue
+        abstract = {sym for sym in clause.symbols if sym.startswith("a_")}
+        split = [  # (comparison, a_* terms, the other terms, constant)
+            (COMPARE[con.op], [(sym, k) for sym, k in con.lhs.coefs if sym in abstract],
+             [(sym, k) for sym, k in con.lhs.coefs if sym not in abstract], con.lhs.const)
+            for con in clause.constraints
+        ]
         rows = []
         for j in matching:
             env = {"a_" + k: v for k, v in candidates[j].vars}
-            try:
+            if env.keys() >= abstract:
                 rows.append((j, tuple(
-                    sum(coef * env[sym] for sym, coef in abstract)
-                    for _, abstract, _, _ in split
+                    sum(coef * env[sym] for sym, coef in terms) for _, terms, _, _ in split
                 )))
-            except KeyError:
-                continue
         key = next((i for i, (cmp, *_) in enumerate(split) if cmp is COMPARE["="]), None)
         index: dict = {}
         if key is not None:
             for row in rows:
                 index.setdefault(row[1][key], []).append(row)
-        compiled.append((clause, split, rows, key, index))
+        compiled.append((clause, split, clause.symbols - abstract, rows, key, index))
 
     def at(t, s: State, skip=frozenset()) -> list:
         if not r.in_domain(t):
@@ -241,7 +232,7 @@ def related_candidates(r: TimedStateRelation, candidates) -> Callable:
         env = {"t": t}
         env.update(("c_" + k, v) for k, v in s.vars)
         related = set()
-        for clause, split, rows, key, index in compiled:
+        for clause, split, needs, rows, key, index in compiled:
             if clause.window is not None and not clause.window.contains(t):
                 continue
             if clause.concrete_mode is not None and clause.concrete_mode != s.mode:
@@ -253,13 +244,12 @@ def related_candidates(r: TimedStateRelation, candidates) -> Callable:
                             "clause uses B/E symbols; a state pair binds none"
                         )
                 continue
-            try:
-                checks = [
-                    (cmp, -(const + sum(coef * env[sym] for sym, coef in rest)))
-                    for cmp, _, rest, const in split
-                ]
-            except KeyError:
-                continue  # the concrete state lacks a variable of the clause
+            if not env.keys() >= needs:
+                continue  # a symbol the state does not bind: the clause never holds
+            checks = [
+                (cmp, -(const + sum(coef * env[sym] for sym, coef in rest)))
+                for cmp, _, rest, const in split
+            ]
             todo = rows if key is None else index.get(checks[key][1], ())
             for j, avals in todo:
                 if j not in related and all(
@@ -288,10 +278,12 @@ def _compile(r: TimedStateRelation, cp, dp, endpoints) -> list:
     (window, ((cmp, A, B), ...)): along the two flows the left side of a
     constraint has the sign of A*t + B, integers, and cmp compares that
     with 0 as the constraint does.  Modes are constant on a piece, so only
-    the clauses r admits for them are read; one that `dynamic` declines,
-    or that names a symbol the pair does not bind, such as a variable it
-    lacks or the infinite end of an unbounded configuration, is dropped.
-    `endpoints` may be empty when no admitted clause reads them."""
+    the clauses r admits for them are read.  A clause holds only where
+    every symbol it names is bound, so one that `dynamic` declines, or
+    whose symbols (its own and its `dynamic` part's) are not all in the
+    pair's table, such as a variable a side lacks or the infinite end of
+    an unbounded configuration, is dropped.  `endpoints` may be empty
+    when no admitted clause reads them."""
     table = None
     out = []
     for clause in r.admitted(cp.flow.mode, dp.flow.mode)[0]:
@@ -305,12 +297,11 @@ def _compile(r: TimedStateRelation, cp, dp, endpoints) -> list:
             table.update((k, (0, v.numerator, v.denominator)) for k, v in endpoints.items())
             table.update(("c_" + k, line) for k, line in cp.flow.int_lines)
             table.update(("a_" + k, line) for k, line in dp.flow.int_lines)
-        try:
+        if table.keys() >= clause.symbols and (clause.dynamic is None or all(
+                sym in table for con in cons for sym, _ in con.lhs.coefs)):
             out.append((clause.window, tuple(
                 (COMPARE[con.op], *_in_t(con.lhs, table)) for con in cons
             )))
-        except KeyError:
-            continue
     return out
 
 
@@ -607,10 +598,9 @@ def _clause_spans(clause: Clause, cp, dp, endpoints) -> list:
         for t in (Q(0), Q(1))
     ]
     for con in cons:
-        try:
-            g0, g1 = (con.lhs.eval(env) for env in envs)
-        except KeyError:
-            return []  # a symbol this pair cannot bind: the clause never holds
+        if not con.symbols() <= envs[0].keys():
+            return []  # a symbol this pair does not bind: the clause never holds
+        g0, g1 = (con.lhs.eval(env) for env in envs)
         sols = _affine_solutions(con, g1 - g0, g0)
         spans = [m for x in spans for y in sols if (m := _span_meet(x, y)) is not None]
     return spans
@@ -631,8 +621,7 @@ def traj_related_rankwise(r: TimedStateRelation, s, sb) -> bool:
     Decided by an exact cover of spans, independently of the sampling
     kernel behind traj_related_timewise: on each piece pair, the part of
     the cut overlap inside dom(r), less the spans where some clause
-    holds, must be empty.  Endpoints that are infinite stay unbound, so
-    a constraint using them never holds."""
+    holds, must be empty."""
     common = _span(Q(0), True, tmin(s.duration, sb.duration), False)
     for c in s.configs:
         for d in sb.configs:
@@ -702,15 +691,19 @@ def _strings(value, where: str) -> list:
     return [_typed(v, str, where) for v in _typed(value, list, where)]
 
 
-def _known_keys(doc, keys, where: str) -> dict:
+def _known_keys(doc, keys, where: str, required=()) -> dict:
+    """doc, an object with no key outside keys and each key of required."""
     unknown = sorted(set(_typed(doc, dict, where)) - set(keys))
     if unknown:
         raise ParseError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ParseError(f"{where}: missing key(s) {', '.join(missing)}")
     return doc
 
 
 def _window_from_json(w, where: str) -> TimeInterval:
-    hi = _known_keys(w, ("lo", "hi", "closed_hi"), where).get("hi", "inf")
+    hi = _known_keys(w, ("lo", "hi", "closed_hi"), where, ("lo",)).get("hi", "inf")
     lo, closed = read_rational(w["lo"], where), _typed(w.get("closed_hi", False), bool, where)
     window = TimeInterval(lo, INF if hi in ("inf", None) else read_rational(hi, where), closed)
     if not window.contains(window.lo):
@@ -726,10 +719,10 @@ def _guard(value, where: str) -> Optional[str]:
 def relation_from_json(doc: dict) -> TimedStateRelation:
     """The relation of a relation file.  A key it does not know is a
     ParseError, since a misspelt guard would match every mode, and so is
-    a value of the wrong JSON type, and an empty window or domain, which
-    would let a check pass vacuously."""
+    a missing required key, a value of the wrong JSON type, and an empty
+    window or domain, which would let a check pass vacuously."""
     clauses = []
-    doc = _known_keys(doc, ("clauses", "domain"), "relation")
+    doc = _known_keys(doc, ("clauses", "domain"), "relation", ("clauses",))
     for i, cl in enumerate(_typed(doc["clauses"], list, "relation clauses")):
         where = f"clause {i}"
         _known_keys(cl, ("constraints", "window", "concrete_mode", "abstract_mode"), where)

@@ -271,6 +271,58 @@ BAD_RELATIONS = {
 }
 
 
+def _without(doc, path, key):
+    """A copy of doc without `key` in the object that `path` leads to."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for step in path:
+        node = node[step]
+    del node[key]
+    return doc
+
+
+# documents with the optional objects that hold required keys
+WITH_PARTS = {
+    "system": SYSTEM,
+    "reach": _variant(exit={"type": "reach", "target": "2", "var": "u"}),
+    "edge": _variant(edges=[{"src": "up", "dst": "up"}]),
+    "relation": RELATION,
+    "windows": {"clauses": [{"constraints": ["c_u = a_u"], "window": {"lo": "0"}}],
+                "domain": [{"lo": "0"}]},
+}
+# (a document of WITH_PARTS, the path to an object in it, a key that object requires)
+REQUIRED_KEYS = [
+    *[("system", (), key) for key in ("variables", "modes", "initial")],
+    ("system", ("modes", 0), "name"),
+    *[("system", ("modes", 0, "exit"), key) for key in ("type", "value")],
+    *[("reach", ("modes", 0, "exit"), key) for key in ("type", "target", "var")],
+    *[("edge", ("edges", 0), key) for key in ("src", "dst")],
+    *[("system", ("initial", 0), key) for key in ("mode", "values")],
+    ("relation", (), "clauses"),
+    ("windows", ("clauses", 0, "window"), "lo"),
+    ("windows", ("domain", 0), "lo"),
+]
+
+
+@pytest.mark.parametrize("name, path, key", REQUIRED_KEYS,
+                         ids=["-".join((n, *map(str, p), k)) for n, p, k in REQUIRED_KEYS])
+def test_missing_required_key_is_named(name, path, key, tmp_path, capsys):
+    """A file without a key its loader requires exits 2, and the message
+    says which key is missing rather than echoing a lookup failure."""
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps(SYSTEM))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_without(WITH_PARTS[name], path, key)))
+    if name in ("relation", "windows"):
+        argv = ["check-sim", "--system", str(system), "--abstract", str(system),
+                "--relation", str(bad)]
+    else:
+        argv = ["validate", "--system", str(bad), "--horizon", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"missing key(s) {key}" in err, err
+
+
 def _bad_input_cases(tmp_path):
     system = tmp_path / "sys.json"
     system.write_text(json.dumps(SYSTEM))

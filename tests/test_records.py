@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from hybridsem import records
+from hybridsem.affine import COMPARE
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hybridsem"
 
@@ -26,8 +27,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hybridsem"
 GENERATED = {"__init__", "__eq__", "__hash__", "__setattr__", "__delattr__",
              "__record_compared__", "__dict__", "__weakref__"}
 # hashable field values; empty containers and positive numbers satisfy
-# every __post_init__, the others make some of them raise
+# every __post_init__ but on a field of ADMITTED, the others make some raise
 POOL = (Q(1, 2), Q(3), 2, True, "a", None, (), ("a",), frozenset(), (Q(1), Q(2)))
+# the values a __post_init__ admits for a field that no value of POOL
+# satisfies (a constraint's comparison), drawn with POOL for that parameter
+ADMITTED = {"op": tuple(COMPARE)}
 
 
 def _decorated(node) -> bool:
@@ -80,7 +84,8 @@ def _seeded_args(cls, n=60):
     required = sum(p.default is p.empty for p in params)
     rng = random.Random(cls.__name__)
     for _ in range(n):
-        yield [rng.choice(POOL) for _ in range(rng.randint(required, len(params)))]
+        count = rng.randint(required, len(params))
+        yield [rng.choice(ADMITTED.get(p.name, ()) + POOL) for p in params[:count]]
 
 
 def _seeded_pairs(cls, twin):

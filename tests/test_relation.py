@@ -103,6 +103,23 @@ def test_infinite_endpoint_constraint_fails_closed():
             assert traj_related_rankwise(r, s, sb) == want
 
 
+def test_dynamic_part_naming_an_unbound_symbol_never_holds():
+    """A `dynamic` part's constraints are bound like the clause's own: one
+    naming the infinite end of an unbounded configuration, or a variable
+    a side lacks, makes its clause fail; other clauses still decide."""
+    bounded = make_config("m", 0, 2, {"u": 0}, {"u": 1}, closed_hi=True)
+    unbounded = make_config("m", 0, INF, {"u": 0}, {"u": 1})
+    for c, d, text in ((unbounded, unbounded, "t <= E_c"), (bounded, unbounded, "t <= E_a"),
+                       (bounded, bounded, "c_u = a_w")):
+        dyn = Clause((), dynamic=lambda ep, text=text: (parse_constraint(text),))
+        s, sb = trajectory_validate([c]), trajectory_validate([d])
+        for clauses, want in (((dyn,), False), ((dyn,) + EQ.clauses, True)):
+            r = TimedStateRelation(clauses)
+            assert config_related(r, c, d) == want
+            assert traj_related_timewise(r, s, sb) == want
+            assert traj_related_rankwise(r, s, sb) == want
+
+
 def test_dynamic_clause_inapplicable_means_unrelated():
     r = TimedStateRelation(
         (Clause((), dynamic=lambda ep: None),)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridsem.affine import LinExpr, parse_constraint, parse_expr
+from hybridsem.affine import COMPARE, AffineConstraint, LinExpr, parse_constraint, parse_expr
 from hybridsem.errors import DurationBelowZeta, NegativeTime
 from hybridsem.time_core import (
     INF,
@@ -132,6 +132,15 @@ class TestAffine:
         c = parse_constraint("x - y <= 1")
         assert c.holds({"x": Q(2), "y": Q(1)})
         assert not c.holds({"x": Q(3), "y": Q(1)})
+
+    def test_constraint_refuses_an_unknown_comparison(self):
+        """A comparison outside COMPARE is refused when the constraint is
+        built, not met later as a lookup failure in the middle of a check."""
+        lhs = parse_expr("c_u - a_u")
+        for op in ("==", "!=", "=<", ""):
+            with pytest.raises(ValueError, match="unknown comparison"):
+                AffineConstraint(lhs, op)
+        assert [AffineConstraint(lhs, op).op for op in COMPARE] == list(COMPARE)
 
     @settings(derandomize=True)
     @given(rationals, rationals, rationals)
