@@ -15,15 +15,12 @@ from .casestudy import (
 )
 from .discretize import (
     DiscreteTransitionSystem,
-    TimefulState,
     discretization_hypotheses,
     hts_discretize,
     milner_sim_check,
     relation_discretize,
     theorem6_check,
     theorem7_check,
-    timeful_sample,
-    timeless_sample,
 )
 from .flow_config import (
     AffineFlow,
@@ -70,7 +67,10 @@ from .simulation import (
 from .time_core import INF, NEG_INF, Q, TimeInterval
 from .trajectory import (
     DiscreteTrace,
+    TimefulState,
     Trajectory,
+    timeful_sample,
+    timeless_sample,
     trajectory_sample,
     trajectory_validate,
 )

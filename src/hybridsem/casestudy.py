@@ -17,7 +17,6 @@ and those findings are reported verbatim, never patched.
 from __future__ import annotations
 
 from .affine import AffineConstraint, LinExpr, parse_constraint
-from .discretize import TimefulState
 from .errors import ParamConstraintViolated, UnknownFixture
 from .flow_config import (
     AffineFlow,
@@ -35,7 +34,9 @@ from .records import record
 from .relation import Clause, TimedStateRelation, config_related, traj_related_timewise
 from .simulation import ConfigGraph, compose_check, config_graph, sim_check
 from .time_core import INF, Q, TimeInterval, is_finite
-from .trajectory import Trajectory, config_var_ranges, trajectory_eval, trajectory_validate
+from .trajectory import (
+    TimefulState, Trajectory, config_var_ranges, trajectory_eval, trajectory_validate
+)
 
 __all__ = [
     "TankParams",
@@ -343,7 +344,6 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
 
     automaton = build_tank_automaton(p)
     impl = build_tank_impl(p)
-    spec = build_tank_spec(p)
 
     # stage i: every automaton trajectory refines the specification
     sem3 = semantics_generate(automaton, horizon)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .affine import ENDPOINT_SYMBOLS, LinExpr, read_rational
 from .casestudy import TankParams, gallery_fixture, run_refinement_chain
-from .discretize import hts_discretize, theorem6_check, theorem7_check, timeful_sample
+from .discretize import hts_discretize, theorem6_check, theorem7_check
 from .errors import HybridSemError, ParamConstraintViolated, ParseError, UnknownFixture
 from .flow_config import pieces
 from .galois import (
@@ -38,7 +38,9 @@ from .simulation import (
     system_graph,
 )
 from .time_core import INF, Q, is_finite
-from .trajectory import grid_step, grid_times, trajectory_csv, trajectory_eval, trajectory_timeline
+from .trajectory import (
+    grid_step, grid_times, timeful_sample, trajectory_csv, trajectory_eval, trajectory_timeline
+)
 
 PASS, FAIL, BADINPUT = 0, 1, 2
 

@@ -3,13 +3,14 @@ systems, with the soundness hypotheses and the Milner-style check on
 the discretized side.
 
 Discrete states carry their sample rank so that a constant flow does
-not collapse into a spurious cycle.  Trajectory sampling keeps the
-ranks n with n*delta strictly below the duration; the transition rules
-additionally emit a marked "closing" edge to the final state of a
-successor-free configuration, and semantics-level comparisons exclude
-those closing edges so that both computations return the same trace
-sets (the residual asymmetry between the two conventions is reported
-by theorem6_check, never silently patched).
+not collapse into a spurious cycle.  Trajectory sampling
+(trajectory.timeful_sample) keeps the ranks n with n*delta strictly
+below the duration; the transition rules additionally emit a marked
+"closing" edge to the final state of a successor-free configuration,
+and semantics-level comparisons exclude those closing edges so that
+both computations return the same trace sets (the residual asymmetry
+between the two conventions is reported by theorem6_check, never
+silently patched).
 
 The grid side runs in integers.  With delta = p/q a configuration's
 value at rank n is (R*n*p + O*q)/(L*q) from its int_lines, an integer
@@ -37,20 +38,17 @@ from typing import Optional
 
 from .affine import AffineConstraint, LinExpr
 from .errors import DomainGapAtGridPoint, Misaligned, NonConsecutiveEdge, TruncatedInput
-from .flow_config import UNDEFINED, PiecewiseConfiguration, State, overlapping, pieces
+from .flow_config import UNDEFINED, PiecewiseConfiguration, State, overlap_ids, pieces
 from .records import record
 from .relation import Clause, TimedStateRelation, exists_window_related, related_candidates
 from .hts import NO_TRAJECTORY, maximal_paths, reach, semantics_generate
 from .simulation import greatest_fixpoint, system_graph
 from .time_core import INF, Q, TimeInterval, is_finite, rank_of, rank_range
-from .trajectory import Trajectory, grid_step
+from .trajectory import TimefulState, _ranks, grid_step, timeful_sample, timeless_sample
 
 __all__ = [
-    "TimefulState",
     "DiscreteTransitionSystem",
     "grid_alignment_check",
-    "timeful_sample",
-    "timeless_sample",
     "grid_states",
     "relation_discretize",
     "hts_discretize",
@@ -63,15 +61,6 @@ __all__ = [
     "theorem7_check",
     "greatest_discrete_simulation",
 ]
-
-
-@record(frozen=True)
-class TimefulState:
-    state: State
-    rank: int
-
-    def __repr__(self):
-        return f"<{self.state!r},{self.rank}>"
 
 
 @record(frozen=True)
@@ -112,9 +101,6 @@ class DiscreteTransitionSystem:
 
 # a discrete state on a grid: its rank and the id of its state
 _Node = namedtuple("_Node", "rank id")
-
-
-_NO_RANKS: dict = {}
 
 
 def _over(v, D):
@@ -159,27 +145,21 @@ class _Grid:
             self.ints.append(State(mode, values))
         return i
 
-    def _id(self, flow, n) -> int:
-        """The id of flow's state at rank n: numerators over D."""
-        p, q, D = self.p, self.q, self.D
-        return self._intern(flow.mode, tuple((k, (R * n * p + O * q) * (D // (L * q)))
-                                             for k, (R, O, L) in flow.int_lines))
-
     def _table(self, c) -> dict:
         first, last = rank_range(TimeInterval(c.b, c.e, True), self.p, self.q)
         last = min(last, self.cap)
         if last is INF:
             raise TruncatedInput(f"unbounded {c!r} needs an explicit horizon")
-        delta, ranks = self.delta, range(first, last + 1)
-        if isinstance(c, PiecewiseConfiguration):
-            return {n: self._id(_closed_piece(c, n * delta).flow, n) for n in ranks}
-        return {n: self._id(c.flow, n) for n in ranks}
+        return {n: self.at(c, n) for n in range(first, last + 1)}
 
     def at(self, c, n) -> int:
-        """The id of _state_closed(c, n*delta), read from c's table or
-        computed off it (a successor entered off its own start, say)."""
-        i = self.tables.get(c, _NO_RANKS).get(n)
-        return i if i is not None else self._id(_closed_piece(c, n * self.delta).flow, n)
+        """The id of _state_closed(c, n*delta), numerators over D of the
+        flow holding rank n: a plain c's own, with no n*delta built."""
+        flow = (_closed_piece(c, n * self.delta) if isinstance(c, PiecewiseConfiguration)
+                else c).flow
+        p, q, D = self.p, self.q, self.D
+        return self._intern(flow.mode, tuple((k, (R * n * p + O * q) * (D // (L * q)))
+                                             for k, (R, O, L) in flow.int_lines))
 
     def key(self, u) -> _Node:
         """u's node, its state interned by value; UNDEFINED has id -1."""
@@ -239,12 +219,6 @@ def _pair_grid(G, Gb, delta, hcap) -> _Grid:
     return _Grid(Gb.configs(), delta, hcap, more=() if G is Gb else G.configs())
 
 
-def _ranks(w: TimeInterval, delta) -> TimeInterval:
-    """The ranks n with n*delta in w, as a closed integer window."""
-    first, last = rank_range(w, delta.numerator, delta.denominator)
-    return TimeInterval(first, last, last is not INF)
-
-
 def _on_grid(r: TimedStateRelation, D: int, delta) -> TimedStateRelation:
     """r over numerators and ranks: with a = A/D, c = C/D and t = n*p/q,
     a constraint times m*D*q (m its coefficients' lcm denominator) has
@@ -280,39 +254,6 @@ def grid_alignment_check(h_or_graph, delta, horizon=None):
         if rank_of(c.b, p, q) is None or is_finite(c.e) and rank_of(c.e, p, q) is None:
             return False, c
     return True, None
-
-
-def timeful_sample(s: Trajectory, delta, horizon=None) -> tuple:
-    """Rank-annotated samples at n*delta strictly below the duration
-    (matching the published trace sets; the final closed-end state is
-    produced only by the closing transition rule, not by sampling).
-
-    Each sample is the state of the first configuration holding n*delta,
-    UNDEFINED where none does, as trajectory_eval gives it; one pointer
-    walks the configurations in time order, passing each once the grid
-    is beyond its last rank."""
-    delta = grid_step(delta)
-    last = _ranks(TimeInterval(Q(0), s.duration), delta).hi
-    if horizon is not None:
-        last = min(last, _ranks(TimeInterval(Q(0), Q(horizon)), delta).hi)
-    if last is INF:
-        raise TruncatedInput("unbounded trajectory needs an explicit horizon")
-    configs, k = s.configs, 0
-    held = [_ranks(c.interval, delta) for c in configs]  # ranks each holds
-    out = []
-    for n in range(last + 1):
-        while k < len(held) and held[k].hi < n:
-            k += 1
-        j = k
-        while j < len(held) and not held[j].contains(n):
-            j += 1
-        out.append(TimefulState(configs[j].state_at(n * delta) if j < len(configs)
-                                else UNDEFINED, n))
-    return tuple(out)
-
-
-def timeless_sample(s: Trajectory, delta, horizon=None) -> tuple:
-    return tuple(u.state for u in timeful_sample(s, delta, horizon))
 
 
 def _closed_piece(c, t):
@@ -570,18 +511,17 @@ def discretization_hypotheses(
         grid = _pair_grid(G, Gb, delta, hcap)
     tables, known, p, q = grid.tables, grid.known, grid.p, grid.q
     related, on_grid = grid.related(r, known)
-    # (68): r defined wherever some concrete configuration is inhabited
-    for c in G.configs():
-        for n in tables[c]:
-            if not on_grid.in_domain(n):
-                report["(68)"].append((n, c))
-    # (69): related abstract states must come from reachable configurations
+    xs, ys = G.configs(), Gb.configs()
     reached: dict = {}
-    for cb in Gb.configs():
+    for cb in ys:
         for n, j in tables[cb].items():
             reached.setdefault(n, set()).add(j)
-    for c in G.configs():
+    for c in xs:
         for n, i in tables[c].items():
+            # (68): r defined wherever some concrete configuration is inhabited
+            if not on_grid.in_domain(n):
+                report["(68)"].append((n, c))
+            # (69): related abstract states must come from reachable configurations
             hits = related(n, i, reached.get(n, frozenset()))
             report["(69)"].extend((n, c, sb) for sb in sorted(map(grid.state, hits), key=repr))
 
@@ -592,17 +532,15 @@ def discretization_hypotheses(
             raise NonConsecutiveEdge(f"(71): {grid.state(j)!r} at rank {n} is on no abstract grid")
         return False
 
-    pairs = overlapping(G.configs(), Gb.configs())
-    # (70): blocking abstract configurations end with the concrete one
-    for c, cb, w in pairs:
-        if Gb.succ(cb) or cb in Gb.truncated:
-            continue
-        if _exists_related(r, c, cb, w, hcap) and cb.e != c.e:
-            report["(70)"].append((c, cb))
-    # (71): compatibility of r with the boundary transition rules
-    for c, cb, w in pairs:
+    for x, y, w in overlap_ids(xs, ys):
+        c, cb = xs[x], ys[y]
         if not _exists_related(r, c, cb, w, hcap):
             continue
+        succs, succs_b = G.succ_map[x][1], Gb.succ_map[y][1]
+        # (70): blocking abstract configurations end with the concrete one
+        if not succs_b and y not in Gb.cut and cb.e != c.e:
+            report["(70)"].append((c, cb))
+        # (71): compatibility of r with the boundary transition rules
         abstract, c_end, cb_end = tables[cb], rank_of(c.e, p, q), rank_of(cb.e, p, q)
         for n, i in tables[c].items():
             j = abstract.get(n)
@@ -613,8 +551,7 @@ def discretization_hypotheses(
                     report["(71)"].append(("a", n, c, cb))
             # (b)/(c) fire only when the end lands strictly inside
             # the other configuration's domain (open ends excluded)
-            if n == c_end and cb.interval.contains(c.e) and c not in G.truncated:
-                succs = G.succ(c)
+            if n == c_end and cb.interval.contains(c.e) and x not in G.cut:
                 for c2 in succs:
                     if not rel_at(n, grid.at(c2, n), j):
                         report["(71)"].append(("b.1", n, c, cb, c2))
@@ -623,15 +560,14 @@ def discretization_hypotheses(
                         report["(71)"].append(("b.2", n, c, cb))
                 if not succs and not rel_at(n, i, j):
                     report["(71)"].append(("b.3", n, c, cb))
-            if n == cb_end and c.interval.contains(cb.e) and cb not in Gb.truncated:
-                succs = Gb.succ(cb)
-                for cb2 in succs:
+            if n == cb_end and c.interval.contains(cb.e) and y not in Gb.cut:
+                for cb2 in succs_b:
                     if not rel_at(n, i, grid.at(cb2, n)):
                         report["(71)"].append(("c.1", n, c, cb, cb2))
-                if succs and all(grid.at(cb2, n) != j for cb2 in succs):
+                if succs_b and all(grid.at(cb2, n) != j for cb2 in succs_b):
                     if rel_at(n, i, j):
                         report["(71)"].append(("c.2", n, c, cb))
-                if not succs and not rel_at(n, i, j):
+                if not succs_b and not rel_at(n, i, j):
                     report["(71)"].append(("c.3", n, c, cb))
     report["ok"] = not any(report[k] for k in ("(68)", "(69)", "(70)", "(71)"))
     return report

@@ -12,12 +12,11 @@ so images of affine flows stay affine and all checks remain exact.
 from __future__ import annotations
 
 from .affine import LinExpr
-from .discretize import TimefulState, timeful_sample
 from .flow_config import AffineFlow, Configuration, PiecewiseConfiguration, State
 from .hts import NO_TRAJECTORY, HybridTransitionSystem, semantics_generate
 from .records import record
 from .time_core import Q
-from .trajectory import Trajectory
+from .trajectory import TimefulState, Trajectory, timeful_sample
 
 __all__ = [
     "StateHom",

@@ -175,7 +175,7 @@ class SimReport:
 def splice(c, c_next, m1, m2):
     """(c $ c_next)<m1, m2>; returns None for an empty window or an empty
     slice.  m1 is finite, m2 finite or INF."""
-    if m2 is not INF and not earlier(m1, m2):
+    if not earlier(m1, m2):
         return None
     cat = config_concat(c, c_next) if not is_empty(c_next) else c
     closed = cat.interval.closed_hi and cat.interval.hi == m2
@@ -208,7 +208,7 @@ def _responses(succ_abstract, c, cbar, c_prime):
     steps that end within c."""
     for cbar_prime in succ_abstract(cbar):
         if c_prime is EPSILON:
-            if cbar_prime.e > c.e:
+            if earlier(c.e, cbar_prime.e):
                 continue
             m1, m2 = cbar_prime.b, cbar_prime.e
         else:
@@ -216,7 +216,7 @@ def _responses(succ_abstract, c, cbar, c_prime):
         sc, sa = splice(c, c_prime, m1, m2), splice(cbar, cbar_prime, m1, m2)
         if sc is not None and sa is not None:
             yield cbar_prime, sc, sa
-    if c_prime is not EPSILON and c_prime.e <= cbar.e:
+    if c_prime is not EPSILON and not earlier(cbar.e, c_prime.e):
         sc = splice(c, c_prime, c_prime.b, c_prime.e)
         sa = splice(cbar, EPSILON, c_prime.b, c_prime.e)
         if sc is not None and sa is not None:

@@ -8,8 +8,8 @@ Intervals are left-closed, right-open by default; a closed right end
 marks a final configuration.  Every interval constructed through
 interval_make has duration at least zeta, the system-level minimum
 configuration duration that rules out zeno behavior.  Times are read
-as integers only through rank_range, rank_of and ticks, and finite
-times are compared by `earlier`, which cross-multiplies their numerators
+as integers only through rank_range, rank_of and ticks, and times up to
+INF are compared by `earlier`, which cross-multiplies their numerators
 and denominators instead of going through Fraction's comparison.
 """
 
@@ -49,12 +49,18 @@ def exact(x) -> Fraction:
 
 
 class _Extended:
-    """Signed infinity, totally ordered against exact rationals."""
+    """Signed infinity, totally ordered against exact rationals.
 
-    __slots__ = ("sign",)
+    INF also reads as the ratio 1/0 (`numerator`, `denominator`), so that
+    `earlier` orders it after every finite time with no branch.  NEG_INF
+    has no such reading: -1/0 would not be earlier than 1/0."""
+
+    __slots__ = ("sign", "numerator", "denominator")
 
     def __init__(self, sign: int):
         self.sign = sign
+        if sign > 0:
+            self.numerator, self.denominator = 1, 0
 
     def __repr__(self):
         return "+inf" if self.sign > 0 else "-inf"
@@ -113,7 +119,9 @@ def is_finite(t) -> bool:
 
 
 def earlier(a, b) -> bool:
-    """a < b for finite times (Fractions or ints), in integers."""
+    """a < b for times (Fractions, ints or INF), in integers: INF is 1/0,
+    so every finite time is earlier than INF and INF is earlier than
+    nothing."""
     return a.numerator * b.denominator < b.numerator * a.denominator
 
 
@@ -121,7 +129,7 @@ def tmin(*ts):
     """The least of finite times and INF."""
     out = ts[0]
     for t in ts[1:]:
-        if out is INF or (t is not INF and earlier(t, out)):
+        if earlier(t, out):
             out = t
     return out
 
@@ -163,23 +171,12 @@ class TimeInterval:
     def contains(self, t) -> bool:
         if not is_finite(t) or earlier(t, self.lo):
             return False
-        hi = self.hi
-        if hi is INF or earlier(t, hi):
-            return True
-        return self.closed_hi and not earlier(hi, t)
+        return earlier(t, self.hi) or self.closed_hi and not earlier(self.hi, t)
 
     def subset_of(self, other: "TimeInterval") -> bool:
-        if earlier(self.lo, other.lo):
+        if earlier(self.lo, other.lo) or earlier(other.hi, self.hi):
             return False
-        shi, ohi = self.hi, other.hi
-        if shi is INF or ohi is INF:
-            if shi is not ohi:
-                return shi is not INF
-        elif earlier(shi, ohi):
-            return True
-        elif earlier(ohi, shi):
-            return False
-        return other.closed_hi or not self.closed_hi
+        return earlier(self.hi, other.hi) or other.closed_hi or not self.closed_hi
 
     def __repr__(self):
         close = "]" if self.closed_hi else ")"
@@ -211,26 +208,22 @@ def interval_closure(i: TimeInterval) -> TimeInterval:
 def interval_intersect(i: TimeInterval, j: TimeInterval):
     """Exact set intersection; returns None when empty.
 
-    At most four comparisons of finite endpoints, each by `earlier`: one
-    for the start, at most two for the end (which also decide whether it
-    is closed), and one of start against end.  INF is the only unbounded
-    end.
+    At most four comparisons of endpoints, each by `earlier`: one for the
+    start, at most two for the end (which also decide whether it is
+    closed), and one of start against end.  An unbounded end is never
+    closed.
 
     Sub-zeta intersections are reported as-is; callers that need the
     minimum-duration guarantee enforce it themselves.
     """
     lo = j.lo if earlier(i.lo, j.lo) else i.lo
     ihi, jhi = i.hi, j.hi
-    if ihi is INF:
-        if jhi is INF:
-            return TimeInterval(lo, INF, False)
-        hi, closed = jhi, j.closed_hi
-    elif jhi is INF or earlier(ihi, jhi):
+    if earlier(ihi, jhi):
         hi, closed = ihi, i.closed_hi
     elif earlier(jhi, ihi):
         hi, closed = jhi, j.closed_hi
     else:
-        hi, closed = ihi, i.closed_hi and j.closed_hi
+        hi, closed = ihi, i.closed_hi and j.closed_hi and ihi is not INF
     if earlier(hi, lo) if closed else not earlier(lo, hi):
         return None
     return TimeInterval(lo, hi, closed)

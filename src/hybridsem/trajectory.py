@@ -22,16 +22,19 @@ from .errors import (
     ParamConstraintViolated,
     TruncatedInput,
 )
-from .flow_config import UNDEFINED, Configuration, config_slice, is_empty, pieces
+from .flow_config import UNDEFINED, Configuration, State, config_slice, is_empty, pieces
 from .records import record
 from .time_core import INF, Q, TimeInterval, is_finite, rank_of, rank_range, time_str
 
 __all__ = [
     "Trajectory",
     "DiscreteTrace",
+    "TimefulState",
     "trajectory_validate",
     "trajectory_eval",
     "trajectory_timeline",
+    "timeful_sample",
+    "timeless_sample",
     "trajectory_sample",
     "grid_step",
     "grid_times",
@@ -58,6 +61,15 @@ class Trajectory:
     def __repr__(self):
         tag = ", truncated" if self.truncated else ""
         return f"Traj({list(self.configs)}{tag})"
+
+
+@record(frozen=True)
+class TimefulState:
+    state: State
+    rank: int
+
+    def __repr__(self):
+        return f"<{self.state!r},{self.rank}>"
 
 
 @record(frozen=True)
@@ -117,6 +129,45 @@ def grid_times(dur, step: Fraction) -> list:
     return [Q(n * p, q) for n in range(rank_range(TimeInterval(Q(0), dur, True), p, q)[1] + 1)]
 
 
+def _ranks(w: TimeInterval, delta) -> TimeInterval:
+    """The ranks n with n*delta in w, as a closed integer window."""
+    first, last = rank_range(w, delta.numerator, delta.denominator)
+    return TimeInterval(first, last, last is not INF)
+
+
+def timeful_sample(s: Trajectory, delta, horizon=None) -> tuple:
+    """Rank-annotated samples at n*delta strictly below the duration
+    (matching the published trace sets; the final closed-end state is
+    produced only by the closing transition rule, not by sampling).
+
+    Each sample is the state of the first configuration holding n*delta,
+    UNDEFINED where none does, as trajectory_eval gives it; one pointer
+    walks the configurations in time order, passing each once the grid
+    is beyond its last rank."""
+    delta = grid_step(delta)
+    last = _ranks(TimeInterval(Q(0), s.duration), delta).hi
+    if horizon is not None:
+        last = min(last, _ranks(TimeInterval(Q(0), Q(horizon)), delta).hi)
+    if last is INF:
+        raise TruncatedInput("unbounded trajectory needs an explicit horizon")
+    configs, k = s.configs, 0
+    held = [_ranks(c.interval, delta) for c in configs]  # ranks each holds
+    out = []
+    for n in range(last + 1):
+        while k < len(held) and held[k].hi < n:
+            k += 1
+        j = k
+        while j < len(held) and not held[j].contains(n):
+            j += 1
+        out.append(TimefulState(configs[j].state_at(n * delta) if j < len(configs)
+                                else UNDEFINED, n))
+    return tuple(out)
+
+
+def timeless_sample(s: Trajectory, delta, horizon=None) -> tuple:
+    return tuple(u.state for u in timeful_sample(s, delta, horizon))
+
+
 def trajectory_sample(s: Trajectory, delta, horizon=None) -> DiscreteTrace:
     """h_delta: states at times n*delta up to the duration.
 
@@ -124,8 +175,6 @@ def trajectory_sample(s: Trajectory, delta, horizon=None) -> DiscreteTrace:
     a complete finite trajectory adds its closed end when that end lands
     on the grid.  The horizon bounds an unbounded trajectory only.
     """
-    from .discretize import timeless_sample  # discretize imports this module
-
     finite = is_finite(s.duration)
     states = timeless_sample(s, delta, None if finite else horizon)
     delta = grid_step(delta)

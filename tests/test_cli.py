@@ -167,6 +167,17 @@ def test_theorems_fail_on_a_system_without_trajectory(tmp_path, capsys):
         assert NO_TRAJECTORY in (doc["witness"] if n == "3" else doc["notes"])
 
 
+def test_validate_reports_a_schema_mode_without_successor(tmp_path, capsys):
+    """A non-terminal mode with a duration exit and no edge out has no
+    successor at its exit, which validate reports as FinalNotClosed."""
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps(_variant(terminal=False)))
+    assert run("validate", "--system", str(system), "--json") == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert [kind for kind, _ in doc["issues"]] == ["FinalNotClosed"]
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "hybridsem.cli", "validate", "--fixture", "example10"],

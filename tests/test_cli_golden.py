@@ -40,6 +40,8 @@ def _calls() -> dict:
         calls[f"greatest-sim_{fx}"] = ("greatest-sim", "--fixture", fx)
         if fx != "fig11":  # fig11 carries no delta for theorem 7
             calls[f"gallery-theorem7_{fx}"] = ("gallery", fx, "--check-theorem", "7")
+    # a gallery fixture listed, not checked
+    calls["gallery_fig11"] = ("gallery", "fig11")
     for fx in SYSTEM_FIXTURES:
         calls[f"validate_{fx}"] = ("validate", "--fixture", fx)
         calls[f"trajectories_{fx}"] = ("trajectories", "--fixture", fx, "--horizon", "9")
@@ -50,6 +52,8 @@ def _calls() -> dict:
             "discretize", "--fixture", fx, *x0, "--delta", "1/4", "--horizon", "9")
     for hz in ("6", "10"):
         calls[f"check-refinement_h{hz}"] = ("check-refinement", "--horizon", hz)
+    # theorem 1 holding: example10 is given in the explicit presentation
+    calls["check-theorem1_example10"] = ("check-theorem", "1", "--fixture", "example10")
     calls["check-theorem3_tank"] = ("check-theorem", "3", *TANK, "--horizon", "9")
     calls["check-theorem5_tank"] = ("check-theorem", "5", "--x0", "1", "--horizon", "10")
     calls["check-theorem6_tank"] = ("check-theorem", "6", *TANK, "--delta", "1", "--horizon", "9")

@@ -314,6 +314,40 @@ def test_theorem4_match_builds_related_trajectory():
     assert cert == {"timewise": True, "rankwise": True}
 
 
+def _unit_chain(*ends, shift=0):
+    """Consecutive u = t (+ shift) configurations between the ends, the
+    last closed."""
+    return [make_config("m", b, e, {"u": b + shift}, {"u": 1}, closed_hi=e == ends[-1])
+            for b, e in zip(ends, ends[1:])]
+
+
+def _chain_graph(configs) -> ConfigGraph:
+    return ConfigGraph((configs[0],), tuple(
+        (c, tuple(configs[k + 1:k + 2])) for k, c in enumerate(configs)))
+
+
+@pytest.mark.parametrize("ends", [(0, 2, 3), (0, 1, 3)])
+def test_theorem4_match_lags_and_extends(ends):
+    """Against the abstract chain [0,1) -> [1,2) -> [2,3] under c_u = a_u:
+    from [0,2),[2,3] the abstract side lags behind the first concrete
+    configuration and is extended alone; from [0,1),[1,3] the concrete
+    steps run out at [1,2), and the termination loop adds [2,3]."""
+    abstract = _unit_chain(0, 1, 2, 3)
+    sb, cert = theorem4_match(EQ, trajectory_validate(_unit_chain(*ends)), _chain_graph(abstract))
+    assert list(sb.configs) == abstract
+    assert cert == {"timewise": True, "rankwise": True}
+
+
+def test_theorem4_match_stops_where_no_successor_is_related():
+    """The last abstract configuration is off by one on u, so the
+    termination loop finds no related successor and leaves the abstract
+    side a truncated prefix."""
+    abstract = _unit_chain(0, 1, 2, 3)[:2] + _unit_chain(2, 3, shift=1)
+    sigma = trajectory_validate(_unit_chain(0, 1, 3))
+    sb, _ = theorem4_match(EQ, sigma, _chain_graph(abstract))
+    assert list(sb.configs) == abstract[:2] and sb.truncated
+
+
 def test_compose_check_nested_intermediate():
     fx = gallery_fixture("fig6")
     (s,), (mid,), (top,) = fx["T"], fx["Tb"], fx["Tbb"]
@@ -416,6 +450,28 @@ def test_relation_inverse_swaps_sides():
     dyn = TimedStateRelation((Clause((), dynamic=lambda ep: ()),))
     with pytest.raises(PremiseFailed):
         relation_inverse(dyn)
+
+
+def test_relation_inverse_swaps_endpoint_symbols():
+    """B_c/E_c and B_a/E_a change places, so the inverse relates (d, c)
+    exactly where r relates (c, d); every end is finite, so each symbol
+    is bound on both pairs."""
+    texts = ("E_c - B_a >= 1", "t <= E_a - 1/2", "B_c = B_a", "E_c <= E_a",
+             "c_u - a_u <= B_c", "a_u >= E_c - t", "t >= B_a + 1/2", "c_u <= E_a")
+    rng = random.Random(925)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        cons = tuple(parse_constraint(rng.choice(texts)) for _ in range(rng.randint(1, 2)))
+        # one conjunctive clause, or one clause per constraint
+        clauses = (Clause(cons),) if rng.random() < 0.5 else tuple(Clause((x,)) for x in cons)
+        r = TimedStateRelation(clauses)
+        c, d = (make_config("m", b, b + rng.randint(1, 3), {"u": rng.randint(0, 3)},
+                            {"u": Q(rng.randint(-2, 2), 2)}, closed_hi=rng.random() < 0.5)
+                for b in (rng.randint(0, 2), rng.randint(0, 2)))
+        got = config_related(r, c, d)
+        assert config_related(relation_inverse(r), d, c) == got
+        seen[got] += 1
+    assert min(seen.values()) > 20, seen
 
 
 def test_bisim_on_identical_graph():

@@ -1,7 +1,7 @@
 """Times compared as integers against the Fraction comparisons they replaced.
 
-`time_core.earlier` decides a < b for finite times by cross-multiplying
-numerators and denominators.  The references below are the earlier
+`time_core.earlier` decides a < b for finite times and INF by
+cross-multiplying numerators and denominators, INF read as 1/0.  The references below are the earlier
 interval_intersect, TimeInterval.contains and subset_of, tmin,
 config_slice, config_concat and splice, kept verbatim apart from their
 names, each comparing times with Fraction's own operators.  On seeded
@@ -214,10 +214,27 @@ def test_earlier_is_fraction_less_than(a, b):
     assert earlier(a, b) == (a < b)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.one_of(times(), st.just(INF)), st.one_of(times(), st.just(INF)))
+def test_earlier_orders_inf_after_every_finite_time(a, b):
+    assert earlier(a, b) == (a < b)
+    assert not earlier(INF, a) and earlier(a, INF) == is_finite(a)
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(intervals(), intervals())
 def test_interval_intersect_matches_reference(i, j):
     _same(interval_intersect(i, j), ref_intersect(i, j))
+
+
+def test_unbounded_ends_marked_closed_meet_open():
+    """A relation file may mark an unbounded window closed; where two
+    unbounded ends meet, the meet is open, as in the reference."""
+    ends = (TimeInterval(Q(0), INF, True), TimeInterval(Q(1, 2), INF, True),
+            TimeInterval(Q(1), INF, False), TimeInterval(Q(1, 3), Q(2), True))
+    for i in ends:
+        for j in ends:
+            _same(interval_intersect(i, j), ref_intersect(i, j))
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)

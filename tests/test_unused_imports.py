@@ -2,8 +2,7 @@
 The package's __init__ imports only to re-export, so it is left out.
 
 A module imports the package's other modules at its top, so the import
-graph is read off the module heads; the one function-level import breaks
-an import cycle."""
+graph is read off the module heads, and no function imports one."""
 
 import ast
 from pathlib import Path
@@ -30,11 +29,6 @@ def test_every_imported_name_is_read():
     assert unused == {}
 
 
-# (module, function) of each function-level import of a hybridsem module;
-# discretize imports trajectory, so trajectory imports discretize late
-CYCLE_BREAKS = {("trajectory.py", "trajectory_sample")}
-
-
 def _function_level_imports(path: Path) -> set:
     tree = ast.parse(path.read_text(), str(path))
     found = set()
@@ -53,4 +47,4 @@ def _function_level_imports(path: Path) -> set:
 
 def test_hybridsem_imports_only_at_module_top():
     found = set().union(*(_function_level_imports(p) for p in sorted(SRC.glob("*.py"))))
-    assert found == CYCLE_BREAKS
+    assert found == set()
