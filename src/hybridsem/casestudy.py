@@ -24,14 +24,13 @@ from .flow_config import (
     PiecewiseConfiguration,
     State,
     make_config,
-    overlapping,
     pieces,
 )
 from .hts import (
     Edge, ExitCondition, HybridTransitionSystem, ModeSchema, Semantics, semantics_generate
 )
 from .records import record
-from .relation import Clause, TimedStateRelation, config_related, traj_related_timewise
+from .relation import Clause, TimedStateRelation, traj_related_timewise
 from .simulation import ConfigGraph, compose_check, config_graph, sim_check
 from .time_core import INF, Q, TimeInterval, is_finite
 from .trajectory import (
@@ -334,6 +333,13 @@ def abstract_witness(s: Trajectory) -> Trajectory:
     return Trajectory(tuple(out), s.truncated)
 
 
+def _positions(g: ConfigGraph, s: Trajectory) -> list:
+    """The position in s of each configuration of g, by id: g is the
+    graph of s, so it holds s's configurations themselves."""
+    at = {id(c): k for k, c in enumerate(s.configs)}
+    return [at[id(c)] for c in g.configs()]
+
+
 def run_refinement_chain(p: TankParams, horizon) -> dict:
     """Three stages: automaton against the specification, implementation
     against the automaton companions, and the composed relation.  Every
@@ -367,22 +373,26 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
     sem6 = semantics_generate(impl, horizon)
     trajectories = sorted(sem6.trajectories, key=repr)
     companions = [abstract_witness(s) for s in trajectories]
-    sims = []
-    for s, w in zip(trajectories, companions):
-        G, Gb = (config_graph(Semantics((t,), sem6.horizon, sem6.depth_limit)) for t in (s, w))
-        sims.append((s, sim_check(rels["R53"], G, Gb)))
-    verdict = all(sim.verdict for _, sim in sims)
-    # window-by-window certification of each published clause
+    sims, related = [], []  # related: each check's related pairs, by position
     phase: dict = {}
     for s, w in zip(trajectories, companions):
-        for c, cb, _ in overlapping(s.configs, w.configs):
+        G, Gb = (config_graph(Semantics((t,), sem6.horizon, sem6.depth_limit)) for t in (s, w))
+        sim = sim_check(rels["R53"], G, Gb)
+        sims.append((s, sim))
+        at_s, at_w = _positions(G, s), _positions(Gb, w)
+        related.append({(at_s[i], at_w[j]) for i, j in sim.related})
+        # window-by-window certification of each published clause, read
+        # from the pairs the check decided, in the order of s and w
+        for k, m in sorted((at_s[i], at_w[j]) for i, j in sim.overlaps):
+            c = s.configs[k]
             if s.truncated and c is s.configs[-1]:
                 # horizon artifact: the published endpoint constraints
                 # speak about the full phase, which the cut hides
                 continue
-            ok_here = config_related(rels["R53"], c, cb)
+            ok_here = (k, m) in related[-1]
             good, bad = phase.get(c.flow.mode, (0, 0))
             phase[c.flow.mode] = (good + ok_here, bad + (not ok_here))
+    verdict = all(sim.verdict for _, sim in sims)
     stage2 = {
         "well_nested": all(sim.hypothesis_results["well_nested(59)"][0] for _, sim in sims),
         "sims": sims,
@@ -403,6 +413,7 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
     # stage iii: composition through the companions down to the spec view
     ok3, failures, certified = compose_check(
         rels["R53"], rels["r39"], trajectories, companions, [spec_witness(w) for w in companions],
+        related,
     )
     off_obs = []
     for s, ww, cp, tp in certified:

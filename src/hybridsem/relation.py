@@ -706,6 +706,8 @@ def _window_from_json(w, where: str) -> TimeInterval:
     hi = _known_keys(w, ("lo", "hi", "closed_hi"), where, ("lo",)).get("hi", "inf")
     lo, closed = read_rational(w["lo"], where), _typed(w.get("closed_hi", False), bool, where)
     window = TimeInterval(lo, INF if hi in ("inf", None) else read_rational(hi, where), closed)
+    if closed and window.hi is INF:
+        raise ParseError(f"{where}: an unbounded window has no closed end")
     if not window.contains(window.lo):
         raise ParseError(f"{where}: empty window")
     return window

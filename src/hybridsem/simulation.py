@@ -81,7 +81,8 @@ MAX_UNIVERSE = 4000
 @record(frozen=True)
 class ConfigGraph:
     """Finite configuration universe with successor structure.  The id of
-    a configuration is its position in succ_map, where checks read it."""
+    a configuration is its position in succ_map, where checks read it;
+    every initial configuration is listed there."""
 
     initial: tuple
     succ_map: tuple  # (config, tuple of successors), each config listed once
@@ -102,19 +103,26 @@ class ConfigGraph:
         """The ids of the truncated configurations."""
         return frozenset(i for i, (c, _) in enumerate(self.succ_map) if c in self.truncated)
 
+    @cached_property
+    def initial_ids(self) -> tuple:
+        """The id of each initial configuration, in the order of initial."""
+        return tuple(map(self.configs().index, self.initial))
+
 
 def _graph(nodes, succ, initial, truncated) -> ConfigGraph:
     """ConfigGraph of the configurations nodes[k] with successor ids
     succ[k], initial and truncated ones given by id: listed by repr, and
     the successors of each, ties in id order."""
-    reprs, truncated = [repr(c) for c in nodes], set(truncated)
+    reprs, truncated, initial = [repr(c) for c in nodes], set(truncated), dict.fromkeys(initial)
     by_repr = lambda ks: sorted(dict.fromkeys(ks), key=reprs.__getitem__)
     order = by_repr(range(len(nodes)))
-    g = ConfigGraph(tuple(nodes[k] for k in dict.fromkeys(initial)),
+    g = ConfigGraph(tuple(nodes[k] for k in initial),
                     tuple((nodes[k], tuple(nodes[m] for m in by_repr(succ[k]))) for k in order),
                     frozenset(nodes[k] for k in truncated))
-    # the ids are known here, so the cached `cut` need hash no configuration
+    # the ids are known here, so the cached `cut` and `initial_ids` need
+    # hash or compare no configuration
     g.__dict__["cut"] = frozenset(i for i, k in enumerate(order) if k in truncated)
+    g.__dict__["initial_ids"] = tuple(map(order.index, initial))
     return g
 
 
@@ -156,6 +164,11 @@ class SimReport:
     violations: list = factory(list)  # (c, cbar, c_prime, reason)
     hypothesis_results: dict = factory(dict)
     notes: list = factory(list)
+    # the check's pair table, by ids of its two graphs: every overlapping
+    # pair, and those gamma(r) relates; not reported by to_dict, and
+    # empty on bisim_check's combined report
+    overlaps: list = factory(list, init=False)
+    related: frozenset = factory(frozenset, init=False)
 
     def to_dict(self):
         return {
@@ -231,10 +244,14 @@ def sim_transfer(related: Callable, succ_abstract, c, cbar, c_prime) -> list:
     return [resp for resp in _responses(succ_abstract, c, cbar, c_prime) if related(*resp[1:])]
 
 
-def _related_pairs(r: TimedStateRelation, xs, ys, overlaps) -> list:
+def _related_pairs(r: TimedStateRelation, xs, ys, overlaps, report: SimReport) -> list:
     """The id pairs of `overlaps` (from `overlap_ids(xs, ys)`) related by
-    gamma(r), each decided on the overlap already found."""
-    return [(i, j) for i, j, w in overlaps if config_related(r, xs[i], ys[j], w)]
+    gamma(r), each decided on the overlap already found; `report` keeps
+    them and the overlapping id pairs as its pair table."""
+    pairs = [(i, j) for i, j, w in overlaps if config_related(r, xs[i], ys[j], w)]
+    report.overlaps = [(i, j) for i, j, _ in overlaps]
+    report.related = frozenset(pairs)
+    return pairs
 
 
 def _universe_guard(G: ConfigGraph, Gb: ConfigGraph):
@@ -251,14 +268,16 @@ def _nested(xs, ys, overlaps):
                 None)
 
 
-def _initialized(related: Callable, G: ConfigGraph, Gb: ConfigGraph):
+def _initialized(related: frozenset, G: ConfigGraph, Gb: ConfigGraph):
     """init(56): every concrete initial configuration is related to some
-    abstract initial one.  Returns (ok, witness).  With no concrete
+    abstract initial one.  Returns (ok, witness).  `related` holds the
+    check's related id pairs: every overlapping pair was decided, and a
+    pair that does not overlap is related by nothing.  With no concrete
     initial configuration it fails: every check would hold vacuously."""
     if not G.initial:
         return False, None
-    for c0 in G.initial:
-        if not any(related(c0, cb0) for cb0 in Gb.initial):
+    for c0, i in zip(G.initial, G.initial_ids):
+        if not any((i, j) in related for j in Gb.initial_ids):
             return False, c0
     return True, None
 
@@ -293,7 +312,7 @@ def sim_check(
     if mode == "sync" and bad:
         raise SyncRequiresWellNesting(f"overlap without nesting at {nested_w!r}")
     violations = []
-    pairs = _related_pairs(r, xs, ys, overlaps)
+    pairs = _related_pairs(r, xs, ys, overlaps, report)
     for i, j in pairs:
         c, cb, after = xs[i], ys[j], Gb.succ_map[j][1]
         for c_prime in G.succ_map[i][1]:
@@ -303,7 +322,7 @@ def sim_check(
     blocking_w = next(((xs[i], ys[j]) for i, j in pairs if not G.succ_map[i][1]
                        and i not in G.cut and Gb.succ_map[j][1]), None)
     report.hypothesis_results = {
-        "init(56)": _initialized(related, G, Gb),
+        "init(56)": _initialized(report.related, G, Gb),
         "blocking(57)": (blocking_w is None, blocking_w),
         "well_nested(59)": (bad is None, nested_w),
     }
@@ -507,6 +526,7 @@ def compose_check(
     T: Iterable,
     mids: Iterable,
     tops: Iterable,
+    related1: Optional[Iterable] = None,
 ):
     """Theorem-5 style composition: certify each concrete trajectory
     against the top level through the intermediate witness trajectory.
@@ -514,6 +534,10 @@ def compose_check(
     mids holds the intermediate trajectory of each member of T, and tops
     the top-level trajectory of each intermediate, in the order of T; a
     length that differs from T's raises MissingIntermediateWitness.
+    related1, when given, holds for each member of T the position pairs
+    (in its configurations, in its intermediate's) already decided
+    related by gamma(r1): r1 holds at every time of their overlap, so
+    each of their windows holds for r1 without a decision.
     Returns (ok, failures, certified); certified lists every window where
     both relations hold as (s, window, concrete piece, top-level piece).
     """
@@ -522,12 +546,14 @@ def compose_check(
         raise MissingIntermediateWitness(f"{len(T)}, {len(mids)} and {len(tops)} trajectories")
     failures = []
     certified = []
-    for s, mid, top in zip(T, mids, tops):
+    knowns = [frozenset()] * len(T) if related1 is None else related1
+    for s, mid, top, known in zip(T, mids, tops, knowns, strict=True):
         bound = TimeInterval(Q(0), tmin(s.duration, top.duration), False)
-        for c, cmid, w1 in overlapping(s.configs, mid.configs):
+        for k, m, w1 in overlap_ids(s.configs, mid.configs):
             w1 = interval_intersect(w1, bound)
             if w1 is None:
                 continue
+            c, cmid, held1 = s.configs[k], mid.configs[m], (k, m) in known
             env1 = _endpoint_env(c, cmid)
             for ctop in top.configs:
                 w = interval_intersect(w1, ctop.interval)
@@ -539,7 +565,7 @@ def compose_check(
                         # pieces are disjoint, so (cp, mp) and (mp, tp) are
                         # the only piece pairs of the whole configurations
                         # that meet ww
-                        ok1 = _forall_window_related(r1, cp, mp, ww, env1)
+                        ok1 = held1 or _forall_window_related(r1, cp, mp, ww, env1)
                         ok2 = _forall_window_related(r2, mp, tp, ww, env2)
                         if not (ok1 and ok2):
                             failures.append((s, c, cmid, ctop, ww, ok1, ok2))
@@ -605,7 +631,7 @@ def preservation_check(
     violations = []
     progress_ok, progress_w = True, None
     xs, ys = G.configs(), Gb.configs()
-    for i, j in _related_pairs(r, xs, ys, overlap_ids(xs, ys)):
+    for i, j in _related_pairs(r, xs, ys, overlap_ids(xs, ys), report):
         c, cb, after = xs[i], ys[j], Gb.succ_map[j][1]
         # EPSILON last: the concrete side stays while the abstract steps
         for c_prime in (*G.succ_map[i][1], EPSILON):
@@ -618,7 +644,7 @@ def preservation_check(
     report.violations = violations
     report.verdict = not violations
     report.hypothesis_results = {
-        "init(56)": _initialized(related, G, Gb),
+        "init(56)": _initialized(report.related, G, Gb),
         "progress(76)": (progress_ok, progress_w),
     }
     report.notes.append(

@@ -1,5 +1,7 @@
-"""Shared randomized generators for the exact-arithmetic test suite, and
-ref_state_related, the reference for membership of bare state pairs.
+"""Shared randomized generators for the exact-arithmetic test suite,
+ref_state_related, the reference for membership of bare state pairs, and
+span_cover_related, a decision of configuration pairs that shares no
+decision code with the window kernel.
 
 Everything is seeded; tests freeze seeds so failures replay exactly.
 """
@@ -10,8 +12,11 @@ from fractions import Fraction as Q
 import pytest
 
 from hybridsem.errors import EndpointSymbolsUnbound
-from hybridsem.flow_config import make_config
+from hybridsem.flow_config import make_config, pieces
 from hybridsem.hts import HybridTransitionSystem
+from hybridsem.relation import (
+    _clause_spans, _endpoint_env, _interval_span, _span_meet, _span_minus
+)
 from hybridsem.trajectory import trajectory_validate
 
 
@@ -115,3 +120,26 @@ def ref_state_related(r, t, s, sbar) -> bool:
         except KeyError:
             continue  # clause mentions a symbol this pair cannot bind
     return False
+
+
+def span_cover_related(r, c, d, w) -> bool:
+    """gamma(r) on the overlap w of c and d: on each piece pair, the part
+    of w they share inside dom(r), less the spans where some clause holds,
+    must be empty."""
+    endpoints = _endpoint_env(c, d)
+    for cp in pieces(c):
+        for dp in pieces(d):
+            need = _span_meet(_interval_span(w), _interval_span(cp.interval))
+            need = _span_meet(need, _interval_span(dp.interval))
+            if need is None:
+                continue
+            if r.domain is None:
+                left = [need]
+            else:
+                left = [m for x in r.domain if (m := _span_meet(need, _interval_span(x)))]
+            for clause in r.clauses:
+                for y in _clause_spans(clause, cp, dp, endpoints):
+                    left = [p for x in left for p in _span_minus(x, y)]
+            if left:
+                return False
+    return True

@@ -25,7 +25,6 @@ from hybridsem.relation import TimedStateRelation, config_related
 from hybridsem.simulation import (
     SimReport,
     _cut_points,
-    _initialized,
     _universe_guard,
     canonical_key,
     greatest_fixpoint,
@@ -216,6 +215,18 @@ def system_graph(h_or_graph, horizon=None) -> ConfigGraph:
     for p, nexts in g.succ.items():
         succ.setdefault(g.config[p], set()).update(g.config[q] for q in nexts)
     return _graph((g.config[p] for p in g.initial), succ, (g.config[p] for p in g.truncated))
+
+
+def _initialized(related: Callable, G: ConfigGraph, Gb: ConfigGraph):
+    """init(56): every concrete initial configuration is related to some
+    abstract initial one.  Returns (ok, witness).  With no concrete
+    initial configuration it fails: every check would hold vacuously."""
+    if not G.initial:
+        return False, None
+    for c0 in G.initial:
+        if not any(related(c0, cb0) for cb0 in Gb.initial):
+            return False, c0
+    return True, None
 
 
 def _related_pairs(r: TimedStateRelation, overlaps) -> list:

@@ -270,6 +270,11 @@ BAD_RELATIONS = {
     "inverted-domain": {"clauses": RELATION["clauses"], "domain": [{"lo": "5", "hi": "2"}]},
     "empty-open-domain": {"clauses": RELATION["clauses"], "domain": [{"lo": "2", "hi": "2"}]},
     "empty-domain": {"clauses": RELATION["clauses"], "domain": []},
+    # an unbounded end marked closed: no interval has one
+    "closed-unbounded-window": {"clauses": [{"constraints": ["c_u = a_u"],
+                                             "window": {"lo": "0", "closed_hi": True}}]},
+    "closed-unbounded-domain": {"clauses": RELATION["clauses"],
+                                "domain": [{"lo": "1", "hi": "inf", "closed_hi": True}]},
     # values of the wrong JSON type
     "clauses-type": {"clauses": 5},
     "constraints-type": {"clauses": [{"constraints": 5}]},

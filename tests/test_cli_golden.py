@@ -52,6 +52,9 @@ def _calls() -> dict:
             "discretize", "--fixture", fx, *x0, "--delta", "1/4", "--horizon", "9")
     for hz in ("6", "10"):
         calls[f"check-refinement_h{hz}"] = ("check-refinement", "--horizon", hz)
+    # the seed-1 call of the benchmark's chain workload
+    calls["check-refinement_workload"] = (
+        "check-refinement", "--x0", "1/2,11/8,17/8", "--horizon", "60")
     # theorem 1 holding: example10 is given in the explicit presentation
     calls["check-theorem1_example10"] = ("check-theorem", "1", "--fixture", "example10")
     calls["check-theorem3_tank"] = ("check-theorem", "3", *TANK, "--horizon", "9")

@@ -8,18 +8,26 @@ loaders and into the checks.  Duration exits come from a small set, so
 many pairs are well-nested.  Each call exits 0, 1 or 2 with no exception
 escaping `cli.main`, an exit of 2 prints an input error, and where
 --sync does not refuse the pair (59) it prints exactly what the
-asynchronous check prints."""
+asynchronous check prints.  The pair table of each report the
+asynchronous call makes (the overlapping id pairs and those it found
+related) must equal a span-cover decision of every overlapping pair,
+which shares no decision code with the window kernel."""
 
 import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hybridsem import cli, simulation
 from hybridsem.cli import main
+from hybridsem.flow_config import overlap_ids
+
+from conftest import span_cover_related
 
 NUMS = ("0", "1", "-1", "2", "1/2", "-3/2")
 DWELLS = ("1", "1/2", "2", "3/2")
@@ -112,6 +120,22 @@ def _branching(dwell, dropped=None) -> dict:
 EQ_U = {"clauses": [{"constraints": ["c_u = a_u"]}]}
 
 
+def _recording(reports: list):
+    """sim_check, keeping each call's relation, graphs and report."""
+    def sim_check(r, G, Gb, **kwargs):
+        reports.append((r, G, Gb, simulation.sim_check(r, G, Gb, **kwargs)))
+        return reports[-1][-1]
+    return sim_check
+
+
+def _assert_pair_table(r, G, Gb, report, pair):
+    xs, ys = G.configs(), Gb.configs()
+    overlaps = overlap_ids(xs, ys)
+    assert report.overlaps == [(i, j) for i, j, _ in overlaps], pair
+    cover = {(i, j) for i, j, w in overlaps if span_cover_related(r, xs[i], ys[j], w)}
+    assert report.related == cover, (pair, sorted(report.related ^ cover))
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(pairs())
 # well-nested, with violations: --sync prints the asynchronous report
@@ -127,7 +151,14 @@ def test_check_sim_with_and_without_sync(pair):
             files[-1].write_text(json.dumps(doc))
         argv = ["check-sim", "--system", str(files[0]), "--abstract", str(files[1]),
                 "--relation", str(files[2]), "--horizon", horizon, "--json"]
-        plain, sync = _run(argv), _run(argv + ["--sync"])
+        reports = []
+        with mock.patch.object(cli, "sim_check", _recording(reports)):
+            plain = _run(argv)
+        sync = _run(argv + ["--sync"])
+    # a pair stopped before the check (FinalNotClosed, say) prints no report
+    assert len(reports) == bool(plain[1]), (pair, plain)
+    for report in reports:
+        _assert_pair_table(*report, pair)
     for code, _, err in (plain, sync):
         assert code in (0, 1, 2), (pair, code, err)
         if code == 2:

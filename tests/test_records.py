@@ -157,7 +157,7 @@ def test_record_matches_its_dataclass_twin(dotted):
         if not f.compare:
             b = copy.copy(a)
             vars(b)[f.name] = object()
-            assert b == a and (repr(b), hash(b)) == (repr(a), hash(a))
+            assert b == a and (repr(b), _outcome(hash, b)) == (repr(a), _outcome(hash, a))
 
 
 @pytest.mark.parametrize("dotted", [d for d in CLASSES if "__post_init__" in vars(_class(d))])

@@ -228,8 +228,10 @@ def test_interval_intersect_matches_reference(i, j):
 
 
 def test_unbounded_ends_marked_closed_meet_open():
-    """A relation file may mark an unbounded window closed; where two
-    unbounded ends meet, the meet is open, as in the reference."""
+    """A relation file may not mark an unbounded window closed, but a
+    TimeInterval may be built so, as the discretization builds one for an
+    unbounded configuration; where two unbounded ends meet, the meet is
+    open, as in the reference."""
     ends = (TimeInterval(Q(0), INF, True), TimeInterval(Q(1, 2), INF, True),
             TimeInterval(Q(1), INF, False), TimeInterval(Q(1, 3), Q(2), True))
     for i in ends:

@@ -19,44 +19,15 @@ from pathlib import Path
 import pytest
 
 from hybridsem.casestudy import TankParams, abstract_witness, build_tank_impl, tank_relations
-from hybridsem.flow_config import overlapping, pieces
+from hybridsem.flow_config import overlapping
 from hybridsem.hts import hts_from_json, semantics_generate
-from hybridsem.relation import (
-    _clause_spans,
-    _endpoint_env,
-    _interval_span,
-    _span_meet,
-    _span_minus,
-    config_related,
-    relation_from_json,
-)
+from hybridsem.relation import config_related, relation_from_json
 from hybridsem.simulation import system_graph
+
+from conftest import span_cover_related
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
-
-
-def span_cover_related(r, c, d, w) -> bool:
-    """gamma(r) on the overlap w of c and d: on each piece pair, the part
-    of w they share inside dom(r), less the spans where some clause holds,
-    must be empty."""
-    endpoints = _endpoint_env(c, d)
-    for cp in pieces(c):
-        for dp in pieces(d):
-            need = _span_meet(_interval_span(w), _interval_span(cp.interval))
-            need = _span_meet(need, _interval_span(dp.interval))
-            if need is None:
-                continue
-            if r.domain is None:
-                left = [need]
-            else:
-                left = [m for x in r.domain if (m := _span_meet(need, _interval_span(x)))]
-            for clause in r.clauses:
-                for y in _clause_spans(clause, cp, dp, endpoints):
-                    left = [p for x in left for p in _span_minus(x, y)]
-            if left:
-                return False
-    return True
 
 
 def _agree(r, pairs) -> tuple:
