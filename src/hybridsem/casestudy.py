@@ -373,7 +373,8 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
     sem6 = semantics_generate(impl, horizon)
     trajectories = sorted(sem6.trajectories, key=repr)
     companions = [abstract_witness(s) for s in trajectories]
-    sims, related = [], []  # related: each check's related pairs, by position
+    # each check's overlapping and related pairs, by position
+    sims, decided, related = [], [], []
     phase: dict = {}
     for s, w in zip(trajectories, companions):
         G, Gb = (config_graph(Semantics((t,), sem6.horizon, sem6.depth_limit)) for t in (s, w))
@@ -381,9 +382,10 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
         sims.append((s, sim))
         at_s, at_w = _positions(G, s), _positions(Gb, w)
         related.append({(at_s[i], at_w[j]) for i, j in sim.related})
+        decided.append({(at_s[i], at_w[j]) for i, j in sim.overlaps})
         # window-by-window certification of each published clause, read
         # from the pairs the check decided, in the order of s and w
-        for k, m in sorted((at_s[i], at_w[j]) for i, j in sim.overlaps):
+        for k, m in sorted(decided[-1]):
             c = s.configs[k]
             if s.truncated and c is s.configs[-1]:
                 # horizon artifact: the published endpoint constraints
@@ -413,7 +415,7 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
     # stage iii: composition through the companions down to the spec view
     ok3, failures, certified = compose_check(
         rels["R53"], rels["r39"], trajectories, companions, [spec_witness(w) for w in companions],
-        related,
+        related, decided,
     )
     off_obs = []
     for s, ww, cp, tp in certified:

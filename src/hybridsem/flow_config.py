@@ -190,6 +190,11 @@ class PiecewiseConfiguration:
         first, last = self.pieces[0], self.pieces[-1]
         return TimeInterval(first.b, last.e, last.interval.closed_hi)
 
+    @cached_property
+    def starts(self) -> tuple:
+        """The start of each piece, in order."""
+        return tuple(p.b for p in self.pieces)
+
     @property
     def b(self):
         return self.pieces[0].b

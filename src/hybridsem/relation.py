@@ -31,11 +31,19 @@ endpoints are constant on a piece pair.  The relation keeps one table,
 filled on first use: per (concrete mode, abstract mode), the clauses
 whose guards admit the pair and whether one of them reads B/E or has a
 `dynamic` part (TimedStateRelation.admitted).  So the endpoints are
-bound only for a pair that reads them.  Each admitted clause is
-compiled once: it is dropped if it can never hold there, and each of
-its constraints becomes integers (A, B) such that A*t + B
-is a positive multiple of its left side along the two flows (each flow
-caches its lines as integers, (R*t + O)/L).  Between consecutive
+bound only for a pair that reads them.  A window is decided in three
+steps.  Resolve (_resolve): each admitted clause, its `dynamic` part
+built once, is read against the pair's integer lines (each flow caches
+its lines as integers, (R*t + O)/L, and a finite B/E end v reads as
+0*t + v).  A clause naming a symbol the pair does not bind is dropped
+there, and each constraint of the others becomes integers (A, B) such
+that A*t + B is a positive multiple of its left side along the two
+flows, each term's denominator multiplied in.  Decide the start
+(_start): the window's start lo = n/d is decided first, each constraint
+by the sign of A*n + B*d, with no table, lcm, gcd or Fraction; most
+unrelated pairs already fail there.  Normalize (_normalized): only a
+window whose decision goes past its start has each (A, B) reduced to
+lowest terms and its other points found.  Between consecutive
 breakpoints (window, clause-window and domain bounds, and the roots
 -B/A) every constraint keeps its truth value, so the breakpoints, one
 point per cell and one past the last cut of an unbounded window decide
@@ -45,15 +53,12 @@ denominators and of every A, so each decision point is an integer P
 standing for P/(2D), and a constraint is decided by the sign of
 A*P + 2D*B: one integer multiply-add per constraint and point, and no
 Fraction built (the integer-coefficient form of exact polyhedra
-libraries).  A window's start is decided first, from its own numerator
-and denominator, and the other points are found only past it, since
-most unrelated pairs already fail there.  A window where no clause
-compiles and r has no domain is decided at that first point, and
-config_related gives that verdict for a plain pair whose modes admit no
-clause without entering the kernel.  traj_related_rankwise decides its
-for-all by an exact cover of solution spans over Fractions instead,
-sharing no code with the kernel, so that comparing it with
-traj_related_timewise cross-checks the kernel.
+libraries).  A window where no clause binds and r has no domain is
+decided at its start, and config_related gives that verdict for a plain
+pair whose modes admit no clause without entering the kernel.
+traj_related_rankwise decides its for-all by an exact cover of solution
+spans over Fractions instead, sharing no code with the kernel, so that
+comparing it with traj_related_timewise cross-checks the kernel.
 """
 
 from __future__ import annotations
@@ -273,18 +278,16 @@ def _endpoint_env(c, d) -> dict:
     return env
 
 
-def _compile(r: TimedStateRelation, cp, dp, endpoints) -> list:
+def _resolve(r: TimedStateRelation, cp, dp, endpoints) -> list:
     """The clauses of r that can hold on the piece pair cp, dp, each as
     (window, ((cmp, A, B), ...)): along the two flows the left side of a
-    constraint has the sign of A*t + B, integers, and cmp compares that
-    with 0 as the constraint does.  Modes are constant on a piece, so only
-    the clauses r admits for them are read.  A clause holds only where
-    every symbol it names is bound, so one that `dynamic` declines, or
-    whose symbols (its own and its `dynamic` part's) are not all in the
-    pair's table, such as a variable a side lacks or the infinite end of
-    an unbounded configuration, is dropped.  `endpoints` may be empty
-    when no admitted clause reads them."""
-    table = None
+    constraint is a positive multiple of A*t + B, integers, and cmp
+    compares it with 0 as the constraint does.  Modes are constant on a
+    piece, so only the clauses r admits for them are read, and a
+    `dynamic` part is built once.  A clause holds only where every
+    symbol it names is bound, so one that `dynamic` declines, or that
+    names a symbol the pair does not bind (_in_pair), is dropped.
+    `endpoints` may be empty when no admitted clause reads them."""
     out = []
     for clause in r.admitted(cp.flow.mode, dp.flow.mode)[0]:
         cons = clause.constraints
@@ -292,36 +295,89 @@ def _compile(r: TimedStateRelation, cp, dp, endpoints) -> list:
             cons = clause.effective_constraints(endpoints)
             if cons is None:
                 continue
-        if table is None:
-            table = {"t": (1, 0, 1)}
-            table.update((k, (0, v.numerator, v.denominator)) for k, v in endpoints.items())
-            table.update(("c_" + k, line) for k, line in cp.flow.int_lines)
-            table.update(("a_" + k, line) for k, line in dp.flow.int_lines)
-        if table.keys() >= clause.symbols and (clause.dynamic is None or all(
-                sym in table for con in cons for sym, _ in con.lhs.coefs)):
-            out.append((clause.window, tuple(
-                (COMPARE[con.op], *_in_t(con.lhs, table)) for con in cons
-            )))
+        resolved = []
+        for con in cons:
+            line = _in_pair(con.lhs, cp, dp, endpoints)
+            if line is None:
+                break
+            resolved.append((COMPARE[con.op], *line))
+        else:
+            out.append((clause.window, tuple(resolved)))
     return out
 
 
-def _in_t(lhs: LinExpr, table: dict) -> tuple:
-    """Integers (A, B) in lowest terms with A*t + B a positive multiple
-    of lhs, each symbol read from table as (R, O, L), its value being
-    (R*t + O)/L; one lcm clears every denominator."""
-    (cn, cd), coefs = lhs.int_terms
-    terms = []
+def _in_pair(lhs: LinExpr, cp, dp, endpoints):
+    """Integers (A, B) with A*t + B a positive multiple of lhs along the
+    flows of cp and dp, or None when lhs names a symbol the pair does not
+    bind.  t, c_<v> and a_<v> for a variable v the side has, and each
+    symbol of `endpoints` are bound; each is read as (R, O, L), its value
+    being (R*t + O)/L (each flow caches its lines so).  Each term's
+    denominator is multiplied in, so no lcm or gcd is taken and (A, B)
+    is not in lowest terms."""
+    (B, M), coefs = lhs.int_terms
+    A = 0
     for sym, num, den in coefs:
-        R, O, L = table[sym]
-        terms.append((num, den * L, R, O))
-    m = lcm(cd, *[den for _, den, _, _ in terms])
-    A, B = 0, cn * (m // cd)
-    for num, den, R, O in terms:
-        k = num * (m // den)
-        A += k * R
-        B += k * O
-    g = gcd(A, B)
-    return (A // g, B // g) if g > 1 else (A, B)
+        side = sym[:2]
+        if side == "c_" or side == "a_":
+            name = sym[2:]
+            for k, line in (cp if side == "c_" else dp).flow.int_lines:
+                if k == name:
+                    R, O, L = line
+                    break
+            else:
+                return None
+        elif sym == "t":
+            R, O, L = 1, 0, 1
+        else:
+            v = endpoints.get(sym)
+            if v is None:
+                return None
+            R, O, L = 0, v.numerator, v.denominator
+        q = den * L
+        A, B, M = A * q + num * R * M, B * q + num * O * M, M * q
+    return A, B
+
+
+def _start(r: TimedStateRelation, clauses, window: TimeInterval):
+    """The decision at the window start lo = n/d for the resolved
+    clauses, in integers: each constraint by the sign of A*n + B*d, and
+    whether the window holds lo by comparing n/d with its end (INF reads
+    as 1/0).  None when lo is not in the window (it is empty) or not in
+    dom(r)."""
+    lo, hi = window.lo, window.hi
+    n, d = lo.numerator, lo.denominator
+    gap = hi.numerator * d - n * hi.denominator
+    if gap < 0 or (gap == 0 and not window.closed_hi) or not r.in_domain(lo):
+        return None
+    for w, cons in clauses:
+        if w is not None and not w.contains(lo):
+            continue
+        for cmp, A, B in cons:
+            if not cmp(A * n + B * d, 0):
+                break
+        else:
+            return True
+    return False
+
+
+def _normalized(clauses) -> list:
+    """The resolved clauses with each (A, B) in lowest terms."""
+    out = []
+    for w, cons in clauses:
+        reduced = []
+        for cmp, A, B in cons:
+            g = gcd(A, B)
+            reduced.append((cmp, A // g, B // g) if g > 1 else (cmp, A, B))
+        out.append((w, tuple(reduced)))
+    return out
+
+
+def _compile(r: TimedStateRelation, cp, dp, endpoints) -> list:
+    """The clauses of r that can hold on the piece pair cp, dp, as
+    _resolve gives them, with each (A, B) in lowest terms: the form
+    _decisions finds roots and decision points from, which it builds in
+    the same two steps with the window start decided between them."""
+    return _normalized(_resolve(r, cp, dp, endpoints))
 
 
 def _constraint_roots(clause, lo, hi, D) -> list:
@@ -379,22 +435,19 @@ def _decisions(r: TimedStateRelation, cp, dp, window: TimeInterval, endpoints):
     """Whether the states of the plain affine configurations cp and dp
     are related, at each decision point of the window inside dom(r).
 
-    The first point of a nonempty window is its start lo = n/d.  It is
-    decided before the other points are found, each constraint by the
-    sign of A*n + B*d, so a window refuted there (most unrelated pairs
-    are) costs no roots, cuts or midpoints.  When no clause compiles and
-    r has no domain, that first decision is the verdict: no point is
-    related."""
-    clauses = _compile(r, cp, dp, endpoints)
-    lo = window.lo
-    if window.contains(lo) and r.in_domain(lo):
-        n, d = lo.numerator, lo.denominator
-        yield any(
-            (w is None or w.contains(lo)) and all(cmp(A * n + B * d, 0) for cmp, A, B in cons)
-            for w, cons in clauses
-        )
-        if not clauses and r.domain is None:
+    The first point of a nonempty window is its start.  It is decided
+    from the resolved clauses (_start) before they are reduced to lowest
+    terms and the other points are found, so a window refuted there
+    (most unrelated pairs are) costs no gcd, roots, cuts or midpoints.
+    When no clause binds and r has no domain, that first decision is the
+    verdict: no point is related."""
+    resolved = _resolve(r, cp, dp, endpoints)
+    start = _start(r, resolved, window)
+    if start is not None:
+        yield start
+        if not resolved and r.domain is None:
             return
+    clauses = _normalized(resolved)
     D, points = _window_points(r, clauses, window)
     D2, last = 2 * D, points[-1] if points else 0
     checks = [
@@ -431,17 +484,20 @@ def _piece_windows(c, d, window: TimeInterval):
     if _plain(c, d):
         yield c, d, w
         return
-    for cp, dp, v in overlapping(_meeting(pieces(c), w), _meeting(pieces(d), w)):
+    for cp, dp, v in overlapping(_meeting(c, w), _meeting(d, w)):
         v = interval_intersect(v, window)
         if v is not None:
             yield cp, dp, v
 
 
-def _meeting(ps, w: TimeInterval) -> tuple:
-    """Those of the contiguous pieces ps, in order, that meet w in their cover."""
-    starts = [p.b for p in ps]
+def _meeting(c, w: TimeInterval) -> tuple:
+    """Those of the pieces of c, in order, that meet w, a window inside
+    its interval; a piecewise c keeps its piece starts."""
+    if not isinstance(c, PiecewiseConfiguration):
+        return (c,)
+    starts = c.starts
     end = (bisect_right if w.closed_hi else bisect_left)(starts, w.hi) if is_finite(w.hi) else None
-    return ps[bisect_right(starts, w.lo) - 1:end]
+    return c.pieces[bisect_right(starts, w.lo) - 1:end]
 
 
 def forall_window_related(r: TimedStateRelation, c, d, window: TimeInterval) -> bool:

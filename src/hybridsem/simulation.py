@@ -187,10 +187,16 @@ class SimReport:
 
 def splice(c, c_next, m1, m2):
     """(c $ c_next)<m1, m2>; returns None for an empty window or an empty
-    slice.  m1 is finite, m2 finite or INF."""
+    slice.  m1 is finite, m2 finite or INF.  c $ c_next is c_next from
+    b(c_next) on, so a window starting there slices c_next alone."""
     if not earlier(m1, m2):
         return None
-    cat = config_concat(c, c_next) if not is_empty(c_next) else c
+    if is_empty(c_next):
+        cat = c
+    elif earlier(m1, c_next.b):
+        cat = config_concat(c, c_next)
+    else:
+        cat = c_next
     closed = cat.interval.closed_hi and cat.interval.hi == m2
     try:
         return config_slice(cat, m1, m2, closed=closed)
@@ -527,6 +533,7 @@ def compose_check(
     mids: Iterable,
     tops: Iterable,
     related1: Optional[Iterable] = None,
+    decided1: Optional[Iterable] = None,
 ):
     """Theorem-5 style composition: certify each concrete trajectory
     against the top level through the intermediate witness trajectory.
@@ -537,7 +544,11 @@ def compose_check(
     related1, when given, holds for each member of T the position pairs
     (in its configurations, in its intermediate's) already decided
     related by gamma(r1): r1 holds at every time of their overlap, so
-    each of their windows holds for r1 without a decision.
+    each of their windows holds for r1 without a decision.  decided1,
+    when given, holds for each member of T the position pairs gamma(r1)
+    has decided on their whole overlap; those not in related1 are
+    unrelated, so a window that is such a pair's whole overlap fails r1
+    without a decision.
     Returns (ok, failures, certified); certified lists every window where
     both relations hold as (s, window, concrete piece, top-level piece).
     """
@@ -547,13 +558,16 @@ def compose_check(
     failures = []
     certified = []
     knowns = [frozenset()] * len(T) if related1 is None else related1
-    for s, mid, top, known in zip(T, mids, tops, knowns, strict=True):
+    decideds = [frozenset()] * len(T) if decided1 is None else decided1
+    for s, mid, top, known, decided in zip(T, mids, tops, knowns, decideds, strict=True):
         bound = TimeInterval(Q(0), tmin(s.duration, top.duration), False)
-        for k, m, w1 in overlap_ids(s.configs, mid.configs):
-            w1 = interval_intersect(w1, bound)
+        for k, m, overlap in overlap_ids(s.configs, mid.configs):
+            w1 = interval_intersect(overlap, bound)
             if w1 is None:
                 continue
             c, cmid, held1 = s.configs[k], mid.configs[m], (k, m) in known
+            # the whole overlap of a pair gamma(r1) refuted fails r1
+            failed1 = overlap if not held1 and (k, m) in decided else None
             env1 = _endpoint_env(c, cmid)
             for ctop in top.configs:
                 w = interval_intersect(w1, ctop.interval)
@@ -565,7 +579,8 @@ def compose_check(
                         # pieces are disjoint, so (cp, mp) and (mp, tp) are
                         # the only piece pairs of the whole configurations
                         # that meet ww
-                        ok1 = held1 or _forall_window_related(r1, cp, mp, ww, env1)
+                        ok1 = held1 or (ww != failed1 and _forall_window_related(
+                            r1, cp, mp, ww, env1))
                         ok2 = _forall_window_related(r2, mp, tp, ww, env2)
                         if not (ok1 and ok2):
                             failures.append((s, c, cmid, ctop, ww, ok1, ok2))

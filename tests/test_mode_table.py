@@ -5,9 +5,10 @@ The reference below is the earlier path, kept verbatim apart from its
 names: _compile checks every clause's guards on every piece pair,
 config_related builds the endpoint environment for every pair and sends
 every window through the kernel, and the piece pairs of piecewise
-configurations come from the earlier Fraction overlap sweep.  The
-integer helpers the kernel shares with it (_in_t, _window_points, _over)
-are tested against a Fraction kernel in tests/test_window_kernel.py.
+configurations come from the earlier Fraction overlap sweep, and each
+constraint is brought to lowest terms over one lcm (ref_in_t).  The
+integer helpers the kernel shares with it (_window_points, _over) are
+tested against a Fraction kernel in tests/test_window_kernel.py.
 
 On seeded relations (wildcard and mode guards on either side, guards no
 configuration meets, B/E symbols, `dynamic` parts, domains) and seeded
@@ -19,6 +20,7 @@ inside a domain, outside it and across its bounds."""
 
 import random
 from fractions import Fraction as Q
+from math import gcd, lcm
 
 import pytest
 
@@ -29,7 +31,6 @@ from hybridsem.relation import (
     Clause,
     TimedStateRelation,
     _compile,
-    _in_t,
     _over,
     _plain,
     _window_points,
@@ -75,6 +76,22 @@ def ref_endpoint_env(c, d) -> dict:
     return env
 
 
+def ref_in_t(lhs, table) -> tuple:
+    (cn, cd), coefs = lhs.int_terms
+    terms = []
+    for sym, num, den in coefs:
+        R, O, L = table[sym]
+        terms.append((num, den * L, R, O))
+    m = lcm(cd, *[den for _, den, _, _ in terms])
+    A, B = 0, cn * (m // cd)
+    for num, den, R, O in terms:
+        k = num * (m // den)
+        A += k * R
+        B += k * O
+    g = gcd(A, B)
+    return (A // g, B // g) if g > 1 else (A, B)
+
+
 def ref_compile(r, cp, dp, endpoints) -> list:
     table = None
     out = []
@@ -91,7 +108,7 @@ def ref_compile(r, cp, dp, endpoints) -> list:
             table.update(("a_" + k, line) for k, line in dp.flow.int_lines)
         try:
             out.append((clause.window, tuple(
-                (COMPARE[con.op], *_in_t(con.lhs, table)) for con in cons
+                (COMPARE[con.op], *ref_in_t(con.lhs, table)) for con in cons
             )))
         except KeyError:
             continue

@@ -20,6 +20,7 @@ from hybridsem.flow_config import (
     PiecewiseConfiguration,
     config_concat,
     make_config,
+    overlap_ids,
     overlapping,
     pieces,
 )
@@ -419,9 +420,11 @@ def test_compose_check_matches_whole_configuration_windows():
     """compose_check decides each window on the piece pairs it holds,
     with the endpoints of the whole configurations; on seeded piecewise
     chains it gives the failures and certified windows of deciding
-    every window on the whole configurations."""
+    every window on the whole configurations.  Given gamma(r1)'s verdicts
+    on the overlapping pairs of each concrete and intermediate trajectory
+    (related1 and decided1), it gives them too."""
     rng = random.Random(514)
-    seen = {"ok": 0, "failed": 0, "piecewise": 0, "windows": 0}
+    seen = {"ok": 0, "failed": 0, "piecewise": 0, "windows": 0, "whole overlap refuted": 0}
     for _ in range(150):
         ends = [rng.choice((Q(3), Q(4), Q(9, 2), INF)) for _ in range(3)]
         s, mid, top = (_piecewise_trajectory(rng, e) for e in ends)
@@ -434,6 +437,13 @@ def test_compose_check_matches_whole_configuration_windows():
         )) for _ in range(2))
         got = compose_check(r1, r2, [s], [mid], [top])
         assert got == _compose_by_whole_configs(r1, r2, [s], {s: mid}, {mid: top})
+        overlaps = overlap_ids(s.configs, mid.configs)
+        related = {(k, m) for k, m, w in overlaps
+                   if config_related(r1, s.configs[k], mid.configs[m], w)}
+        decided = {(k, m) for k, m, _ in overlaps}
+        assert compose_check(r1, r2, [s], [mid], [top], [related], [decided]) == got
+        refuted = {w for k, m, w in overlaps if (k, m) not in related}
+        seen["whole overlap refuted"] += sum(f[4] in refuted for f in got[1])
         seen["ok" if got[0] else "failed"] += 1
         seen["windows"] += len(got[1]) + len(got[2])
         seen["piecewise"] += any(len(pieces(c)) > 1 for t in (s, mid, top) for c in t.configs)

@@ -288,11 +288,13 @@ def _fixed_pair():
 
 def test_kernel_builds_no_fraction():
     """config_related on a fixed non-`dynamic` pair builds no Fraction in
-    _compile, _window_points or _decisions; the Fraction kernel on the
-    same pair shows that the count sees constructions there."""
+    _resolve, _in_pair, _start, _normalized, _compile, _window_points or
+    _decisions; the Fraction kernel on the same pair shows that the count
+    sees constructions there."""
     r, c, d = _fixed_pair()
-    kernel = {f.__code__ for f in (relation._compile, relation._window_points,
-                                   relation._decisions)}
+    kernel = {f.__code__ for f in (relation._resolve, relation._in_pair, relation._start,
+                                   relation._normalized, relation._compile,
+                                   relation._window_points, relation._decisions)}
     assert _fractions_built_under(kernel, lambda: config_related(r, c, d)) == 0
     r, c, d = _fixed_pair()
     reference = {f.__code__ for f in (_ref_compile, _ref_window_points, _ref_decisions)}
