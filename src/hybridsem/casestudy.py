@@ -373,25 +373,23 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
     sem6 = semantics_generate(impl, horizon)
     trajectories = sorted(sem6.trajectories, key=repr)
     companions = [abstract_witness(s) for s in trajectories]
-    # each check's overlapping and related pairs, by position
-    sims, decided, related = [], [], []
+    # each check's pair table, by position
+    sims, known = [], []
     phase: dict = {}
     for s, w in zip(trajectories, companions):
         G, Gb = (config_graph(Semantics((t,), sem6.horizon, sem6.depth_limit)) for t in (s, w))
         sim = sim_check(rels["R53"], G, Gb)
         sims.append((s, sim))
         at_s, at_w = _positions(G, s), _positions(Gb, w)
-        related.append({(at_s[i], at_w[j]) for i, j in sim.related})
-        decided.append({(at_s[i], at_w[j]) for i, j in sim.overlaps})
+        known.append({(at_s[i], at_w[j]): held for (i, j), held in sim.pairs.items()})
         # window-by-window certification of each published clause, read
         # from the pairs the check decided, in the order of s and w
-        for k, m in sorted(decided[-1]):
+        for (k, m), ok_here in sorted(known[-1].items()):
             c = s.configs[k]
             if s.truncated and c is s.configs[-1]:
                 # horizon artifact: the published endpoint constraints
                 # speak about the full phase, which the cut hides
                 continue
-            ok_here = (k, m) in related[-1]
             good, bad = phase.get(c.flow.mode, (0, 0))
             phase[c.flow.mode] = (good + ok_here, bad + (not ok_here))
     verdict = all(sim.verdict for _, sim in sims)
@@ -415,7 +413,7 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
     # stage iii: composition through the companions down to the spec view
     ok3, failures, certified = compose_check(
         rels["R53"], rels["r39"], trajectories, companions, [spec_witness(w) for w in companions],
-        related, decided,
+        known,
     )
     off_obs = []
     for s, ww, cp, tp in certified:

@@ -43,7 +43,7 @@ from .records import record
 from .relation import Clause, TimedStateRelation, exists_window_related, related_candidates
 from .hts import NO_TRAJECTORY, maximal_paths, reach, semantics_generate
 from .simulation import greatest_fixpoint, system_graph
-from .time_core import INF, Q, TimeInterval, is_finite, rank_of, rank_range
+from .time_core import INF, Q, TimeInterval, interval_closure, is_finite, rank_of, rank_range
 from .trajectory import TimefulState, _ranks, grid_step, timeful_sample, timeless_sample
 
 __all__ = [
@@ -77,7 +77,8 @@ class DiscreteTransitionSystem:
 
     def __post_init__(self):
         for a, b in self.edges:
-            assert b.rank == a.rank + 1, f"edge {a!r}->{b!r} skips a rank"
+            if b.rank != a.rank + 1:
+                raise AssertionError(f"edge {a!r}->{b!r} skips a rank")
 
     @cached_property
     def _succ(self) -> dict:
@@ -146,7 +147,7 @@ class _Grid:
         return i
 
     def _table(self, c) -> dict:
-        first, last = rank_range(TimeInterval(c.b, c.e, True), self.p, self.q)
+        first, last = rank_range(interval_closure(c.interval), self.p, self.q)
         last = min(last, self.cap)
         if last is INF:
             raise TruncatedInput(f"unbounded {c!r} needs an explicit horizon")

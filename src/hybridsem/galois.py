@@ -51,7 +51,8 @@ class FinitePoset:
     def _check_order(self):
         le = self.le
         for x in self.elements:
-            assert le(x, x), f"not reflexive at {x!r}"
+            if not le(x, x):
+                raise AssertionError(f"not reflexive at {x!r}")
         for x, y in self.leq:
             if le(y, x) and x != y:
                 raise AssertionError(f"not antisymmetric at {x!r},{y!r}")
@@ -173,7 +174,8 @@ def connection_to_relation(conn: Connection, C: FinitePoset, A: FinitePoset) -> 
     via_gamma = frozenset(
         (x, y) for x in C.elements for y in A.elements if C.le(x, conn.gamma(y))
     )
-    assert via_alpha == via_gamma
+    if via_alpha != via_gamma:
+        raise AssertionError("alpha and gamma give different relations")
     return via_alpha
 
 

@@ -164,11 +164,10 @@ class SimReport:
     violations: list = factory(list)  # (c, cbar, c_prime, reason)
     hypothesis_results: dict = factory(dict)
     notes: list = factory(list)
-    # the check's pair table, by ids of its two graphs: every overlapping
-    # pair, and those gamma(r) relates; not reported by to_dict, and
-    # empty on bisim_check's combined report
-    overlaps: list = factory(list, init=False)
-    related: frozenset = factory(frozenset, init=False)
+    # the check's pair table: each overlapping id pair of its two graphs,
+    # in overlap_ids order, to gamma(r)'s verdict; not reported by
+    # to_dict, and empty on bisim_check's combined report
+    pairs: dict = factory(dict, init=False)
 
     def to_dict(self):
         return {
@@ -252,12 +251,10 @@ def sim_transfer(related: Callable, succ_abstract, c, cbar, c_prime) -> list:
 
 def _related_pairs(r: TimedStateRelation, xs, ys, overlaps, report: SimReport) -> list:
     """The id pairs of `overlaps` (from `overlap_ids(xs, ys)`) related by
-    gamma(r), each decided on the overlap already found; `report` keeps
-    them and the overlapping id pairs as its pair table."""
-    pairs = [(i, j) for i, j, w in overlaps if config_related(r, xs[i], ys[j], w)]
-    report.overlaps = [(i, j) for i, j, _ in overlaps]
-    report.related = frozenset(pairs)
-    return pairs
+    gamma(r), each decided on the overlap already found; `report.pairs`
+    keeps every verdict as the check's pair table."""
+    table = report.pairs = {(i, j): config_related(r, xs[i], ys[j], w) for i, j, w in overlaps}
+    return [ij for ij, held in table.items() if held]
 
 
 def _universe_guard(G: ConfigGraph, Gb: ConfigGraph):
@@ -274,16 +271,16 @@ def _nested(xs, ys, overlaps):
                 None)
 
 
-def _initialized(related: frozenset, G: ConfigGraph, Gb: ConfigGraph):
+def _initialized(pairs: dict, G: ConfigGraph, Gb: ConfigGraph):
     """init(56): every concrete initial configuration is related to some
-    abstract initial one.  Returns (ok, witness).  `related` holds the
-    check's related id pairs: every overlapping pair was decided, and a
-    pair that does not overlap is related by nothing.  With no concrete
-    initial configuration it fails: every check would hold vacuously."""
+    abstract initial one.  Returns (ok, witness).  `pairs` is the check's
+    pair table: every overlapping pair was decided, and a pair that does
+    not overlap is related by nothing.  With no concrete initial
+    configuration it fails: every check would hold vacuously."""
     if not G.initial:
         return False, None
     for c0, i in zip(G.initial, G.initial_ids):
-        if not any((i, j) in related for j in Gb.initial_ids):
+        if not any(pairs.get((i, j)) for j in Gb.initial_ids):
             return False, c0
     return True, None
 
@@ -328,7 +325,7 @@ def sim_check(
     blocking_w = next(((xs[i], ys[j]) for i, j in pairs if not G.succ_map[i][1]
                        and i not in G.cut and Gb.succ_map[j][1]), None)
     report.hypothesis_results = {
-        "init(56)": _initialized(report.related, G, Gb),
+        "init(56)": _initialized(report.pairs, G, Gb),
         "blocking(57)": (blocking_w is None, blocking_w),
         "well_nested(59)": (bad is None, nested_w),
     }
@@ -532,8 +529,7 @@ def compose_check(
     T: Iterable,
     mids: Iterable,
     tops: Iterable,
-    related1: Optional[Iterable] = None,
-    decided1: Optional[Iterable] = None,
+    known1: Optional[Iterable] = None,
 ):
     """Theorem-5 style composition: certify each concrete trajectory
     against the top level through the intermediate witness trajectory.
@@ -541,14 +537,13 @@ def compose_check(
     mids holds the intermediate trajectory of each member of T, and tops
     the top-level trajectory of each intermediate, in the order of T; a
     length that differs from T's raises MissingIntermediateWitness.
-    related1, when given, holds for each member of T the position pairs
-    (in its configurations, in its intermediate's) already decided
-    related by gamma(r1): r1 holds at every time of their overlap, so
-    each of their windows holds for r1 without a decision.  decided1,
-    when given, holds for each member of T the position pairs gamma(r1)
-    has decided on their whole overlap; those not in related1 are
-    unrelated, so a window that is such a pair's whole overlap fails r1
-    without a decision.
+    known1, when given, holds for each member of T a table from position
+    pairs (in its configurations, in its intermediate's) to gamma(r1)'s
+    verdict on their whole overlap.  A pair it relates holds r1 at every
+    time of their overlap, so each of its windows holds for r1 without a
+    decision; a window that is the whole overlap of a pair it refutes
+    fails r1 without a decision; any other pair is decided window by
+    window.
     Returns (ok, failures, certified); certified lists every window where
     both relations hold as (s, window, concrete piece, top-level piece).
     """
@@ -557,17 +552,17 @@ def compose_check(
         raise MissingIntermediateWitness(f"{len(T)}, {len(mids)} and {len(tops)} trajectories")
     failures = []
     certified = []
-    knowns = [frozenset()] * len(T) if related1 is None else related1
-    decideds = [frozenset()] * len(T) if decided1 is None else decided1
-    for s, mid, top, known, decided in zip(T, mids, tops, knowns, decideds, strict=True):
+    knowns = [{}] * len(T) if known1 is None else known1
+    for s, mid, top, known in zip(T, mids, tops, knowns, strict=True):
         bound = TimeInterval(Q(0), tmin(s.duration, top.duration), False)
         for k, m, overlap in overlap_ids(s.configs, mid.configs):
             w1 = interval_intersect(overlap, bound)
             if w1 is None:
                 continue
-            c, cmid, held1 = s.configs[k], mid.configs[m], (k, m) in known
+            c, cmid = s.configs[k], mid.configs[m]
+            verdict1 = known.get((k, m))  # None: decided window by window
             # the whole overlap of a pair gamma(r1) refuted fails r1
-            failed1 = overlap if not held1 and (k, m) in decided else None
+            failed1 = overlap if verdict1 is False else None
             env1 = _endpoint_env(c, cmid)
             for ctop in top.configs:
                 w = interval_intersect(w1, ctop.interval)
@@ -579,7 +574,7 @@ def compose_check(
                         # pieces are disjoint, so (cp, mp) and (mp, tp) are
                         # the only piece pairs of the whole configurations
                         # that meet ww
-                        ok1 = held1 or (ww != failed1 and _forall_window_related(
+                        ok1 = verdict1 is True or (ww != failed1 and _forall_window_related(
                             r1, cp, mp, ww, env1))
                         ok2 = _forall_window_related(r2, mp, tp, ww, env2)
                         if not (ok1 and ok2):
@@ -631,6 +626,7 @@ def bisim_check(r: TimedStateRelation, G: ConfigGraph, Gb: ConfigGraph) -> SimRe
         "backward": (bwd.verdict, None),
         **fwd.hypothesis_results,
     }
+    report.notes = list(dict.fromkeys(fwd.notes + bwd.notes))  # each once, in order
     return report
 
 
@@ -659,7 +655,7 @@ def preservation_check(
     report.violations = violations
     report.verdict = not violations
     report.hypothesis_results = {
-        "init(56)": _initialized(report.related, G, Gb),
+        "init(56)": _initialized(report.pairs, G, Gb),
         "progress(76)": (progress_ok, progress_w),
     }
     report.notes.append(

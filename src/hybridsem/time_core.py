@@ -231,7 +231,7 @@ def interval_intersect(i: TimeInterval, j: TimeInterval):
 
 def rank_range(w: TimeInterval, p: int, q: int) -> tuple:
     """(first, last): the least and greatest n with n*p/q in w (p, q > 0);
-    last is INF for an unbounded w, even one marked closed, < first for none."""
+    last is INF for an unbounded w, < first for none."""
     first = -(-w.lo.numerator * q // (w.lo.denominator * p))
     if w.hi is INF:
         return first, INF

@@ -559,7 +559,10 @@ def test_readme_fixture_list_is_the_registry():
 def test_tank_automaton_is_a_pair_fixture(capsys):
     assert run("check-bisim", "--fixture", "tank-automaton", "--x0", "1",
                "--horizon", "6", "--json") == 0
-    assert json.loads(capsys.readouterr().out)["verdict"]
+    out = json.loads(capsys.readouterr().out)
+    # both directions run on truncated universes; the note is kept once
+    assert out["verdict"]
+    assert out["notes"] == ["horizon-bounded verdict: universes are truncated prefixes"]
 
 
 def test_flags_override_fixture_values(capsys):

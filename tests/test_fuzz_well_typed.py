@@ -131,9 +131,10 @@ def _recording(reports: list):
 def _assert_pair_table(r, G, Gb, report, pair):
     xs, ys = G.configs(), Gb.configs()
     overlaps = overlap_ids(xs, ys)
-    assert report.overlaps == [(i, j) for i, j, _ in overlaps], pair
+    assert list(report.pairs) == [(i, j) for i, j, _ in overlaps], pair
+    related = {ij for ij, held in report.pairs.items() if held}
     cover = {(i, j) for i, j, w in overlaps if span_cover_related(r, xs[i], ys[j], w)}
-    assert report.related == cover, (pair, sorted(report.related ^ cover))
+    assert related == cover, (pair, sorted(related ^ cover))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

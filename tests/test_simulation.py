@@ -420,11 +420,14 @@ def test_compose_check_matches_whole_configuration_windows():
     """compose_check decides each window on the piece pairs it holds,
     with the endpoints of the whole configurations; on seeded piecewise
     chains it gives the failures and certified windows of deciding
-    every window on the whole configurations.  Given gamma(r1)'s verdicts
-    on the overlapping pairs of each concrete and intermediate trajectory
-    (related1 and decided1), it gives them too."""
+    every window on the whole configurations.  Given a table of gamma(r1)'s
+    verdicts on the overlapping pairs of each concrete and intermediate
+    trajectory (known1), on all of them or on a seeded subset, it gives
+    them too."""
     rng = random.Random(514)
-    seen = {"ok": 0, "failed": 0, "piecewise": 0, "windows": 0, "whole overlap refuted": 0}
+    pick = random.Random(515)  # the subsets, apart from rng's inputs
+    seen = {"ok": 0, "failed": 0, "piecewise": 0, "windows": 0, "whole overlap refuted": 0,
+            "partial": 0}
     for _ in range(150):
         ends = [rng.choice((Q(3), Q(4), Q(9, 2), INF)) for _ in range(3)]
         s, mid, top = (_piecewise_trajectory(rng, e) for e in ends)
@@ -438,11 +441,13 @@ def test_compose_check_matches_whole_configuration_windows():
         got = compose_check(r1, r2, [s], [mid], [top])
         assert got == _compose_by_whole_configs(r1, r2, [s], {s: mid}, {mid: top})
         overlaps = overlap_ids(s.configs, mid.configs)
-        related = {(k, m) for k, m, w in overlaps
-                   if config_related(r1, s.configs[k], mid.configs[m], w)}
-        decided = {(k, m) for k, m, _ in overlaps}
-        assert compose_check(r1, r2, [s], [mid], [top], [related], [decided]) == got
-        refuted = {w for k, m, w in overlaps if (k, m) not in related}
+        known = {(k, m): config_related(r1, s.configs[k], mid.configs[m], w)
+                 for k, m, w in overlaps}
+        assert compose_check(r1, r2, [s], [mid], [top], [known]) == got
+        part = {km: held for km, held in known.items() if pick.random() < 0.5}
+        seen["partial"] += 0 < len(part) < len(known)
+        assert compose_check(r1, r2, [s], [mid], [top], [part]) == got
+        refuted = {w for k, m, w in overlaps if not known[k, m]}
         seen["whole overlap refuted"] += sum(f[4] in refuted for f in got[1])
         seen["ok" if got[0] else "failed"] += 1
         seen["windows"] += len(got[1]) + len(got[2])
