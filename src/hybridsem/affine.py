@@ -48,8 +48,8 @@ class LinExpr:
         return LinExpr((), Q(c))
 
     @staticmethod
-    def var(name, coef=1) -> "LinExpr":
-        return LinExpr.make({name: coef})
+    def var(name) -> "LinExpr":
+        return LinExpr.make({name: 1})
 
     def symbols(self) -> set:
         return {k for k, _ in self.coefs}

@@ -481,8 +481,8 @@ GALLERY_NAMES = (
 )
 
 
-def _eq_relation(var="u") -> TimedStateRelation:
-    return TimedStateRelation((Clause((parse_constraint(f"c_{var} = a_{var}"),)),))
+def _eq_relation() -> TimedStateRelation:
+    return TimedStateRelation((Clause((parse_constraint("c_u = a_u"),)),))
 
 
 # the TankParams fields each entry reads; the other entries read none

@@ -28,7 +28,7 @@ from .galois import (
     powerset_lattice,
 )
 from .homomorphism import StateHom, theorem1_check, theorem3_check
-from .hts import HybridTransitionSystem, hts_from_json, hts_validate, semantics_generate
+from .hts import MAX_DEPTH, HybridTransitionSystem, hts_from_json, hts_validate, semantics_generate
 from .relation import config_related, relation_from_json
 from .simulation import (
     bisim_check,
@@ -157,14 +157,16 @@ def _load(args, *keys, **defaults) -> list:
     """The parts `keys` of a command's input.  Each comes from its flag
     if one is given (a file flag of _FILE_PARTS, else --delta or
     --horizon), otherwise from the --fixture entry, otherwise from
-    `defaults`; input from files has delta 1.  A file named twice is
-    read once, so a system checked against itself is one object.  The
-    tank parameters shape a fixture, so a system source without
-    --fixture refuses them rather than leave them unread."""
+    `defaults`, whose horizon is 30 unless given; input from files has
+    delta 1.  A file named twice is read once, so a system checked
+    against itself is one object.  The tank parameters shape a fixture,
+    so a system source without --fixture refuses them rather than leave
+    them unread."""
     if not getattr(args, "fixture", None) and any(k in _FILE_PARTS for k in keys):
         tank = [f for f in _TANK if getattr(args, f[2:], None)]
         if tank:
             raise ParseError(f"{', '.join(tank)} read only with --fixture")
+    defaults.setdefault("horizon", Q(30))
     entry = _fixture(args)
     entry = dict(entry) if entry is not None else {"delta": Q(1)}
     read: dict = {}
@@ -214,7 +216,7 @@ def _pair(args, *more, **defaults) -> list:
     """Concrete and abstract configuration graphs (one graph when both
     sides are one system), the relation, the horizon, then `more`."""
     c, a, r, hz, *rest = _load(
-        args, "concrete", "abstract", "relation", "horizon", *more, horizon=Q(30), **defaults
+        args, "concrete", "abstract", "relation", "horizon", *more, **defaults
     )
     _check_symbols(r, c, a)
     G = system_graph(c, hz)
@@ -226,14 +228,14 @@ def _pair(args, *more, **defaults) -> list:
 
 
 def cmd_validate(args):
-    h, hz = _load(args, "system", "horizon", horizon=Q(30))
+    h, hz = _load(args, "system", "horizon")
     issues = hts_validate(h, horizon=hz)
     emit({"issues": issues, "ok": not issues}, args.json)
     return PASS if not issues else FAIL
 
 
 def cmd_trajectories(args):
-    h, hz = _load(args, "system", "horizon", horizon=Q(30))
+    h, hz = _load(args, "system", "horizon")
     sem = semantics_generate(h, hz, depth=args.depth)
     out = []
     for s in sorted(sem.trajectories, key=repr):
@@ -249,7 +251,7 @@ def cmd_trajectories(args):
 
 
 def cmd_sample(args):
-    h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1), horizon=Q(30))
+    h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1))
     sem = semantics_generate(h, hz)
     out = []
     for s in sorted(sem.trajectories, key=repr):
@@ -260,7 +262,7 @@ def cmd_sample(args):
 
 
 def cmd_discretize(args):
-    h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1), horizon=Q(30))
+    h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1))
     doc = hts_discretize(h, delta, hz).to_dict()
     if args.out:
         _write((args.out, json.dumps(jsonable(doc), indent=2, sort_keys=True)))
@@ -309,7 +311,7 @@ def cmd_greatest_sim(args):
 
 
 def _refinement(args) -> dict:
-    (hz,) = _load(args, "horizon", horizon=Q(30))
+    (hz,) = _load(args, "horizon")
     return run_refinement_chain(TankParams.make(**_params(args)), hz)
 
 
@@ -360,7 +362,7 @@ def cmd_check_theorem(args):
     if unread:
         raise ParseError(f"theorem {n} reads no {', '.join(unread)}")
     if n == 1:
-        h, hz = _load(args, "system", "horizon", horizon=Q(30))
+        h, hz = _load(args, "system", "horizon")
         if h.explicit is None:
             raise ParseError("theorem 1 needs a system in the explicit presentation, "
                              "not one given by mode schemas")
@@ -368,7 +370,7 @@ def cmd_check_theorem(args):
         emit({"theorem": 1, "ok": ok, "diff": diff}, args.json)
         return PASS if ok else FAIL
     if n == 3:
-        h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1), horizon=Q(30))
+        h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1))
         sem = semantics_generate(h, hz)
         ok, wit = theorem3_check(_default_hom(h), sem.trajectories, delta, hz)
         emit({"theorem": 3, "ok": ok, "witness": wit}, args.json)
@@ -388,7 +390,7 @@ def cmd_check_theorem(args):
         )
         return PASS if rep["acceptable"] else FAIL
     if n == 6:
-        h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1), horizon=Q(30))
+        h, delta, hz = _load(args, "system", "delta", "horizon", delta=Q(1))
         ok, diff, notes = theorem6_check(h, delta, hz)
         emit({"theorem": 6, "ok": ok, "diff": diff, "notes": notes}, args.json)
         return PASS if ok else FAIL
@@ -445,9 +447,10 @@ def cmd_plot(args):
     return PASS
 
 
-def render_svg(s, grid, width=640, panel_h=160, margin=40) -> str:
+def render_svg(s, grid) -> str:
     """One panel per variable, time horizontal, mode changes as
     vertical rules."""
+    width, panel_h, margin = 640, 160, 40
     names = pieces(s.configs[0])[0].flow.var_names()
     dur = s.duration if is_finite(s.duration) else Q(1)
     marks = [t for t in trajectory_timeline(s) if is_finite(t)]
@@ -514,7 +517,7 @@ _FLAGS = {
     "--zeta": dict(help="minimum dwell of the tank and example10 (default 1/100)"),
     "--horizon": dict(help="generation horizon"),
     "--delta": dict(help="grid step"),
-    "--depth": dict(type=int, default=64, help="bound on configurations per trajectory"),
+    "--depth": dict(type=int, default=MAX_DEPTH, help="bound on configurations per trajectory"),
     "--grid": dict(help="sampling step of the plot (default 1/10)"),
     "--out": dict(metavar="FILE", help="output file"),
     "--csv": dict(metavar="FILE", help="also write the sampled trajectory as CSV"),

@@ -245,12 +245,12 @@ def _on_grid(r: TimedStateRelation, D: int, delta) -> TimedStateRelation:
     return TimedStateRelation(clauses, domain)
 
 
-def grid_alignment_check(h_or_graph, delta, horizon=None):
+def grid_alignment_check(h_or_graph, delta):
     """Every configuration must start and end on the grid; returns
     (ok, witness configuration or None)."""
     delta = grid_step(delta)
     p, q = delta.numerator, delta.denominator
-    G = system_graph(h_or_graph, horizon)
+    G = system_graph(h_or_graph)
     for c in G.configs():
         if rank_of(c.b, p, q) is None or is_finite(c.e) and rank_of(c.e, p, q) is None:
             return False, c
@@ -435,9 +435,10 @@ def theorem6_check(h, delta, horizon):
     return bool(sampled) and lhs.keys() == generated, diff, notes
 
 
-def timeless_overapprox_demo(h, delta, horizon, max_len=4):
+def timeless_overapprox_demo(h, delta, horizon):
     """The rank-free discretization overapproximates: it may introduce
-    cycles absent from the sampled traces.  Returns a report dict."""
+    cycles absent from the sampled traces.  Returns a report dict, the
+    generated paths cut at four states."""
     delta = Q(delta)
     sem = semantics_generate(h, horizon)
     sampled = frozenset(timeless_sample(s, delta, horizon) for s in sem.trajectories)
@@ -445,7 +446,7 @@ def timeless_overapprox_demo(h, delta, horizon, max_len=4):
     adj = _adjacency(edges)
     # a cycle exists iff some states each have a successor among them
     has_cycle = bool(greatest_fixpoint(adj, lambda u: [adj[u]]))
-    generated = maximal_paths(initial, adj, max_len)
+    generated = maximal_paths(initial, adj, 4)
     strict = sampled <= frozenset(
         g[: len(s)] for g in generated for s in sampled if len(g) >= len(s)
     ) and (has_cycle or len(generated) > len(sampled))

@@ -55,6 +55,9 @@ __all__ = [
     "config_is_final",
 ]
 
+# the one bound on configurations per trajectory that every check generates to
+MAX_DEPTH = 64
+
 NO_TRAJECTORY = "no trajectory: no initial configuration starts at 0 (InitialNotAtZero)"
 
 
@@ -201,11 +204,11 @@ def config_is_final(c: Configuration) -> bool:
     return c.interval.closed_hi or not is_finite(c.e)
 
 
-def hts_validate(h: HybridTransitionSystem, horizon=None, depth: int = 32) -> list:
+def hts_validate(h: HybridTransitionSystem, horizon=None) -> list:
     """Report of violated transition-system conditions (empty = valid).
 
-    Schema systems are checked on a bounded instantiation, so a clean
-    report is horizon-qualified for them.
+    A schema system is reached to the horizon and MAX_DEPTH, as every
+    check reaches it, so a clean report is horizon-qualified for it.
     """
     report = []
     if h.explicit is not None:
@@ -230,7 +233,7 @@ def hts_validate(h: HybridTransitionSystem, horizon=None, depth: int = 32) -> li
             report.append(("InitialNotAtZero", (mode, vals)))
     if horizon is not None:
         try:
-            reach(h, horizon, depth)
+            reach(h, horizon)
         except FinalNotClosed as exc:
             report.append((type(exc).__name__, str(exc)))
     return report
@@ -285,7 +288,7 @@ class Reached:
     distinct: bool
 
 
-def reach(h: HybridTransitionSystem, horizon, depth: int = 64) -> Reached:
+def reach(h: HybridTransitionSystem, horizon, depth: int = MAX_DEPTH) -> Reached:
     """Breadth-first worklist over positions (horizon > 0, depth >= 0).
     A reached position is a leaf cut at the horizon when it ends after it,
     complete when final, cut at the horizon when it ends on it, and cut by
@@ -368,7 +371,7 @@ def maximal_paths(starts, adj: dict, max_len: Optional[int] = None,
     return out
 
 
-def semantics_generate(h: HybridTransitionSystem, horizon, depth: int = 64,
+def semantics_generate(h: HybridTransitionSystem, horizon, depth: int = MAX_DEPTH,
                        max_trajectories: int = 10000) -> Semantics:
     """Maximal trajectories up to the horizon and depth bound: the
     maximal paths of the reached positions.  `h` may be what `reach`

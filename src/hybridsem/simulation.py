@@ -76,6 +76,7 @@ __all__ = [
 ]
 
 MAX_UNIVERSE = 4000
+MAX_STEPS = 10000
 
 
 @record(frozen=True)
@@ -396,11 +397,11 @@ def greatest_simulation(
     universe_a: Iterable,
     succ_c: Callable,
     succ_a: Callable,
-    related: Optional[Callable] = None,
+    related: Callable,
 ) -> set:
     """Greatest fixpoint of R -> R cap F_s(R) on the demand closure of the
-    overlapping pairs of the given universes (optionally intersected with
-    a configuration relation), returned on its pairs of given ones.  Each
+    overlapping pairs of the given universes intersected with a
+    configuration relation, returned on its pairs of given ones.  Each
     concrete step demands a sim_transfer response, interned by canonical
     keys: the given pairs with its keys, or else one pair of its own (on
     the given configurations with those keys, if any), decided once and
@@ -416,7 +417,7 @@ def greatest_simulation(
 
     def add(key, c, a) -> list:
         ids = by_key.setdefault(key, [])
-        if related is None or related(c, a):
+        if related(c, a):
             if len(pairs) == MAX_UNIVERSE:
                 raise UniverseTooLarge(f"demand closure past {MAX_UNIVERSE} pairs")
             ids.append(len(pairs))
@@ -444,13 +445,14 @@ def theorem4_match(
     r: TimedStateRelation,
     sigma: Trajectory,
     Gb: ConfigGraph,
-    max_steps: int = 10000,
 ):
     """Constructive matcher: build an abstract trajectory related to
     sigma, following the inductive case analysis of the simulation
     transfer (extend the abstract side while it lags, step both when
     the windows align, keep the abstract when it already covers the
     concrete successor).  Returns (abstract Trajectory, certification).
+    A match that needs more than MAX_STEPS steps raises UniverseTooLarge
+    rather than certify a prefix.
     """
     related = lambda c, d: config_related(r, c, d)
     first = sigma.configs[0]
@@ -459,10 +461,15 @@ def theorem4_match(
     if not witnesses:
         raise NoInitialWitness("no related abstract initial configuration")
     abstract = [min(witnesses, key=_end_order)]
+    budget = iter(range(MAX_STEPS))
+
+    def step():
+        if next(budget, None) is None:
+            raise UniverseTooLarge(f"trajectory match past {MAX_STEPS} steps")
+
     j = 0
-    steps = 0
-    while j + 1 < len(sigma.configs) and steps < max_steps:
-        steps += 1
+    while j + 1 < len(sigma.configs):
+        step()
         c, c_prime = sigma.configs[j], sigma.configs[j + 1]
         cb = abstract[-1]
         cands = sim_transfer(related, Gb.succ, c, cb, c_prime)
@@ -481,8 +488,7 @@ def theorem4_match(
             abstract.append(cb_prime)
             j += 1
     # termination: extend the abstract side while it ends before sigma does
-    while steps < max_steps:
-        steps += 1
+    while True:
         cb = abstract[-1]
         nexts = [n for n in Gb.succ(cb) if n.b < sigma.duration]
         if not nexts or cb.e >= sigma.duration:
@@ -495,6 +501,7 @@ def theorem4_match(
         )
         if chosen is None:
             break
+        step()
         abstract.append(chosen)
     truncated = not (
         abstract[-1].interval.closed_hi or not is_finite(abstract[-1].e)
@@ -613,10 +620,12 @@ def relation_inverse(r: TimedStateRelation) -> TimedStateRelation:
 
 
 def bisim_check(r: TimedStateRelation, G: ConfigGraph, Gb: ConfigGraph) -> SimReport:
-    """(73): a simulation in both directions."""
+    """(73): a simulation in both directions.  init(56) holds only when
+    it holds both ways, its witness from the first direction where it
+    fails; blocking(57) and well_nested(59) are the forward check's."""
     fwd = sim_check(r, G, Gb, mode="async")
-    rinv = relation_inverse(r)
-    bwd = sim_check(rinv, Gb, G, mode="async")
+    bwd = sim_check(relation_inverse(r), Gb, G, mode="async")
+    init_fwd, init_bwd = (rep.hypothesis_results["init(56)"] for rep in (fwd, bwd))
     report = SimReport(fwd.verdict and bwd.verdict)
     report.violations = fwd.violations + [
         (c, cb, cp, "backward: " + reason) for c, cb, cp, reason in bwd.violations
@@ -625,6 +634,7 @@ def bisim_check(r: TimedStateRelation, G: ConfigGraph, Gb: ConfigGraph) -> SimRe
         "forward": (fwd.verdict, None),
         "backward": (bwd.verdict, None),
         **fwd.hypothesis_results,
+        "init(56)": init_fwd if not init_fwd[0] else init_bwd,
     }
     report.notes = list(dict.fromkeys(fwd.notes + bwd.notes))  # each once, in order
     return report

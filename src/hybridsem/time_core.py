@@ -183,7 +183,7 @@ class TimeInterval:
         return f"[{time_str(self.lo)},{time_str(self.hi)}{close}"
 
 
-def interval_make(lo, hi, zeta, closed_hi: bool = False) -> TimeInterval:
+def interval_make(lo, hi, zeta) -> TimeInterval:
     lo = Q(lo)
     if lo < 0:
         raise NegativeTime(f"interval start {lo} < 0")
@@ -192,10 +192,8 @@ def interval_make(lo, hi, zeta, closed_hi: bool = False) -> TimeInterval:
         if hi - lo < zeta:
             raise DurationBelowZeta(f"duration {hi - lo} < zeta {zeta}")
     else:
-        if closed_hi:
-            raise DurationBelowZeta("unbounded interval cannot be closed")
         hi = INF
-    return TimeInterval(lo, hi, closed_hi)
+    return TimeInterval(lo, hi, False)
 
 
 def interval_closure(i: TimeInterval) -> TimeInterval:

@@ -14,7 +14,7 @@ import pytest
 from hybridsem.casestudy import GALLERY_NAMES
 from hybridsem.cli import build_parser, main
 from hybridsem.errors import ParseError
-from hybridsem.hts import NO_TRAJECTORY, hts_from_json
+from hybridsem.hts import MAX_DEPTH, NO_TRAJECTORY, hts_from_json
 from hybridsem.affine import MAX_DIGITS, MAX_EXPONENT
 from hybridsem.relation import relation_from_json
 
@@ -176,6 +176,55 @@ def test_validate_reports_a_schema_mode_without_successor(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False
     assert [kind for kind, _ in doc["issues"]] == ["FinalNotClosed"]
+
+
+# u steps by 1 every 1/10 while u <= 35, so the 36th configuration,
+# [7/2, 18/5) with u = 35, has no successor
+COUNTER = {
+    "variables": ["u"],
+    "zeta": "1/100",
+    "modes": [{"name": "m", "entry": ["u <= 35"],
+               "exit": {"type": "duration", "value": "1/10"}}],
+    "edges": [{"src": "m", "dst": "m", "reset": {"u": "u + 1"}}],
+    "initial": [{"mode": "m", "values": {"u": "0"}}],
+}
+
+
+def test_validate_reaches_as_deep_as_the_generators(tmp_path, capsys):
+    """The counter is stuck at depth 36, within the depth bound of
+    trajectories and check-sim: validate reaches it too, and fails."""
+    system = tmp_path / "s.json"
+    system.write_text(json.dumps(COUNTER))
+    relation = tmp_path / "rel.json"
+    relation.write_text(json.dumps(RELATION))
+    for argv in (("trajectories", "--system", str(system)),
+                 ("check-sim", "--system", str(system), "--abstract", str(system),
+                  "--relation", str(relation))):
+        assert run(*argv, "--horizon", "10", "--json") == 1
+        assert "FinalNotClosed" in capsys.readouterr().err
+    assert run("validate", "--system", str(system), "--horizon", "10", "--json") == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [kind for kind, _ in doc["issues"]] == ["FinalNotClosed"]
+
+
+def test_depth_flag_defaults_to_the_shared_bound():
+    assert build_parser().parse_args(["trajectories"]).depth == MAX_DEPTH
+
+
+def test_check_bisim_needs_init_in_both_directions(tmp_path, capsys):
+    """Every concrete initial configuration is matched, but the abstract
+    one at u = 5 is matched by none: the reverse simulation has no
+    init(56), and neither has the bisimulation check."""
+    concrete, abstract = tmp_path / "c.json", tmp_path / "a.json"
+    concrete.write_text(json.dumps(SYSTEM))
+    abstract.write_text(json.dumps(_variant(initial=[
+        {"mode": "up", "values": {"u": "0"}}, {"mode": "up", "values": {"u": "5"}}])))
+    relation = tmp_path / "rel.json"
+    relation.write_text(json.dumps(RELATION))
+    assert run("check-bisim", "--system", str(concrete), "--abstract", str(abstract),
+               "--relation", str(relation), "--horizon", "2", "--json") == 1
+    init = json.loads(capsys.readouterr().out)["hypotheses"]["init(56)"]
+    assert init == {"ok": False, "witness": "Cfg(up@[0,1])"}
 
 
 def test_console_script_entry():

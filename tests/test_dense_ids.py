@@ -118,7 +118,7 @@ def _compare(r, h, hb, horizon, seen, fixpoint=True, horizon_b=None):
         # the ids the builder gives the truncated configurations are the
         # ones a graph built by value finds
         assert G.cut == ConfigGraph(*_fields(G)).cut
-        sem = semantics_generate(x, horizon, 64, 10 ** 6)
+        sem = semantics_generate(x, horizon, max_trajectories=10 ** 6)
         assert _fields(config_graph(sem)) == _fields(ref.config_graph(sem))
         graphs.append((G, want))
         seen["truncated"] += bool(G.truncated)

@@ -349,6 +349,20 @@ def test_theorem4_match_stops_where_no_successor_is_related():
     assert list(sb.configs) == abstract[:2] and sb.truncated
 
 
+def test_theorem4_match_fails_closed_at_its_step_cap(monkeypatch):
+    """One concrete configuration over [0, 6] takes five termination
+    steps to match against six unit ones; a cap of three would leave a
+    prefix that still certifies, so the match raises instead."""
+    import hybridsem.simulation as simulation
+
+    abstract, sigma = _unit_chain(*range(7)), trajectory_validate(_unit_chain(0, 6))
+    monkeypatch.setattr(simulation, "MAX_STEPS", 5)
+    assert list(theorem4_match(EQ, sigma, _chain_graph(abstract))[0].configs) == abstract
+    monkeypatch.setattr(simulation, "MAX_STEPS", 3)
+    with pytest.raises(UniverseTooLarge, match="past 3 steps"):
+        theorem4_match(EQ, sigma, _chain_graph(abstract))
+
+
 def test_compose_check_nested_intermediate():
     fx = gallery_fixture("fig6")
     (s,), (mid,), (top,) = fx["T"], fx["Tb"], fx["Tbb"]
