@@ -63,8 +63,8 @@ class LinExpr:
     @cached_property
     def int_terms(self) -> tuple:
         """((numerator, denominator) of const, ((symbol, numerator,
-        denominator), ...) of coefs): the integers the window kernel reads,
-        taken from the Fractions once per expression."""
+        denominator), ...) of coefs): the integers the window kernel and
+        the schema step of generation read, taken once per expression."""
         c = self.const
         return (c.numerator, c.denominator), tuple(
             (k, v.numerator, v.denominator) for k, v in self.coefs)

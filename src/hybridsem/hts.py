@@ -17,12 +17,13 @@ or unbounded.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Optional
 
-from .affine import LinExpr, parse_constraint, parse_expr, read_rational
+from .affine import COMPARE, LinExpr, parse_constraint, parse_expr, read_rational
 from .errors import (
     BranchingExplosion,
     FinalNotClosed,
@@ -31,10 +32,10 @@ from .errors import (
     ParamConstraintViolated,
     ParseError,
 )
-from .flow_config import Configuration, make_config
+from .flow_config import AffineFlow, Configuration
 from .records import record
 from .relation import _known_keys, _strings, _typed
-from .time_core import INF, Q, TimeInterval, exact, is_finite
+from .time_core import INF, Q, TimeInterval, earlier, exact, is_finite
 from .trajectory import trajectory_validate
 
 __all__ = [
@@ -61,6 +62,11 @@ MAX_DEPTH = 64
 NO_TRAJECTORY = "no trajectory: no initial configuration starts at 0 (InitialNotAtZero)"
 
 
+def _repeated(names) -> str:
+    """The names given more than once, sorted and comma-separated."""
+    return ", ".join(sorted(n for n, k in Counter(names).items() if k > 1))
+
+
 @record(frozen=True)
 class ExitCondition:
     """Determines the unique configuration duration from the entry state.
@@ -73,14 +79,6 @@ class ExitCondition:
     value: Optional[LinExpr] = None
     var: Optional[str] = None
 
-    def duration_for(self, entry: dict, rates: dict):
-        if self.kind == "duration":
-            return self.value.eval(entry)
-        rate = exact(rates.get(self.var, 0))
-        if rate == 0:
-            return None
-        return (self.value.eval(entry) - exact(entry[self.var])) / rate
-
 
 @record(frozen=True)
 class ModeSchema:
@@ -92,36 +90,8 @@ class ModeSchema:
 
     @staticmethod
     def make(mode, rates, entry=(), exit=None, terminal=False):
-        return ModeSchema(
-            mode,
-            tuple(sorted((k, Q(v)) for k, v in rates.items())),
-            tuple(entry),
-            exit,
-            terminal,
-        )
-
-    def admits(self, entry_values: dict) -> bool:
-        return all(c.holds(entry_values) for c in self.entry)
-
-    def instantiate(self, t0, entry_values: dict, zeta) -> Optional[Configuration]:
-        """Configuration entered at t0 with the given variable values.
-
-        Returns None when the entry constraints reject the state or the
-        exit condition yields a duration below zeta.
-        """
-        if not self.admits(entry_values):
-            return None
-        rates = dict(self.rates)
-        if self.exit is None:
-            if not self.terminal:
-                return None
-            return make_config(self.mode, t0, INF, entry_values, rates)
-        dur = self.exit.duration_for(entry_values, rates)
-        if dur is None or dur < zeta:
-            return None
-        return make_config(
-            self.mode, t0, exact(t0) + dur, entry_values, rates, closed_hi=self.terminal
-        )
+        rates = tuple(sorted((k, Q(v)) for k, v in rates.items()))
+        return ModeSchema(mode, rates, tuple(entry), exit, terminal)
 
 
 @record(frozen=True)
@@ -132,14 +102,7 @@ class Edge:
 
     @staticmethod
     def make(src, dst, reset=None):
-        reset = reset or {}
-        return Edge(src, dst, tuple(sorted(reset.items())))
-
-    def apply(self, exit_values: dict) -> dict:
-        out = dict(exit_values)
-        for var, expr in self.reset:
-            out[var] = expr.eval(exit_values) if isinstance(expr, LinExpr) else Q(expr)
-        return out
+        return Edge(src, dst, tuple(sorted((reset or {}).items())))
 
 
 @record(frozen=True)
@@ -170,6 +133,9 @@ class HybridTransitionSystem:
         # a positive minimum duration is what rules out Zeno runs
         if not self.zeta > 0:
             raise ParamConstraintViolated(f"minimum duration zeta {self.zeta} is not positive")
+        twice = _repeated(s.mode for s in self.schemas)
+        if twice:
+            raise ParamConstraintViolated(f"mode(s) {twice} defined more than once")
 
     @staticmethod
     def from_schemas(variables, zeta, schemas, edges, initial):
@@ -185,12 +151,6 @@ class HybridTransitionSystem:
     def from_explicit(variables, zeta, configs, edges, initial):
         ex = ExplicitSystem(tuple(configs), tuple(edges), tuple(initial))
         return HybridTransitionSystem(tuple(variables), Q(zeta), explicit=ex)
-
-    def schema(self, mode) -> ModeSchema:
-        for s in self.schemas:
-            if s.mode == mode:
-                return s
-        raise KeyError(mode)
 
 
 @record(frozen=True)
@@ -226,10 +186,10 @@ def hts_validate(h: HybridTransitionSystem, horizon=None) -> list:
             if not ex.succ[i] and not config_is_final(c):
                 report.append(("FinalNotClosed", c))
         return report
-    # schema presentation: instantiate from the sampled initial points
+    # schema presentation: enter each mode at 0 from its sampled point
+    _, start, _ = _schema_step(h)
     for mode, vals in h.initial:
-        cfg = h.schema(mode).instantiate(Q(0), dict(vals), h.zeta)
-        if cfg is None:
+        if start(mode, vals) is None:
             report.append(("InitialNotAtZero", (mode, vals)))
     if horizon is not None:
         try:
@@ -239,46 +199,121 @@ def hts_validate(h: HybridTransitionSystem, horizon=None) -> list:
     return report
 
 
-def successors(h: HybridTransitionSystem, p, c, intern=None) -> tuple:
-    """The one successor step of position p, which holds configuration c.
-    Positions are ints: indices into an explicit system's configurations
-    (two may hold equal ones), p stepping along its edges, or the ids
-    `intern` gives schema configurations when first met.  A non-final
-    explicit configuration without an edge, and a non-terminal schema
-    configuration without an admissible successor, raise FinalNotClosed;
-    an explicit edge to a configuration that does not start where its
-    source ends raises NonConsecutiveEdge."""
-    if h.explicit is not None:
-        ex = h.explicit
-        out = ex.succ[p]
-        if not out and not config_is_final(c):
-            raise FinalNotClosed(f"non-final configuration {c!r} has no successor")
-        for q in out:
-            if ex.configs[q].b != c.e:
-                raise NonConsecutiveEdge(
-                    f"edge {c!r} -> {ex.configs[q]!r}: the target does not start at the source's end"
-                )
+def successors(h: HybridTransitionSystem, p) -> tuple:
+    """The successor step of position p of an explicit system: an index
+    into its configurations (two may hold equal ones), stepping along its
+    edges.  A non-final configuration without an edge raises
+    FinalNotClosed, and an edge to a configuration that does not start
+    where its source ends raises NonConsecutiveEdge."""
+    ex = h.explicit
+    c, out = ex.configs[p], ex.succ[p]
+    if not out and not config_is_final(c):
+        raise FinalNotClosed(f"non-final configuration {c!r} has no successor")
+    for q in out:
+        if ex.configs[q].b != c.e:
+            raise NonConsecutiveEdge(
+                f"edge {c!r} -> {ex.configs[q]!r}: the target does not start at the source's end"
+            )
+    return out
+
+
+def _at(terms, env) -> tuple:
+    """(n, d), d > 0, with n/d the value of a LinExpr, given by its
+    int_terms, at the values env[k] = (n, d) of its symbols."""
+    (n, d), coefs = terms
+    for k, a, b in coefs:
+        vn, vd = env[k]
+        n, d = n * b * vd + a * vn * d, d * b * vd
+    return n, d
+
+
+def _schema_step(h: HybridTransitionSystem) -> tuple:
+    """(table, start, step), the one step of a schema system, in integers:
+    values are pairs (n, d), d > 0.  enter(m, values, t) is the id of the
+    configuration mode m enters at time t, or None if an entry constraint
+    fails, m is unbounded and not terminal, or its exit gives no duration
+    or one below zeta.  Its key (mode, start, end, int_lines) is interned,
+    and table[id] built, int_lines filled, only when first met.  start
+    enters a mode at 0 with (variable, Fraction) pairs; step(p) enters
+    those along the edges out of p's mode at its end, or raises
+    FinalNotClosed."""
+    zn, zd, zero = h.zeta.numerator, h.zeta.denominator, Q(0)
+    modes = {}
+    for s in h.schemas:
+        x, rates = s.exit, {k: exact(r) for k, r in s.rates}
+        modes[s.mode] = (s.mode, s.terminal, rates,
+                         {k: (r.numerator, r.denominator) for k, r in rates.items()},
+                         tuple((COMPARE[c.op], c.lhs.int_terms) for c in s.entry),
+                         x and (x.value.int_terms, None if x.kind == "duration" else x.var), [])
+    for e in h.edges:
+        if e.src in modes:
+            modes[e.src][-1].append((e.dst, tuple((k, x.int_terms) for k, x in e.reset)))
+    ids, table, rows = {}, [], []
+
+    def enter(m, env, t):
+        name, terminal, rates, irates, entry, exit_, _ = m
+        for holds, terms in entry:
+            if not holds(_at(terms, env)[0], 0):
+                return None
+        tn, td = t.numerator, t.denominator
+        if exit_ is None:
+            if not terminal:
+                return None
+            en, ed = 1, 0
+        else:
+            dn, dd = _at(exit_[0], env)
+            if exit_[1] is not None:  # reach: (target - var) / rate, over a positive rn * rn
+                rn, rd = irates.get(exit_[1], (0, 1))
+                if not rn:
+                    return None
+                xn, xd = env[exit_[1]]
+                dn, dd = (dn * xd - xn * dd) * rd * rn, dd * xd * rn * rn
+            if dn * zd < zn * dd:
+                return None
+            en, ed = tn * dd + dn * td, td * dd
+            g = gcd(en, ed)
+            en, ed = en // g, ed // g
+        il = []
+        for k in sorted(env):
+            xn, xd = env[k]
+            rn, rd = irates.get(k, (0, 1))
+            R, O, L = rn * xd * td, xn * rd * td - rn * tn * xd, xd * rd * td
+            g = gcd(R, O, L)
+            il.append((k, (R // g, O // g, L // g)))
+        il = tuple(il)
+        p = ids.setdefault((name, tn, td, en, ed, il), len(table))
+        if p == len(table):
+            flow = AffineFlow(name, tuple((k, (rates.get(k, zero), Q(O, L))) for k, (_, O, L) in il))
+            flow.__dict__["int_lines"] = il
+            hi = Q(en, ed) if ed else INF
+            table.append(Configuration(flow, TimeInterval(t, hi, terminal and hi is not INF)))
+            rows.append((m, il))
+        return p
+
+    def start(mode, vals):
+        return enter(modes[mode], {k: (v.numerator, v.denominator) for k, v in vals}, zero)
+
+    def step(p):
+        (m, il), c = rows[p], table[p]
+        en, ed = c.e.numerator, c.e.denominator
+        env = {k: (R * en + O * ed, L * ed) for k, (R, O, L) in il}
+        out = []
+        for dst, reset in m[-1]:
+            q = enter(modes[dst], {**env, **{k: _at(terms, env) for k, terms in reset}}, c.e)
+            if q is not None:
+                out.append(q)
+        if not out:
+            raise FinalNotClosed(f"non-terminal configuration {c!r} has no admissible successor")
         return out
-    schema = h.schema(c.flow.mode)
-    if schema.terminal:
-        return ()
-    exit_values = c.flow.state_at(c.e).as_dict()
-    out = []
-    for edge in h.edges:
-        if edge.src == c.flow.mode:
-            nxt = h.schema(edge.dst).instantiate(c.e, edge.apply(exit_values), h.zeta)
-            if nxt is not None:
-                out.append(intern(nxt))
-    if not out:
-        raise FinalNotClosed(f"non-terminal configuration {c!r} has no admissible successor")
-    return tuple(out)
+
+    return table, start, step
 
 
 @record(frozen=True)
 class Reached:
-    """Positions (ints, see `successors`) reached from the initial ones, with
-    their successors (none at a leaf) and configurations (cut at the
-    horizon); `distinct` when no two hold equal ones, as in a schema system."""
+    """Positions (ints, see `successors` and `_schema_step`) reached from
+    the initial ones, with their successors (none at a leaf) and configurations
+    (cut at the horizon); `distinct` when no two hold equal ones, as in a schema system."""
 
     initial: tuple
     succ: dict
@@ -304,19 +339,11 @@ def reach(h: HybridTransitionSystem, horizon, depth: int = MAX_DEPTH) -> Reached
         raise ParamConstraintViolated(f"need horizon > 0 and depth >= 0, got {horizon}, {depth}")
     ex = h.explicit
     if ex is not None:
-        table, intern = ex.configs, None
+        table, step = ex.configs, lambda p: successors(h, p)
         starts = [i for i in ex.initial if table[i].b == 0]
     else:
-        table, ids = [], {}
-
-        def intern(c) -> int:
-            p = ids.setdefault(c, len(table))
-            if p == len(table):
-                table.append(c)
-            return p
-
-        starts = [h.schema(m).instantiate(Q(0), dict(v), h.zeta) for m, v in h.initial]
-        starts = [intern(c) for c in starts if c is not None]
+        table, start, step = _schema_step(h)
+        starts = [p for p in (start(m, v) for m, v in h.initial) if p is not None]
     bounded = is_finite(horizon)
     rank, config, succ, truncated = {}, {}, {}, set()
     queue = deque()
@@ -324,7 +351,7 @@ def reach(h: HybridTransitionSystem, horizon, depth: int = MAX_DEPTH) -> Reached
     def visit(p, n) -> bool:
         if p not in rank:
             c = table[p]
-            if c.b >= horizon:
+            if not earlier(c.b, horizon):
                 return False
             rank[p], config[p] = n, c
             queue.append(p)
@@ -334,11 +361,11 @@ def reach(h: HybridTransitionSystem, horizon, depth: int = MAX_DEPTH) -> Reached
     while queue:
         p = queue.popleft()
         c = config[p]
-        crosses = bounded and (not is_finite(c.e) or c.e > horizon)
-        # an instantiated schema configuration is final iff its mode is terminal
+        crosses = earlier(horizon, c.e)
+        # a schema configuration is final iff its mode is terminal
         if config_is_final(c) and (ex is None or not ex.succ[p]) and not crosses:
             succ[p] = ()
-        elif crosses or bounded and c.e >= horizon or rank[p] >= depth:
+        elif crosses or bounded and not earlier(c.e, horizon) or rank[p] >= depth:
             # kept when it ends open by the horizon, else sliced to [b, horizon)
             if not (is_finite(c.e) and c.e <= horizon and not c.interval.closed_hi):
                 config[p] = Configuration(c.flow, TimeInterval(c.b, horizon, False))
@@ -347,7 +374,7 @@ def reach(h: HybridTransitionSystem, horizon, depth: int = MAX_DEPTH) -> Reached
         else:
             if ex is not None and config_is_final(c):
                 raise FinalNotClosed(f"edge out of final configuration {c!r}")
-            nexts = dict.fromkeys(successors(h, p, c, intern))
+            nexts = dict.fromkeys(step(p))
             succ[p] = tuple(q for q in nexts if visit(q, rank[p] + 1))
     return Reached(initial, succ, config, frozenset(truncated), horizon, ex is None)
 
@@ -420,10 +447,13 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
     an edge or initial state naming an undeclared mode, on a rate,
     reset, initial value, exit or constraint naming an undeclared
     variable, on an initial state that leaves a declared variable
-    without a value, and on a value of the wrong JSON type."""
+    without a value, on a mode or variable declared twice (a table by
+    name would keep one of them), and on a value of the wrong JSON type."""
     _known_keys(doc, ("variables", "zeta", "modes", "edges", "initial"), "system",
                 ("variables", "modes", "initial"))
     variables = tuple(_strings(doc["variables"], "system variables"))
+    if _repeated(variables):
+        raise ParseError(f"system declares variable(s) {_repeated(variables)} more than once")
     declared = set(variables)
 
     def known(names, what):
@@ -461,6 +491,9 @@ def hts_from_json(doc: dict) -> HybridTransitionSystem:
             known(c.symbols(), f"{where} entry")
         terminal = _typed(m.get("terminal", False), bool, f"{where} terminal")
         schemas.append(ModeSchema.make(m["name"], rates, entry, exit_cond, terminal))
+    twice = _repeated(s.mode for s in schemas)
+    if twice:
+        raise ParseError(f"system defines mode(s) {twice} more than once")
     modes = {s.mode for s in schemas}
 
     def declared_mode(name, what):

@@ -2,9 +2,12 @@
 were interned into dense ids: the reference of test_dense_ids.py.
 
 The functions below are the earlier ones verbatim, with the Reached and
-ConfigGraph they built and read; everything else (the successor step's
-system types, splice, sim_transfer, the fixpoint engine, the window
-kernel) comes from the library, unchanged.
+ConfigGraph they built and read, and the Fraction successor step that
+reach once used (a mode's lookup, `instantiate`, `admits`,
+`duration_for` and an edge's `apply`, frozen here as functions), so
+that this reach shares no step code with the library's integer one;
+everything else (the system types, splice, sim_transfer, the fixpoint
+engine, the window kernel) comes from the library, unchanged.
 """
 
 from collections import deque
@@ -19,7 +22,8 @@ from hybridsem.errors import (
     ParamConstraintViolated,
     SyncRequiresWellNesting,
 )
-from hybridsem.flow_config import EPSILON, Configuration, overlapping
+from hybridsem.affine import LinExpr
+from hybridsem.flow_config import EPSILON, Configuration, make_config, overlapping
 from hybridsem.hts import HybridTransitionSystem, Semantics, config_is_final, maximal_paths
 from hybridsem.relation import TimedStateRelation, config_related
 from hybridsem.simulation import (
@@ -32,12 +36,59 @@ from hybridsem.simulation import (
     slice_closure,
     splice,
 )
-from hybridsem.time_core import INF, Q, TimeInterval, is_finite, tmin
+from hybridsem.time_core import INF, Q, TimeInterval, exact, is_finite, tmin
 from hybridsem.trajectory import trajectory_validate
 
 
 class NotSliceClosed(HybridSemError):
     """A splice leaves the slice-closed universes (this reference only)."""
+
+
+def schema(h: HybridTransitionSystem, mode):
+    for s in h.schemas:
+        if s.mode == mode:
+            return s
+    raise KeyError(mode)
+
+
+def duration_for(exit, entry: dict, rates: dict):
+    if exit.kind == "duration":
+        return exit.value.eval(entry)
+    rate = exact(rates.get(exit.var, 0))
+    if rate == 0:
+        return None
+    return (exit.value.eval(entry) - exact(entry[exit.var])) / rate
+
+
+def admits(s, entry_values: dict) -> bool:
+    return all(c.holds(entry_values) for c in s.entry)
+
+
+def instantiate(s, t0, entry_values: dict, zeta) -> Optional[Configuration]:
+    """Configuration of mode schema s entered at t0 with the given
+    variable values.
+
+    Returns None when the entry constraints reject the state or the
+    exit condition yields a duration below zeta.
+    """
+    if not admits(s, entry_values):
+        return None
+    rates = dict(s.rates)
+    if s.exit is None:
+        if not s.terminal:
+            return None
+        return make_config(s.mode, t0, INF, entry_values, rates)
+    dur = duration_for(s.exit, entry_values, rates)
+    if dur is None or dur < zeta:
+        return None
+    return make_config(s.mode, t0, exact(t0) + dur, entry_values, rates, closed_hi=s.terminal)
+
+
+def apply(edge, exit_values: dict) -> dict:
+    out = dict(exit_values)
+    for var, expr in edge.reset:
+        out[var] = expr.eval(exit_values) if isinstance(expr, LinExpr) else Q(expr)
+    return out
 
 
 def successors(h: HybridTransitionSystem, p) -> tuple:
@@ -60,14 +111,13 @@ def successors(h: HybridTransitionSystem, p) -> tuple:
                     f"edge {c!r} -> {ex.configs[q]!r}: the target does not start at the source's end"
                 )
         return out
-    schema = h.schema(p.flow.mode)
-    if schema.terminal:
+    if schema(h, p.flow.mode).terminal:
         return ()
     exit_values = p.flow.state_at(p.e).as_dict()
     out = []
     for edge in h.edges:
         if edge.src == p.flow.mode:
-            nxt = h.schema(edge.dst).instantiate(p.e, edge.apply(exit_values), h.zeta)
+            nxt = instantiate(schema(h, edge.dst), p.e, apply(edge, exit_values), h.zeta)
             if nxt is not None:
                 out.append(nxt)
     if not out:
@@ -105,7 +155,7 @@ def reach(h: HybridTransitionSystem, horizon, depth: int = 64) -> Reached:
     if ex is not None:
         starts, value = [i for i in ex.initial if ex.configs[i].b == 0], ex.configs.__getitem__
     else:
-        starts = [h.schema(m).instantiate(Q(0), dict(v), h.zeta) for m, v in h.initial]
+        starts = [instantiate(schema(h, m), Q(0), dict(v), h.zeta) for m, v in h.initial]
         starts, value = [c for c in starts if c is not None], (lambda c: c)
     bounded = is_finite(horizon)
     rank, config, succ, truncated = {}, {}, {}, set()

@@ -304,6 +304,10 @@ BAD_SYSTEMS = {
     "rate-float": _variant(rates={"u": float("inf")}),
     # a huge exponent is refused before Fraction expands it
     "zeta-exponent": {**SYSTEM, "zeta": "1e-1000000"},
+    # a name declared twice: one of the two definitions would be dropped
+    "duplicate-mode": {**SYSTEM, "modes": SYSTEM["modes"] + [
+        {"name": "up", "rates": {"u": "7"}, "terminal": True}]},
+    "duplicate-variable": _variant(variables=["u", "u"]),
 }
 # misspelt keys; dropped silently, a misspelt guard would match every
 # mode and check-sim would answer true with exit 0

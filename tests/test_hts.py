@@ -10,6 +10,7 @@ from hybridsem.errors import (
     FinalNotClosed,
     NonConsecutiveEdge,
     ParamConstraintViolated,
+    ParseError,
 )
 from hybridsem.flow_config import Configuration, make_config
 from hybridsem.hts import (
@@ -271,3 +272,21 @@ def test_minimum_duration_must_be_positive(zeta):
            "initial": [{"mode": "m", "values": {"u": "0"}}]}
     with pytest.raises(ParamConstraintViolated):
         hts_from_json(doc)
+
+
+def test_a_mode_or_variable_defined_twice_is_refused():
+    """Generation looks modes up by name, so a second definition of one
+    would silently replace or lose the first: the file reader names the
+    duplicate, and a system built in code refuses it too."""
+    first = {"name": "m", "rates": {"u": "1"}, "exit": {"type": "duration", "value": "1"},
+             "terminal": True}
+    doc = {"variables": ["u"], "modes": [first, {"name": "m", "rates": {"u": "7"},
+                                                  "terminal": True}],
+           "initial": [{"mode": "m", "values": {"u": "0"}}]}
+    with pytest.raises(ParseError, match="mode\\(s\\) m more than once"):
+        hts_from_json(doc)
+    with pytest.raises(ParseError, match="variable\\(s\\) u more than once"):
+        hts_from_json({**doc, "variables": ["u", "u"], "modes": [first]})
+    hold = ModeSchema.make("m", {"u": 0}, terminal=True)
+    with pytest.raises(ParamConstraintViolated, match="mode\\(s\\) m defined more than once"):
+        HybridTransitionSystem.from_schemas(("u",), Q(1, 100), (hold, hold), (), [])
