@@ -7,7 +7,6 @@ from .casestudy import (
     TankParams,
     build_tank_automaton,
     build_tank_impl,
-    build_tank_spec,
     gallery_fixture,
     run_refinement_chain,
     spec_predicate_check,
@@ -60,7 +59,6 @@ from .simulation import (
     greatest_simulation,
     preservation_check,
     sim_check,
-    system_graph,
     theorem4_match,
     well_nested_check,
 )

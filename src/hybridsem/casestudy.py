@@ -26,9 +26,7 @@ from .flow_config import (
     make_config,
     pieces,
 )
-from .hts import (
-    Edge, ExitCondition, HybridTransitionSystem, ModeSchema, Semantics, semantics_generate
-)
+from .hts import Edge, ExitCondition, HybridTransitionSystem, ModeSchema, semantics_generate
 from .records import record
 from .relation import Clause, TimedStateRelation, traj_related_timewise
 from .simulation import ConfigGraph, compose_check, config_graph, sim_check
@@ -41,8 +39,6 @@ __all__ = [
     "TankParams",
     "build_tank_automaton",
     "build_tank_impl",
-    "build_tank_spec",
-    "TankSpec",
     "spec_predicate_check",
     "tank_relations",
     "spec_witness",
@@ -181,21 +177,6 @@ def spec_predicate_check(s: Trajectory, zeta) -> tuple:
             if st.var("y") <= 0:
                 violations.append(("d", t0, f"level {st.var('y')} at {t1}"))
     return (not violations), violations
-
-
-@record(frozen=True)
-class TankSpec:
-    """Level-only view: any single-configuration trajectory whose flow
-    satisfies the predicate is a member of the specified semantics."""
-
-    zeta: Q
-
-    def predicate(self, s: Trajectory) -> bool:
-        return spec_predicate_check(s, self.zeta)[0]
-
-
-def build_tank_spec(p: TankParams) -> TankSpec:
-    return TankSpec(p.zeta)
 
 
 def spec_witness(s: Trajectory) -> Trajectory:
@@ -377,7 +358,7 @@ def run_refinement_chain(p: TankParams, horizon) -> dict:
     sims, known = [], []
     phase: dict = {}
     for s, w in zip(trajectories, companions):
-        G, Gb = (config_graph(Semantics((t,), sem6.horizon, sem6.depth_limit)) for t in (s, w))
+        G, Gb = config_graph(s), config_graph(w)
         sim = sim_check(rels["R53"], G, Gb)
         sims.append((s, sim))
         at_s, at_w = _positions(G, s), _positions(Gb, w)

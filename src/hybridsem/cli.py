@@ -32,10 +32,10 @@ from .hts import MAX_DEPTH, HybridTransitionSystem, hts_from_json, hts_validate,
 from .relation import config_related, relation_from_json
 from .simulation import (
     bisim_check,
+    config_graph,
     greatest_simulation,
     preservation_check,
     sim_check,
-    system_graph,
 )
 from .time_core import INF, Q, is_finite
 from .trajectory import (
@@ -219,8 +219,8 @@ def _pair(args, *more, **defaults) -> list:
         args, "concrete", "abstract", "relation", "horizon", *more, **defaults
     )
     _check_symbols(r, c, a)
-    G = system_graph(c, hz)
-    return [G, G if a is c else system_graph(a, hz), r, hz, *rest]
+    G = config_graph(c, hz)
+    return [G, G if a is c else config_graph(a, hz), r, hz, *rest]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .flow_config import UNDEFINED, PiecewiseConfiguration, State, overlap_ids, 
 from .records import record
 from .relation import Clause, TimedStateRelation, exists_window_related, related_candidates
 from .hts import NO_TRAJECTORY, maximal_paths, reach, semantics_generate
-from .simulation import greatest_fixpoint, system_graph
+from .simulation import config_graph, greatest_fixpoint
 from .time_core import INF, Q, TimeInterval, interval_closure, is_finite, rank_of, rank_range
 from .trajectory import TimefulState, _ranks, grid_step, timeful_sample, timeless_sample
 
@@ -250,7 +250,7 @@ def grid_alignment_check(h_or_graph, delta):
     (ok, witness configuration or None)."""
     delta = grid_step(delta)
     p, q = delta.numerator, delta.denominator
-    G = system_graph(h_or_graph)
+    G = config_graph(h_or_graph)
     for c in G.configs():
         if rank_of(c.b, p, q) is None or is_finite(c.e) and rank_of(c.e, p, q) is None:
             return False, c
@@ -335,7 +335,7 @@ def hts_discretize(
     Given one (with the same delta and horizon), the system is returned
     keyed by its nodes; otherwise by TimefulStates."""
     delta = grid_step(delta)
-    G = system_graph(h_or_graph, horizon)
+    G = config_graph(h_or_graph, horizon)
     ok, witness = grid_alignment_check(G, delta)
     if not ok:
         raise Misaligned(repr(witness))
@@ -413,7 +413,7 @@ def theorem6_check(h, delta, horizon):
     g = reach(h, horizon)
     sampled = [timeful_sample(s, delta, horizon)
                for s in semantics_generate(g, horizon).trajectories]
-    G = system_graph(g)
+    G = config_graph(g)
     grid = _Grid(G.configs(), grid_step(delta), Q(horizon))
     d = hts_discretize(G, delta, horizon, grid)
     generated = discrete_traces(d, include_closing=False, max_rank=grid.cap)
@@ -506,7 +506,7 @@ def discretization_hypotheses(
     EndpointSymbolsUnbound, since a bare state pair binds none."""
     delta = grid_step(delta)
     hcap = Q(horizon) if horizon is not None else None
-    G, Gb = system_graph(h, horizon), system_graph(hb, horizon)
+    G, Gb = config_graph(h, horizon), config_graph(hb, horizon)
     report = {"(68)": [], "(69)": [], "(70)": [], "(71)": []}
 
     if grid is None:
@@ -611,8 +611,8 @@ def theorem7_check(r: TimedStateRelation, h, hb, delta, horizon=None, extra_abst
     grid state is evaluated and r compiled once.  Returns (hypotheses
     report, Milner verdict, witness or None)."""
     delta = grid_step(delta)
-    G = system_graph(h, horizon)
-    Gb = G if hb is h else system_graph(hb, horizon)
+    G = config_graph(h, horizon)
+    Gb = G if hb is h else config_graph(hb, horizon)
     grid = _pair_grid(G, Gb, delta, Q(horizon) if horizon is not None else None)
     hyp = discretization_hypotheses(r, G, Gb, delta, horizon, grid)
     d1 = hts_discretize(G, delta, horizon, grid)

@@ -136,6 +136,11 @@ class HybridTransitionSystem:
         twice = _repeated(s.mode for s in self.schemas)
         if twice:
             raise ParamConstraintViolated(f"mode(s) {twice} defined more than once")
+        named = {m for e in self.edges for m in (e.src, e.dst)} | {m for m, _ in self.initial}
+        undefined = ", ".join(sorted(named - {s.mode for s in self.schemas}))
+        if undefined:
+            raise ParamConstraintViolated(
+                f"edge or initial state names undefined mode(s) {undefined}")
 
     @staticmethod
     def from_schemas(variables, zeta, schemas, edges, initial):

@@ -58,7 +58,6 @@ __all__ = [
     "ConfigGraph",
     "SimReport",
     "config_graph",
-    "system_graph",
     "splice",
     "canonical_key",
     "sim_transfer",
@@ -127,26 +126,20 @@ def _graph(nodes, succ, initial, truncated) -> ConfigGraph:
     return g
 
 
-def config_graph(semantics) -> ConfigGraph:
-    """Successor structure observed in given trajectories."""
-    ids: dict = {}
-    paths = [([ids.setdefault(c, len(ids)) for c in s.configs], s.truncated)
-             for s in semantics.trajectories]
-    succ = [[] for _ in ids]
-    for path, _ in paths:
-        for k, m in zip(path, path[1:]):
-            succ[k].append(m)
-    return _graph(list(ids), succ, (p[0] for p, _ in paths), (p[-1] for p, cut in paths if cut))
-
-
-def system_graph(h_or_graph, horizon=None) -> ConfigGraph:
+def config_graph(source, horizon=None) -> ConfigGraph:
     """The configuration graph of a system reached up to the horizon
-    (unbounded when None) by `hts.reach`, or of what it reached;
-    positions holding equal configurations are merged.  A ConfigGraph
-    is returned as it is."""
-    if isinstance(h_or_graph, ConfigGraph):
-        return h_or_graph
-    g = h_or_graph
+    (unbounded when None) by `hts.reach`, of what it reached, or of one
+    trajectory.  A system's positions holding equal configurations are
+    merged; a trajectory's positions are its indices, each stepping to
+    the next, and hold distinct configurations (each starts where the one
+    before ends), so none is hashed.  A ConfigGraph is returned as it is."""
+    if isinstance(source, ConfigGraph):
+        return source
+    if isinstance(source, Trajectory):
+        n = len(source.configs)
+        return _graph(source.configs, [(k + 1,) for k in range(n - 1)] + [()], (0,),
+                      (n - 1,) if source.truncated else ())
+    g = source
     if not isinstance(g, Reached):
         g = reach(g, INF if horizon is None else horizon)
     ids: dict = {}
@@ -298,8 +291,8 @@ def sim_check(
     (59) with SyncRequiresWellNesting; "async" is the general check.
 
     One step rule serves both, given that every edge joins consecutive
-    configurations, as in every graph of `reach`, `config_graph` and the
-    gallery.  Well-nested, a related (c, cbar) has e(c) <= e(cbar), so the
+    configurations, as in every graph `config_graph` builds (of a system
+    or of a trajectory) and in the gallery's.  Well-nested, a related (c, cbar) has e(c) <= e(cbar), so the
     window of a step c -> c' starts at b(c') (c' starts at e(c), each
     abstract successor at e(cbar)), c adds nothing from there on, and the
     responses are (52)'s two cases: c' against cbar cut to c', and c' cut

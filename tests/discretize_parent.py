@@ -17,7 +17,7 @@ from hybridsem.errors import DomainGapAtGridPoint, Misaligned, NonConsecutiveEdg
 from hybridsem.flow_config import UNDEFINED, PiecewiseConfiguration, State, overlapping, pieces
 from hybridsem.hts import maximal_paths, semantics_generate
 from hybridsem.relation import TimedStateRelation, exists_window_related, related_candidates
-from hybridsem.simulation import system_graph
+from hybridsem.simulation import config_graph
 from hybridsem.time_core import Q, TimeInterval, is_finite
 from hybridsem.trajectory import Trajectory, grid_step
 
@@ -164,7 +164,7 @@ def hts_discretize(h_or_graph, delta, horizon=None) -> DiscreteTransitionSystem:
     state, (c) a successor-free configuration closes onto its own final
     state (marked as a closing edge), (d) initial states at rank 0."""
     delta = grid_step(delta)
-    G = system_graph(h_or_graph, horizon)
+    G = config_graph(h_or_graph, horizon)
     ok, witness = grid_alignment_check(G, delta)
     if not ok:
         raise Misaligned(repr(witness))
@@ -302,7 +302,7 @@ def discretization_hypotheses(
     EndpointSymbolsUnbound, since a bare state pair binds none."""
     delta = grid_step(delta)
     hcap = Q(horizon) if horizon is not None else None
-    G, Gb = system_graph(h, horizon), system_graph(hb, horizon)
+    G, Gb = config_graph(h, horizon), config_graph(hb, horizon)
     report = {"(68)": [], "(69)": [], "(70)": [], "(71)": []}
 
     tables, at = _grid_tables(

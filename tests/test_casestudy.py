@@ -11,7 +11,6 @@ from hybridsem.casestudy import (
     abstract_witness,
     build_tank_automaton,
     build_tank_impl,
-    build_tank_spec,
     gallery_fixture,
     run_refinement_chain,
     spec_predicate_check,

@@ -20,9 +20,9 @@ from hybridsem.relation import Clause, TimedStateRelation, config_related
 from hybridsem.simulation import (
     ConfigGraph,
     canonical_key,
+    config_graph,
     greatest_simulation,
     sim_transfer,
-    system_graph,
 )
 
 EQ_U = TimedStateRelation((Clause((parse_constraint("c_u = a_u"),)),))
@@ -61,7 +61,7 @@ def test_gallery_pairs_match_the_reference(name):
 
 def test_tank_matches_the_reference():
     p = TankParams.make(x0_samples=(0, 1, 2))
-    G = system_graph(build_tank_automaton(p), 12)
+    G = config_graph(build_tank_automaton(p), 12)
     got, want = _both(tank_relations(p)["r39"], G, G)
     assert got == want and len(got) == 24
 
@@ -71,7 +71,7 @@ def test_branching_matches_the_reference(m):
     """The `branching` workload's pair (k = 6, h = 10): mode i at time t
     is simulated unless C walks from i to m and steps on before h."""
     k, h = 6, 10
-    G, Gb = system_graph(_branching(k), h), system_graph(_branching(k, dropped=m), h)
+    G, Gb = config_graph(_branching(k), h), config_graph(_branching(k, dropped=m), h)
     got, want = _both(EQ_U, G, Gb)
     assert got == want
     assert len(got) == sum(min((m - i) % k + 1, h) for i in range(k))
@@ -102,7 +102,7 @@ def test_sim_workload_tank_relates_each_configuration_with_itself(horizon, count
     x0 = "1/8,3/16,1/2,11/16,7/8,1,21/16,23/16,29/16,15/8,17/8,19/8"
     p = TankParams.make(x0_samples=tuple(Q(x) for x in x0.split(",")))
     r = tank_relations(p)["r39"]
-    G = system_graph(build_tank_automaton(p), horizon)
+    G = config_graph(build_tank_automaton(p), horizon)
     R = greatest_simulation(G.configs(), G.configs(), G.succ, G.succ,
                             lambda c, d: config_related(r, c, d))
     assert R == {(c, c) for c in G.configs()} and len(R) == count

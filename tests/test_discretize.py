@@ -48,7 +48,7 @@ from hybridsem.flow_config import (
 )
 from hybridsem.hts import HybridTransitionSystem
 from hybridsem.relation import Clause, TimedStateRelation
-from hybridsem.simulation import system_graph
+from hybridsem.simulation import config_graph
 from hybridsem.time_core import INF, is_finite
 from hybridsem.trajectory import Trajectory, trajectory_eval, trajectory_validate
 
@@ -260,7 +260,7 @@ def test_hypotheses_refuse_endpoint_symbols(name):
 def _brute_force_69(r, h, hb, delta, horizon) -> set:
     """Hypothesis (69) by one ref_state_related call per concrete grid
     point and abstract state of another rank."""
-    G, Gb = system_graph(h, horizon), system_graph(hb, horizon)
+    G, Gb = config_graph(h, horizon), config_graph(hb, horizon)
     hcap = None if horizon is None else Q(horizon)
     at_rank = {}
     for cb in Gb.configs():

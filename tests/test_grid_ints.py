@@ -50,7 +50,7 @@ from hybridsem.discretize import (
 from hybridsem.errors import HybridSemError
 from hybridsem.flow_config import UNDEFINED, State, config_concat, make_config
 from hybridsem.relation import Clause, TimedStateRelation, relation_from_json
-from hybridsem.simulation import ConfigGraph, system_graph
+from hybridsem.simulation import ConfigGraph, config_graph
 from hybridsem.time_core import INF, TimeInterval
 
 from conftest import random_explicit, ref_state_related
@@ -187,7 +187,7 @@ def test_hts_discretize_and_theorem6_match_reference():
             assert discrete_traces(got, closing) == ref.discrete_traces(want, closing)
         seen["graph"] += isinstance(h, ConfigGraph)
         seen["closing"] += bool(want.closing)
-        seen["piecewise"] += any(not hasattr(c, "flow") for c in system_graph(h, hcap).configs())
+        seen["piecewise"] += any(not hasattr(c, "flow") for c in config_graph(h, hcap).configs())
         if not isinstance(h, ConfigGraph):
             hz = 10 * step
             assert theorem6_check(h, delta, hz) == ref.theorem6_check(h, delta, hz)
@@ -284,8 +284,8 @@ def test_theorem7_pipeline_matches_reference():
         h = _systems(rng, delta, hcap)
         hb = h if rng.random() < 0.4 else _systems(rng, delta, hcap)
         r = _relation(rng)
-        G = system_graph(h, hcap)
-        Gb = G if hb is h else system_graph(hb, hcap)
+        G = config_graph(h, hcap)
+        Gb = G if hb is h else config_graph(hb, hcap)
         want = _outcome(ref.discretization_hypotheses, r, h, hb, delta, hcap)
         got = _outcome(discretization_hypotheses, r, G, Gb, delta, hcap)
         assert got == want, r
@@ -337,7 +337,7 @@ def test_relation_discretize_reads_only_the_abstract_states():
         Clause((parse_constraint("t <= E_a"),), None, None, "shut"),
         Clause((parse_constraint("c_y = a_y"),), None, "open", "open"),
     ))
-    G = system_graph(tank, 9)
+    G = config_graph(tank, 9)
     grid = _pair_grid(G, G, Q(1), Q(9))
     d, w = hts_discretize(G, 1, 9, grid), ref.hts_discretize(tank, 1, 9)
     end = State.make("shut", {"x": 3, "y": 2})
@@ -461,7 +461,7 @@ def test_grid_membership_matches_reference(name, monkeypatch):
     point to have been decided."""
     r = relation_from_json(json.loads((INPUTS / f"{name}.json").read_text()))
     delta, hz = Q(1, 16), Q(20)
-    G = system_graph(build_tank_automaton(TankParams.make(x0_samples=(1,))), hz)
+    G = config_graph(build_tank_automaton(TankParams.make(x0_samples=(1,))), hz)
     calls = []
     monkeypatch.setattr(discretize, "related_candidates", _recording(calls))
     theorem7_check(r, G, G, delta, hz)

@@ -22,7 +22,7 @@ from hybridsem.hts import (
     hts_validate,
     semantics_generate,
 )
-from hybridsem.simulation import system_graph
+from hybridsem.simulation import config_graph
 from hybridsem.time_core import TimeInterval
 from hybridsem.trajectory import trajectory_timeline, trajectory_validate
 
@@ -123,7 +123,7 @@ def test_edge_out_of_final_explicit_configuration_raises():
     with pytest.raises(FinalNotClosed):
         semantics_generate(h, 5)
     with pytest.raises(FinalNotClosed):
-        system_graph(h, 5)
+        config_graph(h, 5)
 
 
 def _open_leaf_system():
@@ -138,7 +138,7 @@ def test_non_final_explicit_leaf_raises():
     with pytest.raises(FinalNotClosed):
         semantics_generate(h, 5)
     with pytest.raises(FinalNotClosed):
-        system_graph(h, 5)
+        config_graph(h, 5)
 
 
 def test_non_final_explicit_leaf_on_the_horizon_is_cut():
@@ -147,7 +147,7 @@ def test_non_final_explicit_leaf_on_the_horizon_is_cut():
     a, h = _open_leaf_system()
     (s,) = semantics_generate(h, 1).trajectories
     assert s.truncated and s.configs == (a,)
-    G = system_graph(h, 1)
+    G = config_graph(h, 1)
     assert G.configs() == (a,) and a in G.truncated
 
 
@@ -162,7 +162,7 @@ def test_non_consecutive_explicit_edge_raises():
     with pytest.raises(NonConsecutiveEdge):
         semantics_generate(h, 5)
     with pytest.raises(NonConsecutiveEdge):
-        system_graph(h, 5)
+        config_graph(h, 5)
     with pytest.raises(NonConsecutiveEdge):
         hts_discretize(h, 1, 5)
 
@@ -197,7 +197,7 @@ def test_branching_cap():
     with pytest.raises(BranchingExplosion):
         semantics_generate(h, 20)
     # the graph has 28 configurations and lists no trajectory
-    G = system_graph(h, 20)
+    G = config_graph(h, 20)
     assert len(G.configs()) == 28 and not G.truncated
 
 
@@ -290,3 +290,19 @@ def test_a_mode_or_variable_defined_twice_is_refused():
     hold = ModeSchema.make("m", {"u": 0}, terminal=True)
     with pytest.raises(ParamConstraintViolated, match="mode\\(s\\) m defined more than once"):
         HybridTransitionSystem.from_schemas(("u",), Q(1, 100), (hold, hold), (), [])
+
+
+def test_an_edge_or_initial_state_naming_an_undefined_mode_is_refused():
+    """Generation looks the modes of edges and initial states up by name:
+    a system built in code that names an undefined one is refused when
+    built, where generating from it once raised a bare KeyError."""
+    m = ModeSchema.make("m", {"u": 1}, exit=ExitCondition("duration", LinExpr.constant(1)))
+    ok = HybridTransitionSystem.from_schemas(("u",), Q(1, 100), (m,), (Edge.make("m", "m"),),
+                                             [("m", {"u": 0})])
+    assert config_graph(ok, 2).initial
+    for edges, initial, named in (((Edge.make("m", "n"),), [("m", {"u": 0})], "n"),
+                                  ((Edge.make("k", "m"),), [("m", {"u": 0})], "k"),
+                                  ((), [("m", {"u": 0}), ("z", {"u": 0})], "z"),
+                                  ((Edge.make("m", "y"),), [("x", {"u": 0})], "x, y")):
+        with pytest.raises(ParamConstraintViolated, match=f"undefined mode\\(s\\) {named}$"):
+            HybridTransitionSystem.from_schemas(("u",), Q(1, 100), (m,), edges, initial)

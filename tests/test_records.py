@@ -32,6 +32,12 @@ POOL = (Q(1, 2), Q(3), 2, True, "a", None, (), ("a",), frozenset(), (Q(1), Q(2))
 # the values a __post_init__ admits for a field that no value of POOL
 # satisfies (a constraint's comparison), drawn with POOL for that parameter
 ADMITTED = {"op": tuple(COMPARE)}
+# parameters that may only name what another parameter of the class
+# defines (a system's edges and initial states name its schemas' modes):
+# drawn from the drawn definitions, and no value of POOL defines a mode,
+# so from POOL's empty containers
+NAMING = {"HybridTransitionSystem": ("edges", "initial")}
+NONE_NAMED = ((), frozenset())
 
 
 def _decorated(node) -> bool:
@@ -83,9 +89,11 @@ def _seeded_args(cls, n=60):
     params = list(inspect.signature(cls.__init__).parameters.values())[1:]
     required = sum(p.default is p.empty for p in params)
     rng = random.Random(cls.__name__)
+    naming = NAMING.get(cls.__name__, ())
     for _ in range(n):
         count = rng.randint(required, len(params))
-        yield [rng.choice(ADMITTED.get(p.name, ()) + POOL) for p in params[:count]]
+        yield [rng.choice(NONE_NAMED if p.name in naming else ADMITTED.get(p.name, ()) + POOL)
+               for p in params[:count]]
 
 
 def _seeded_pairs(cls, twin):

@@ -32,7 +32,7 @@ from hybridsem.relation import (
     traj_related_timewise,
 )
 from hybridsem.affine import LinExpr, parse_constraint
-from hybridsem.hts import Edge, ExitCondition, HybridTransitionSystem, ModeSchema, semantics_generate
+from hybridsem.hts import Edge, ExitCondition, HybridTransitionSystem, ModeSchema
 from hybridsem.simulation import (
     ConfigGraph,
     SimReport,
@@ -48,7 +48,6 @@ from hybridsem.simulation import (
     sim_transfer,
     slice_closure,
     splice,
-    system_graph,
     theorem4_match,
     verify_by_simulation,
     well_nested_check,
@@ -196,7 +195,7 @@ def test_greatest_simulation_tank_pinned():
     pairs found over slice-closed universes restricted to the graph's."""
     p = TankParams.make(x0_samples=(0, 1, 2))
     r = tank_relations(p)["r39"]
-    G = config_graph(semantics_generate(build_tank_automaton(p), 12))
+    G = config_graph(build_tank_automaton(p), 12)
     R = greatest_simulation(G.configs(), G.configs(), G.succ, G.succ,
                             related=lambda c, d: config_related(r, c, d))
     assert len(R) == 24
@@ -224,7 +223,7 @@ def test_greatest_simulation_branching_pair_past_the_trajectory_cap():
     steps on before the horizon, so min(d + 1, h) start times survive.
     Listing the trajectories would exceed the trajectory cap."""
     k, m, h = 6, 2, 30
-    G, Gb = system_graph(_branching(k), h), system_graph(_branching(k, dropped=m), h)
+    G, Gb = config_graph(_branching(k), h), config_graph(_branching(k, dropped=m), h)
     R = greatest_simulation(G.configs(), Gb.configs(), G.succ, Gb.succ, related=rel)
     assert len(R) == sum(min((m - i) % k + 1, h) for i in range(k))
 
@@ -282,7 +281,7 @@ def test_greatest_simulation_caps_its_demand_closure(monkeypatch):
 
     p = TankParams.make(x0_samples=(0, 1, 2))
     r = tank_relations(p)["r39"]
-    G = system_graph(build_tank_automaton(p), 12)
+    G = config_graph(build_tank_automaton(p), 12)
     args = (G.configs(), G.configs(), G.succ, G.succ, lambda c, d: config_related(r, c, d))
     monkeypatch.setattr(simulation, "MAX_UNIVERSE", 30)
     assert len(greatest_simulation(*args)) == 24

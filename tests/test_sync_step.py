@@ -28,9 +28,9 @@ from hybridsem.casestudy import (
 )
 from hybridsem.errors import SyncRequiresWellNesting
 from hybridsem.flow_config import make_config, overlapping
-from hybridsem.hts import HybridTransitionSystem, Semantics, semantics_generate
+from hybridsem.hts import HybridTransitionSystem, semantics_generate
 from hybridsem.relation import Clause, TimedStateRelation, config_related
-from hybridsem.simulation import config_graph, sim_check, sim_transfer, system_graph
+from hybridsem.simulation import config_graph, sim_check, sim_transfer
 from hybridsem.time_core import INF
 
 from conftest import rnd_q
@@ -101,7 +101,7 @@ def test_layered_explicit_pairs(unbounded):
         levels = rng.randint(1, 4)
         h, hb = _layered(rng, Q(1, 2), 2 * levels, unbounded), _layered(rng, 1, levels, unbounded)
         horizon = rng.choice((Q(3, 2), Q(7, 4), 3, 10))
-        _compare(_near(rng), system_graph(h, horizon), system_graph(hb, horizon), seen)
+        _compare(_near(rng), config_graph(h, horizon), config_graph(hb, horizon), seen)
     _assert_coverage(seen, 500)
     assert seen["violations"], seen
 
@@ -112,8 +112,8 @@ def test_branching_pairs(horizon):
     seen = Counter()
     for k in range(2, 5):
         for dropped in (None, 0, k - 1):
-            G = system_graph(_branching(k, dwell=Q(1, 2)), horizon)
-            _compare(eq, G, system_graph(_branching(k, dropped), horizon), seen)
+            G = config_graph(_branching(k, dwell=Q(1, 2)), horizon)
+            _compare(eq, G, config_graph(_branching(k, dropped), horizon), seen)
     _assert_coverage(seen, 250)
 
 
@@ -121,7 +121,7 @@ def test_gallery_pairs():
     seen = Counter()
     for name in ("fig11", "tank-automaton"):
         fx = gallery_fixture(name, **({"x0_samples": (1,)} if name == "tank-automaton" else {}))
-        G, Gb = (system_graph(fx[side], 9) for side in ("concrete", "abstract"))
+        G, Gb = (config_graph(fx[side], 9) for side in ("concrete", "abstract"))
         _compare(fx["relation"], G, Gb, seen)
     assert seen[True] >= 6, seen
     # the other gallery pairs fail (59): both rules refuse them alike
@@ -143,8 +143,7 @@ def test_refinement_chain_graphs():
         p = TankParams.make(x0_samples=x0s)
         sem = semantics_generate(build_tank_impl(p), horizon)
         for s in sorted(sem.trajectories, key=repr):
-            G, Gb = (config_graph(Semantics((t,), sem.horizon, sem.depth_limit))
-                     for t in (s, abstract_witness(s)))
+            G, Gb = config_graph(s), config_graph(abstract_witness(s))
             _compare(tank_relations(p)["R53"], G, Gb, seen)
     _assert_coverage(seen, 60)
     assert seen["violations"], seen

@@ -37,7 +37,7 @@ from hybridsem.relation import (
     exists_window_related,
     relation_from_json,
 )
-from hybridsem.simulation import sim_check, system_graph
+from hybridsem.simulation import sim_check, config_graph
 from hybridsem.time_core import INF, TimeInterval, interval_intersect
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -197,7 +197,7 @@ def test_sim_workload_windows_reach_the_root_finder_only_past_their_start(tmp_pa
     args = dict(zip(call.args[1::2], call.args[2::2]))
     h = hts_from_json(json.loads(Path(args["--system"]).read_text()))
     r = relation_from_json(json.loads(Path(args["--relation"]).read_text()))
-    G = system_graph(h, Q(args["--horizon"]))
+    G = config_graph(h, Q(args["--horizon"]))
     calls = {"windows": 0, "roots": 0, "normalized": 0}
 
     def counted(name, fn):

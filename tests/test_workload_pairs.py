@@ -22,7 +22,7 @@ from hybridsem.casestudy import TankParams, abstract_witness, build_tank_impl, t
 from hybridsem.flow_config import overlapping
 from hybridsem.hts import hts_from_json, semantics_generate
 from hybridsem.relation import config_related, relation_from_json
-from hybridsem.simulation import system_graph
+from hybridsem.simulation import config_graph
 
 from conftest import span_cover_related
 
@@ -46,7 +46,7 @@ def test_sim_workload_pairs_agree(seed, tmp_path):
     args = dict(zip(call.args[1::2], call.args[2::2]))
     h = hts_from_json(json.loads(Path(args["--system"]).read_text()))
     r = relation_from_json(json.loads(Path(args["--relation"]).read_text()))
-    G = system_graph(h, Q(args["--horizon"]))
+    G = config_graph(h, Q(args["--horizon"]))
     decided, related = _agree(r, overlapping(G.configs(), G.configs()))
     # r39 relates only some of the overlapping pairs: both verdicts occur
     assert decided > 4000 and 0 < related < decided
