@@ -508,8 +508,8 @@ def gallery_fixture(name: str, **params) -> dict:
         c = make_config("m", 0, 2, {"u": 0}, {"u": 1}, closed_hi=True)
         a = make_config("m", 0, 1, {"u": 0}, {"u": 1}, closed_hi=True)
         return {
-            "concrete": ConfigGraph((c,), ((c, ()),)),
-            "abstract": ConfigGraph((a,), ((a, ()),)),
+            "concrete": ConfigGraph((c,), ((),), (0,)),
+            "abstract": ConfigGraph((a,), ((),), (0,)),
             "relation": _eq_relation(),
             "delta": Q(1),
             "expected_hypothesis": "(70)",
@@ -519,8 +519,8 @@ def gallery_fixture(name: str, **params) -> dict:
         c = make_config("m", 0, 2, {"u": 5}, {"u": 0}, closed_hi=True)
         a = make_config("m", 1, 2, {"u": 5}, {"u": 0}, closed_hi=True)
         return {
-            "concrete": ConfigGraph((c,), ((c, ()),)),
-            "abstract": ConfigGraph((a,), ((a, ()),)),
+            "concrete": ConfigGraph((c,), ((),), (0,)),
+            "abstract": ConfigGraph((a,), ((),), (0,)),
             "relation": _eq_relation(),
             "delta": Q(1),
             "extra_abstract": (TimefulState(State.make("m", {"u": 5}), 0),),
@@ -533,8 +533,8 @@ def gallery_fixture(name: str, **params) -> dict:
         a1 = make_config("m", 0, 1, {"u": 0}, {"u": 1})
         a2 = make_config("m", 1, 2, {"u": 6}, {"u": 1}, closed_hi=True)
         return {
-            "concrete": ConfigGraph((c,), ((c, ()),)),
-            "abstract": ConfigGraph((a1, a2), ((a1, (a2,)), (a2, ()))),
+            "concrete": ConfigGraph((c,), ((),), (0,)),
+            "abstract": ConfigGraph((a1, a2), ((1,), ()), (0, 1)),
             "relation": _eq_relation(),
             "delta": Q(1),
             "expected_hypothesis": "(71)",
@@ -577,7 +577,7 @@ def gallery_fixture(name: str, **params) -> dict:
         a2 = make_config("m", 1, 2, {"u": 0}, {"u": 0}, closed_hi=True)
         a3 = make_config("m", 1, 2, {"u": 5}, {"u": 0}, closed_hi=True)
         return {
-            "concrete": ConfigGraph((c1,), ((c1, (c2,)), (c2, ()))),
-            "abstract": ConfigGraph((a1,), ((a1, (a2, a3)), (a2, ()), (a3, ()))),
+            "concrete": ConfigGraph((c1, c2), ((1,), ()), (0,)),
+            "abstract": ConfigGraph((a1, a2, a3), ((1, 2), (), ()), (0,)),
             "relation": _eq_relation(),
         }

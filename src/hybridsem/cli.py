@@ -301,10 +301,7 @@ def cmd_check_preservation(args):
 
 def cmd_greatest_sim(args):
     G, Gb, r, _ = _pair(args)
-    R = greatest_simulation(
-        G.configs(), Gb.configs(), G.succ, Gb.succ,
-        related=lambda c, cb: config_related(r, c, cb),
-    )
+    R = greatest_simulation(G, Gb, lambda c, cb: config_related(r, c, cb))
     emit({"pairs": [[repr(a), repr(b)] for a, b in sorted(R, key=repr)],
           "count": len(R)}, args.json)
     return PASS

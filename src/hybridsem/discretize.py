@@ -37,12 +37,14 @@ from functools import cached_property
 from typing import Optional
 
 from .affine import AffineConstraint, LinExpr
-from .errors import DomainGapAtGridPoint, Misaligned, NonConsecutiveEdge, TruncatedInput
+from .errors import (
+    DomainGapAtGridPoint, Misaligned, NonConsecutiveEdge, ParamConstraintViolated, TruncatedInput
+)
 from .flow_config import UNDEFINED, PiecewiseConfiguration, State, overlap_ids, pieces
 from .records import record
 from .relation import Clause, TimedStateRelation, exists_window_related, related_candidates
 from .hts import NO_TRAJECTORY, maximal_paths, reach, semantics_generate
-from .simulation import config_graph, greatest_fixpoint
+from .simulation import _after, config_graph, greatest_fixpoint
 from .time_core import INF, Q, TimeInterval, interval_closure, is_finite, rank_of, rank_range
 from .trajectory import TimefulState, _ranks, grid_step, timeful_sample, timeless_sample
 
@@ -216,7 +218,10 @@ class _Grid:
 def _pair_grid(G, Gb, delta, hcap) -> _Grid:
     """The grid of G's and Gb's configurations whose known states are
     Gb's, the abstract candidates of (69) and of the discretized
-    relation."""
+    relation.  A graph is not reached, so its horizon is checked here:
+    at hcap <= 0 every hypothesis would hold on rank 0 alone."""
+    if hcap is not None and hcap <= 0:
+        raise ParamConstraintViolated(f"need horizon > 0, got {hcap}")
     return _Grid(Gb.configs(), delta, hcap, more=() if G is Gb else G.configs())
 
 
@@ -345,7 +350,7 @@ def hts_discretize(
     at, p, q = grid.at, grid.p, grid.q
     edges, closing, from_tau = set(), set(), set()
     states = set()
-    for k, (c, succs) in enumerate(G.succ_map):
+    for k, c in enumerate(G.nodes):
         # (a) internal steps between consecutive ranks; the end rank of a
         # configuration that ends within the horizon belongs to (b)/(c)
         inner = [_Node(n, i) for n, i in grid.tables[c].items()]
@@ -359,8 +364,8 @@ def hts_discretize(
         if not ends:
             continue
         u = _Node(n_end - 1, at(c, n_end - 1))
-        if succs:
-            for c2 in succs:  # (b)
+        if G.succ[k]:
+            for c2 in _after(G, k):  # (b)
                 v = _Node(n_end, at(c2, n_end))
                 edges.add((u, v))
                 from_tau.add((u, v))
@@ -373,7 +378,7 @@ def hts_discretize(
         else:
             states.add(u)
     initial = set()
-    for c in G.initial:  # (d)
+    for c in map(G.nodes.__getitem__, G.initial):  # (d)
         n = rank_of(c.b, p, q)
         u = _Node(n, at(c, n))
         initial.add(u)
@@ -538,7 +543,7 @@ def discretization_hypotheses(
         c, cb = xs[x], ys[y]
         if not _exists_related(r, c, cb, w, hcap):
             continue
-        succs, succs_b = G.succ_map[x][1], Gb.succ_map[y][1]
+        succs, succs_b = _after(G, x), _after(Gb, y)
         # (70): blocking abstract configurations end with the concrete one
         if not succs_b and y not in Gb.cut and cb.e != c.e:
             report["(70)"].append((c, cb))

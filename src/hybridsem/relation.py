@@ -372,14 +372,6 @@ def _normalized(clauses) -> list:
     return out
 
 
-def _compile(r: TimedStateRelation, cp, dp, endpoints) -> list:
-    """The clauses of r that can hold on the piece pair cp, dp, as
-    _resolve gives them, with each (A, B) in lowest terms: the form
-    _decisions finds roots and decision points from, which it builds in
-    the same two steps with the window start decided between them."""
-    return _normalized(_resolve(r, cp, dp, endpoints))
-
-
 def _constraint_roots(clause, lo, hi, D) -> list:
     """Roots in (lo, hi) of the constraints of one compiled clause, each
     an integer over D, which every nonzero A divides; hi None is

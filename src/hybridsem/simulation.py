@@ -15,7 +15,6 @@ requires, so both decide each step by `sim_transfer`.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .affine import AffineConstraint, LinExpr
@@ -80,50 +79,36 @@ MAX_STEPS = 10000
 
 @record(frozen=True)
 class ConfigGraph:
-    """Finite configuration universe with successor structure.  The id of
-    a configuration is its position in succ_map, where checks read it;
-    every initial configuration is listed there."""
+    """Finite configuration universe with successor structure: each
+    configuration is listed once in nodes, its id is its position there,
+    and succ, initial and cut (truncated by a horizon) hold ids."""
 
+    nodes: tuple
+    succ: tuple  # the successor ids of each node
     initial: tuple
-    succ_map: tuple  # (config, tuple of successors), each config listed once
-    truncated: frozenset = frozenset()  # horizon artifacts, status unknown
+    cut: frozenset = frozenset()
 
     def configs(self) -> tuple:
-        return tuple(c for c, _ in self.succ_map)
-
-    @cached_property
-    def _succ(self) -> dict:
-        return dict(self.succ_map)
-
-    def succ(self, c) -> tuple:
-        return self._succ.get(c, ())
-
-    @cached_property
-    def cut(self) -> frozenset:
-        """The ids of the truncated configurations."""
-        return frozenset(i for i, (c, _) in enumerate(self.succ_map) if c in self.truncated)
-
-    @cached_property
-    def initial_ids(self) -> tuple:
-        """The id of each initial configuration, in the order of initial."""
-        return tuple(map(self.configs().index, self.initial))
+        return self.nodes
 
 
-def _graph(nodes, succ, initial, truncated) -> ConfigGraph:
+def _graph(nodes, succ, initial, cut) -> ConfigGraph:
     """ConfigGraph of the configurations nodes[k] with successor ids
-    succ[k], initial and truncated ones given by id: listed by repr, and
-    the successors of each, ties in id order."""
-    reprs, truncated, initial = [repr(c) for c in nodes], set(truncated), dict.fromkeys(initial)
+    succ[k], initial and cut ones given by id: renumbered in repr order,
+    and the successors of each, ties in id order."""
+    reprs = [repr(c) for c in nodes]
     by_repr = lambda ks: sorted(dict.fromkeys(ks), key=reprs.__getitem__)
     order = by_repr(range(len(nodes)))
-    g = ConfigGraph(tuple(nodes[k] for k in initial),
-                    tuple((nodes[k], tuple(nodes[m] for m in by_repr(succ[k]))) for k in order),
-                    frozenset(nodes[k] for k in truncated))
-    # the ids are known here, so the cached `cut` and `initial_ids` need
-    # hash or compare no configuration
-    g.__dict__["cut"] = frozenset(i for i, k in enumerate(order) if k in truncated)
-    g.__dict__["initial_ids"] = tuple(map(order.index, initial))
-    return g
+    at = {k: i for i, k in enumerate(order)}
+    return ConfigGraph(tuple(nodes[k] for k in order),
+                       tuple(tuple(at[m] for m in by_repr(succ[k])) for k in order),
+                       tuple(at[k] for k in dict.fromkeys(initial)),
+                       frozenset(at[k] for k in cut))
+
+
+def _after(G: ConfigGraph, i) -> list:
+    """The successors of G's configuration i; none for i None."""
+    return [] if i is None else [G.nodes[k] for k in G.succ[i]]
 
 
 def config_graph(source, horizon=None) -> ConfigGraph:
@@ -252,7 +237,7 @@ def _related_pairs(r: TimedStateRelation, xs, ys, overlaps, report: SimReport) -
 
 
 def _universe_guard(G: ConfigGraph, Gb: ConfigGraph):
-    n = len(G.succ_map) * len(Gb.succ_map)
+    n = len(G.nodes) * len(Gb.nodes)
     if n > MAX_UNIVERSE * MAX_UNIVERSE:
         raise UniverseTooLarge(f"{n} candidate pairs")
 
@@ -273,9 +258,9 @@ def _initialized(pairs: dict, G: ConfigGraph, Gb: ConfigGraph):
     configuration it fails: every check would hold vacuously."""
     if not G.initial:
         return False, None
-    for c0, i in zip(G.initial, G.initial_ids):
-        if not any(pairs.get((i, j)) for j in Gb.initial_ids):
-            return False, c0
+    for i in G.initial:
+        if not any(pairs.get((i, j)) for j in Gb.initial):
+            return False, G.nodes[i]
     return True, None
 
 
@@ -311,13 +296,13 @@ def sim_check(
     violations = []
     pairs = _related_pairs(r, xs, ys, overlaps, report)
     for i, j in pairs:
-        c, cb, after = xs[i], ys[j], Gb.succ_map[j][1]
-        for c_prime in G.succ_map[i][1]:
+        c, cb, after = xs[i], ys[j], _after(Gb, j)
+        for c_prime in _after(G, i):
             if not sim_transfer(related, lambda _: after, c, cb, c_prime):
                 violations.append((c, cb, c_prime, "no abstract response"))
     # hypotheses; a truncated c is a horizon artifact, never blocking
-    blocking_w = next(((xs[i], ys[j]) for i, j in pairs if not G.succ_map[i][1]
-                       and i not in G.cut and Gb.succ_map[j][1]), None)
+    blocking_w = next(((xs[i], ys[j]) for i, j in pairs if not G.succ[i]
+                       and i not in G.cut and Gb.succ[j]), None)
     report.hypothesis_results = {
         "init(56)": _initialized(report.pairs, G, Gb),
         "blocking(57)": (blocking_w is None, blocking_w),
@@ -325,7 +310,7 @@ def sim_check(
     }
     report.violations = violations
     report.verdict = not violations
-    if G.truncated or Gb.truncated:
+    if G.cut or Gb.cut:
         report.notes.append("horizon-bounded verdict: universes are truncated prefixes")
     return report
 
@@ -385,52 +370,49 @@ def greatest_fixpoint(start: Iterable, demands: Callable) -> set:
     return R
 
 
-def greatest_simulation(
-    universe_c: Iterable,
-    universe_a: Iterable,
-    succ_c: Callable,
-    succ_a: Callable,
-    related: Callable,
-) -> set:
+def greatest_simulation(G: ConfigGraph, Gb: ConfigGraph, related: Callable) -> set:
     """Greatest fixpoint of R -> R cap F_s(R) on the demand closure of the
-    overlapping pairs of the given universes intersected with a
-    configuration relation, returned on its pairs of given ones.  Each
+    overlapping pairs of the two graphs intersected with a configuration
+    relation, returned on its pairs of given configurations.  Each
     concrete step demands a sim_transfer response, interned by canonical
     keys: the given pairs with its keys, or else one pair of its own (on
     the given configurations with those keys, if any), decided once and
-    given its demands in turn.  A slice or splice that is no given
-    configuration has no successor, so no response leaves the closure;
-    past MAX_UNIVERSE pairs in it, UniverseTooLarge is raised."""
-    cs, as_ = list(universe_c), list(universe_a)
-    key_c, key_a = [canonical_key(c) for c in cs], [canonical_key(a) for a in as_]
-    # each key's given configuration, the first where several share one
-    own_c, own_a = (dict(zip(ks[::-1], xs[::-1])) for ks, xs in ((key_c, cs), (key_a, as_)))
-    pairs: list = []  # id -> (c, a), the related pairs of the closure
+    given its demands in turn.  A pair keeps each side's given id, None
+    for a slice or splice that is no given configuration and so has no
+    successor: no response leaves the closure.  Past MAX_UNIVERSE pairs
+    in it, UniverseTooLarge is raised."""
+    xs, ys = G.nodes, Gb.nodes
+    key_c, key_a = [canonical_key(c) for c in xs], [canonical_key(a) for a in ys]
+    # each key's given id, the first where several share one
+    own_c, own_a = ({k: i for i, k in reversed(list(enumerate(ks)))} for ks in (key_c, key_a))
+    pairs: list = []  # id -> (c, a, i, j), the related pairs of the closure with given ids
     by_key: dict = {}  # (canonical key, canonical key) -> ids of its related pairs
 
-    def add(key, c, a) -> list:
+    def add(key, c, a, i, j) -> list:
         ids = by_key.setdefault(key, [])
+        c, a = c if i is None else xs[i], a if j is None else ys[j]
         if related(c, a):
             if len(pairs) == MAX_UNIVERSE:
                 raise UniverseTooLarge(f"demand closure past {MAX_UNIVERSE} pairs")
             ids.append(len(pairs))
-            pairs.append((c, a))
+            pairs.append((c, a, i, j))
         return ids
 
-    for i, j, _ in overlap_ids(cs, as_):
-        add((key_c[i], key_a[j]), cs[i], as_[j])
+    for i, j, _ in overlap_ids(xs, ys):
+        add((key_c[i], key_a[j]), xs[i], ys[j], i, j)
     given = len(pairs)
 
     def pairs_of(sc, sa) -> list:
         key = (canonical_key(sc), canonical_key(sa))
         ids = by_key.get(key)
-        return ids if ids is not None else add(key, own_c.get(key[0], sc), own_a.get(key[1], sa))
+        return ids if ids is not None else add(key, sc, sa, own_c.get(key[0]), own_a.get(key[1]))
 
     demands = []  # pairs grows as its demands are built, so every pair gets them
-    for c, a in pairs:
-        demands.append([{q for _, sc, sa in sim_transfer(lambda *_: True, succ_a, c, a, c_prime)
-                         for q in pairs_of(sc, sa)} for c_prime in succ_c(c)])
-    return {pairs[p] for p in greatest_fixpoint(range(len(pairs)), demands.__getitem__)
+    for c, a, i, j in pairs:
+        after = _after(Gb, j)
+        demands.append([{q for _, sc, sa in sim_transfer(lambda *_: True, lambda _: after, c, a, cp)
+                         for q in pairs_of(sc, sa)} for cp in _after(G, i)])
+    return {pairs[p][:2] for p in greatest_fixpoint(range(len(pairs)), demands.__getitem__)
             if p < given}
 
 
@@ -448,9 +430,11 @@ def theorem4_match(
     rather than certify a prefix.
     """
     related = lambda c, d: config_related(r, c, d)
+    at = {id(cb): j for j, cb in enumerate(Gb.nodes)}  # the match takes Gb's nodes only
+    succ = lambda cb: _after(Gb, at[id(cb)])
     first = sigma.configs[0]
     # initialization witness, tie-break: least end time then canonical order
-    witnesses = [cb for cb in Gb.initial if related(first, cb)]
+    witnesses = [cb for cb in map(Gb.nodes.__getitem__, Gb.initial) if related(first, cb)]
     if not witnesses:
         raise NoInitialWitness("no related abstract initial configuration")
     abstract = [min(witnesses, key=_end_order)]
@@ -465,7 +449,7 @@ def theorem4_match(
         step()
         c, c_prime = sigma.configs[j], sigma.configs[j + 1]
         cb = abstract[-1]
-        cands = sim_transfer(related, Gb.succ, c, cb, c_prime)
+        cands = sim_transfer(related, succ, c, cb, c_prime)
         if not cands:
             raise LocalSimulationGap(
                 f"no abstract response for {c!r} -> {c_prime!r} against {cb!r}"
@@ -483,7 +467,7 @@ def theorem4_match(
     # termination: extend the abstract side while it ends before sigma does
     while True:
         cb = abstract[-1]
-        nexts = [n for n in Gb.succ(cb) if n.b < sigma.duration]
+        nexts = [n for n in succ(cb) if n.b < sigma.duration]
         if not nexts or cb.e >= sigma.duration:
             break
         chosen = min(
@@ -646,14 +630,14 @@ def preservation_check(
     progress_ok, progress_w = True, None
     xs, ys = G.configs(), Gb.configs()
     for i, j in _related_pairs(r, xs, ys, overlap_ids(xs, ys), report):
-        c, cb, after = xs[i], ys[j], Gb.succ_map[j][1]
+        c, cb, after = xs[i], ys[j], _after(Gb, j)
         # EPSILON last: the concrete side stays while the abstract steps
-        for c_prime in (*G.succ_map[i][1], EPSILON):
+        for c_prime in (*_after(G, i), EPSILON):
             for cb_prime, sc, sa in _responses(lambda _: after, c, cb, c_prime):
                 if not related(sc, sa):
                     reason = "abstract stay" if cb_prime is EPSILON else repr(cb_prime)
                     violations.append((c, cb, c_prime, reason + " not preserved"))
-        if G.succ_map[i][1] and not after and j not in Gb.cut:
+        if G.succ[i] and not after and j not in Gb.cut:
             progress_ok, progress_w = False, (c, cb)
     report.violations = violations
     report.verdict = not violations

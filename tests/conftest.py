@@ -1,7 +1,9 @@
 """Shared randomized generators for the exact-arithmetic test suite,
-ref_state_related, the reference for membership of bare state pairs, and
+ref_state_related, the reference for membership of bare state pairs,
 span_cover_related, a decision of configuration pairs that shares no
-decision code with the window kernel.
+decision code with the window kernel, compile_clauses, the kernel's
+clauses of a piece pair in the form its references give them, and
+id_graph, a configuration graph written by value.
 
 Everything is seeded; tests freeze seeds so failures replay exactly.
 """
@@ -15,9 +17,28 @@ from hybridsem.errors import EndpointSymbolsUnbound
 from hybridsem.flow_config import make_config, pieces
 from hybridsem.hts import HybridTransitionSystem
 from hybridsem.relation import (
-    _clause_spans, _endpoint_env, _interval_span, _span_meet, _span_minus
+    _clause_spans, _endpoint_env, _interval_span, _normalized, _resolve, _span_meet, _span_minus
 )
+from hybridsem.simulation import ConfigGraph
 from hybridsem.trajectory import trajectory_validate
+
+
+def compile_clauses(r, cp, dp, endpoints) -> list:
+    """The clauses of r that can hold on the piece pair cp, dp, each
+    (A, B) in lowest terms: the window kernel's two steps `_resolve` and
+    `_normalized`, which it runs with the window start decided between
+    them."""
+    return _normalized(_resolve(r, cp, dp, endpoints))
+
+
+def id_graph(initial, succ_map, truncated=()) -> ConfigGraph:
+    """The ConfigGraph of a graph written by value: the configurations of
+    succ_map's (configuration, successors) entries in its order, and the
+    initial and truncated ones among them."""
+    nodes = tuple(c for c, _ in succ_map)
+    at = nodes.index
+    return ConfigGraph(nodes, tuple(tuple(map(at, cs)) for _, cs in succ_map),
+                       tuple(map(at, initial)), frozenset(map(at, truncated)))
 
 
 def rnd_q(rng, lo=-3, hi=3, dens=(1, 2, 4)):

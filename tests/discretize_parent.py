@@ -4,7 +4,8 @@ integers: the reference of test_grid_ints.py.
 The functions below are the earlier ones verbatim, with the
 DiscreteTransitionSystem they built and read.  The unchanged helpers
 (TimefulState and grid_alignment_check) and everything outside
-discretize.py come from the library.
+discretize.py come from the library; each configuration graph is read
+by value, through simulation_parent.by_value.
 """
 
 import math
@@ -20,6 +21,8 @@ from hybridsem.relation import TimedStateRelation, exists_window_related, relate
 from hybridsem.simulation import config_graph
 from hybridsem.time_core import Q, TimeInterval, is_finite
 from hybridsem.trajectory import Trajectory, grid_step
+
+from simulation_parent import by_value
 
 
 @dataclass(frozen=True)
@@ -168,6 +171,7 @@ def hts_discretize(h_or_graph, delta, horizon=None) -> DiscreteTransitionSystem:
     ok, witness = grid_alignment_check(G, delta)
     if not ok:
         raise Misaligned(repr(witness))
+    G = by_value(G)
     hcap = Q(horizon) if horizon is not None else None
     tables, at = _grid_tables(G.configs(), delta, hcap)
     edges, closing, from_tau = set(), set(), set()
@@ -303,6 +307,7 @@ def discretization_hypotheses(
     delta = grid_step(delta)
     hcap = Q(horizon) if horizon is not None else None
     G, Gb = config_graph(h, horizon), config_graph(hb, horizon)
+    G, Gb = (by_value(G),) * 2 if Gb is G else (by_value(G), by_value(Gb))
     report = {"(68)": [], "(69)": [], "(70)": [], "(71)": []}
 
     tables, at = _grid_tables(

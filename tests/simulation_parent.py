@@ -2,12 +2,14 @@
 were interned into dense ids: the reference of test_dense_ids.py.
 
 The functions below are the earlier ones verbatim, with the Reached and
-ConfigGraph they built and read, and the Fraction successor step that
-reach once used (a mode's lookup, `instantiate`, `admits`,
-`duration_for` and an edge's `apply`, frozen here as functions), so
-that this reach shares no step code with the library's integer one;
-everything else (the system types, splice, sim_transfer, the fixpoint
-engine, the window kernel) comes from the library, unchanged.
+ConfigGraph they built and read, the universe guard that read it, and
+the Fraction successor step that reach once used (a mode's lookup,
+`instantiate`, `admits`, `duration_for` and an edge's `apply`, frozen
+here as functions), so that this reach shares no step code with the
+library's integer one; `by_value` reads a library graph, which keeps
+ids, as this ConfigGraph.  Everything else (the system types, splice,
+sim_transfer, the fixpoint engine, the window kernel) comes from the
+library, unchanged.
 """
 
 from collections import deque
@@ -21,15 +23,16 @@ from hybridsem.errors import (
     NonConsecutiveEdge,
     ParamConstraintViolated,
     SyncRequiresWellNesting,
+    UniverseTooLarge,
 )
 from hybridsem.affine import LinExpr
 from hybridsem.flow_config import EPSILON, Configuration, make_config, overlapping
 from hybridsem.hts import HybridTransitionSystem, Semantics, config_is_final, maximal_paths
 from hybridsem.relation import TimedStateRelation, config_related
+from hybridsem import simulation
 from hybridsem.simulation import (
     SimReport,
     _cut_points,
-    _universe_guard,
     canonical_key,
     greatest_fixpoint,
     sim_transfer,
@@ -234,6 +237,15 @@ class ConfigGraph:
         return not self.succ(c) and c not in self.truncated
 
 
+def by_value(G) -> ConfigGraph:
+    """This reference's ConfigGraph of the library's graph G, which keeps
+    ids: its configurations in G's order, each with its successors."""
+    at = G.nodes.__getitem__
+    return ConfigGraph(tuple(map(at, G.initial)),
+                       tuple((c, tuple(map(at, k))) for c, k in zip(G.nodes, G.succ)),
+                       frozenset(map(at, G.cut)))
+
+
 def _graph(initial, succ: dict, truncated) -> ConfigGraph:
     """ConfigGraph of successor sets, listed by repr."""
     items = tuple(sorted(
@@ -265,6 +277,12 @@ def system_graph(h_or_graph, horizon=None) -> ConfigGraph:
     for p, nexts in g.succ.items():
         succ.setdefault(g.config[p], set()).update(g.config[q] for q in nexts)
     return _graph((g.config[p] for p in g.initial), succ, (g.config[p] for p in g.truncated))
+
+
+def _universe_guard(G: ConfigGraph, Gb: ConfigGraph):
+    n = len(G.succ_map) * len(Gb.succ_map)
+    if n > simulation.MAX_UNIVERSE * simulation.MAX_UNIVERSE:
+        raise UniverseTooLarge(f"{n} candidate pairs")
 
 
 def _initialized(related: Callable, G: ConfigGraph, Gb: ConfigGraph):

@@ -61,7 +61,6 @@ from hybridsem.relation import (
     traj_related_timewise,
 )
 from hybridsem.simulation import (
-    ConfigGraph,
     canonical_key,
     config_graph,
     greatest_simulation,
@@ -76,7 +75,7 @@ from hybridsem.trajectory import (
     trajectory_validate,
 )
 
-from conftest import random_explicit, random_trajectory, rnd_q
+from conftest import id_graph, random_explicit, random_trajectory, rnd_q
 
 EQ = TimedStateRelation((Clause((parse_constraint("c_u = a_u"),)),))
 
@@ -387,9 +386,8 @@ def test_08_greatest_simulation_matches_brute_force():
         for A, succ_a in systems:
             bf = _brute_force_union(list(C), succ_c, list(A), succ_a)
             ts = greatest_simulation(
-                C, A,
-                lambda c: succ_c.get(c, ()),
-                lambda a: succ_a.get(a, ()),
+                id_graph(C[:1], tuple((c, succ_c.get(c, ())) for c in C)),
+                id_graph(A[:1], tuple((a, succ_a.get(a, ())) for a in A)),
                 related=rel,
             )
             keys_c = {canonical_key(c): c for c in C}
@@ -447,7 +445,7 @@ def test_10_matcher_builds_verified_witnesses():
     assert sem.trajectories
     for s in sorted(sem.trajectories, key=repr):
         w = spec_witness(s)
-        Gb = ConfigGraph((w.configs[0],), tuple((c, ()) for c in w.configs))
+        Gb = id_graph((w.configs[0],), tuple((c, ()) for c in w.configs))
         start = time.perf_counter()
         sb, cert = theorem4_match(r39, s, Gb)
         elapsed = time.perf_counter() - start

@@ -27,10 +27,9 @@ from hybridsem.discretize import (
 from hybridsem.errors import DomainGapAtGridPoint, EndpointSymbolsUnbound, NonConsecutiveEdge
 from hybridsem.flow_config import State, make_config
 from hybridsem.relation import Clause, TimedStateRelation, related_candidates, state_related
-from hybridsem.simulation import ConfigGraph
 from hybridsem.time_core import INF, TimeInterval
 
-from conftest import random_explicit, ref_state_related
+from conftest import id_graph, random_explicit, ref_state_related
 
 _VALUES = (Q(0), Q(1, 2), Q(1))
 _SYMBOLS = ("c_u", "c_w", "a_u", "a_w", "t")
@@ -281,8 +280,8 @@ def test_hypothesis_71_refuses_a_state_off_every_abstract_grid():
     c = make_config("m", 0, 3, {"u": 0}, {"u": 1}, closed_hi=True)
     cb = make_config("m", 0, 2, {"u": 0}, {"u": 1})
     cb2 = make_config("m", 3, 4, {"u": 7}, {"u": 1}, closed_hi=True)
-    G = ConfigGraph((c,), ((c, ()),))
-    Gb = ConfigGraph((cb,), ((cb, (cb2,)), (cb2, ())))
+    G = id_graph((c,), ((c, ()),))
+    Gb = id_graph((cb,), ((cb, (cb2,)), (cb2, ())))
     r = TimedStateRelation((Clause((parse_constraint("c_u = a_u"),)),))
     with pytest.raises(NonConsecutiveEdge):
         discretization_hypotheses(r, G, Gb, 1)

@@ -465,6 +465,10 @@ def _bad_input_cases(tmp_path):
         ("check-theorem", "7", "--fixture", "tank-automaton", "--x0", "1", "--delta", "1/16",
          "--horizon", "0"),
         ("check-refinement", "--horizon", "0"),
+        # a graph fixture is not reached, so its horizon is checked on the grid
+        ("gallery", "fig8-3", "--check-theorem", "7", "--horizon", "0"),
+        ("gallery", "fig8-3", "--check-theorem", "7", "--horizon", "-1"),
+        ("check-theorem", "7", "--fixture", "fig8-2", "--horizon", "0"),
         ("trajectories", "--fixture", "tank-automaton", "--depth", "-1"),
     ]
 

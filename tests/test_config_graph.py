@@ -1,8 +1,7 @@
 """The one configuration-graph builder: `config_graph` reads positions
-(`reach`'s integer ids, or a trajectory's indices), so it hashes no
-configuration but the cut ones its graph keeps in a frozenset, and the
-order of its initial configurations is `reach`'s, whatever the hash
-seed."""
+(`reach`'s integer ids, or a trajectory's indices) and its graph keeps
+ids, cut ones included, so it hashes no configuration, and the order of
+its initial configurations is `reach`'s, whatever the hash seed."""
 
 import os
 import random
@@ -23,6 +22,7 @@ from hybridsem.hts import reach, semantics_generate
 from hybridsem.simulation import config_graph
 
 from conftest import random_explicit
+from simulation_parent import by_value
 from test_dense_ids import _branching
 
 TESTS = Path(__file__).resolve().parent
@@ -50,7 +50,7 @@ def _count_hashes(monkeypatch) -> Counter:
     return counts
 
 
-def test_building_hashes_only_the_cut_configurations(monkeypatch):
+def test_building_hashes_no_configuration(monkeypatch):
     p = TankParams.make(x0_samples=(0, 1, 2))
     systems = [(build_tank_automaton(p), 12), (build_tank_impl(p), 24),
                (_branching(4), 6), (_branching(4, dropped=1), 6)]
@@ -65,12 +65,13 @@ def test_building_hashes_only_the_cut_configurations(monkeypatch):
     paths = [config_graph(t) for t in trajectories]
     monkeypatch.undo()
     assert counts["Fraction"] == 0
-    assert counts["Configuration"] == sum(len(G.truncated) for G in graphs + paths)
-    assert all(G.truncated for G in graphs) and any(not G.truncated for G in paths)
+    assert counts["Configuration"] == 0
+    assert all(G.cut for G in graphs) and any(not G.cut for G in paths)
     for t, G in zip(trajectories, paths):
-        assert set(G.configs()) == set(t.configs) and G.initial == t.configs[:1]
-        assert G.truncated == frozenset(t.configs[-1:] * t.truncated)
-        assert [G.succ(c) for c in t.configs] == [(d,) for d in t.configs[1:]] + [()]
+        V = by_value(G)
+        assert set(V.configs()) == set(t.configs) and V.initial == t.configs[:1]
+        assert V.truncated == frozenset(t.configs[-1:] * t.truncated)
+        assert [V.succ(c) for c in t.configs] == [(d,) for d in t.configs[1:]] + [()]
 
 
 def test_initial_order_does_not_depend_on_the_hash_seed():
@@ -81,11 +82,11 @@ def test_initial_order_does_not_depend_on_the_hash_seed():
             "for _ in range(60):\n"
             "    h = random_explicit(rng, max_width=4, modes=('m', 'n'))\n"
             "    G = config_graph(h, 10)\n"
-            "    print(G.initial_ids, [c.flow.lines for c in G.initial])\n")
+            "    print(G.initial, [G.nodes[i].flow.lines for i in G.initial])\n")
     rng = random.Random(31)
     systems = [random_explicit(rng, max_width=4, modes=("m", "n")) for _ in range(60)]
     assert sum(len(h.explicit.initial) > 2 for h in systems) >= 20
-    want = "".join(f"{G.initial_ids} {[c.flow.lines for c in G.initial]}\n"
+    want = "".join(f"{G.initial} {[G.nodes[i].flow.lines for i in G.initial]}\n"
                    for G in (config_graph(h, 10) for h in systems))
     path = os.pathsep.join(filter(None, (str(TESTS.parent / "src"), str(TESTS),
                                          os.environ.get("PYTHONPATH"))))

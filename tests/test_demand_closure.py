@@ -17,13 +17,9 @@ from hybridsem.casestudy import TankParams, build_tank_automaton, gallery_fixtur
 from hybridsem.flow_config import make_config
 from hybridsem.hts import Edge, ExitCondition, HybridTransitionSystem, ModeSchema
 from hybridsem.relation import Clause, TimedStateRelation, config_related
-from hybridsem.simulation import (
-    ConfigGraph,
-    canonical_key,
-    config_graph,
-    greatest_simulation,
-    sim_transfer,
-)
+from hybridsem.simulation import canonical_key, config_graph, greatest_simulation, sim_transfer
+
+from conftest import id_graph
 
 EQ_U = TimedStateRelation((Clause((parse_constraint("c_u = a_u"),)),))
 
@@ -46,8 +42,9 @@ def _branching(k, dropped=None):
 def _both(r, G, Gb):
     """The closure's answer and the reference's on the graphs' own pairs."""
     related = lambda c, d: config_related(r, c, d)
-    got = greatest_simulation(G.configs(), Gb.configs(), G.succ, Gb.succ, related)
-    want = ref.greatest_simulation(G.configs(), Gb.configs(), G.succ, Gb.succ, related)
+    got = greatest_simulation(G, Gb, related)
+    V, Vb = ref.by_value(G), ref.by_value(Gb)
+    want = ref.greatest_simulation(V.configs(), Vb.configs(), V.succ, Vb.succ, related)
     xs, ys = set(G.configs()), set(Gb.configs())
     return got, {(c, a) for c, a in want if c in xs and a in ys}
 
@@ -87,9 +84,9 @@ def test_merged_splice_steps_as_the_given_configuration():
     c6 = cfg("n", 2, 3, 9, closed_hi=True)
     a1, a2, a3 = cfg("m", 0, Q(1, 2), 0), cfg("m", Q(1, 2), 3, 0), cfg("n", 3, 4, 0, closed_hi=True)
     succ_c, succ_a = {c1: (c2,), c2: (c6,), c5: (c6,)}, {a1: (a2,), a2: (a3,)}
-    G = ConfigGraph((c1, c5), tuple((c, succ_c.get(c, ())) for c in (c1, c2, c5, c6)))
-    Gb = ConfigGraph((a1,), tuple((a, succ_a.get(a, ())) for a in (a1, a2, a3)))
-    (_, sc, _), = sim_transfer(lambda *_: True, Gb.succ, c1, a1, c2)
+    G = id_graph((c1, c5), tuple((c, succ_c.get(c, ())) for c in (c1, c2, c5, c6)))
+    Gb = id_graph((a1,), tuple((a, succ_a.get(a, ())) for a in (a1, a2, a3)))
+    (_, sc, _), = sim_transfer(lambda *_: True, succ_a.get, c1, a1, c2)
     assert canonical_key(sc) == canonical_key(c5) and sc != c5
     got, want = _both(EQ_U, G, Gb)
     assert got == want and (c1, a1) not in got
@@ -103,7 +100,6 @@ def test_sim_workload_tank_relates_each_configuration_with_itself(horizon, count
     p = TankParams.make(x0_samples=tuple(Q(x) for x in x0.split(",")))
     r = tank_relations(p)["r39"]
     G = config_graph(build_tank_automaton(p), horizon)
-    R = greatest_simulation(G.configs(), G.configs(), G.succ, G.succ,
-                            lambda c, d: config_related(r, c, d))
+    R = greatest_simulation(G, G, lambda c, d: config_related(r, c, d))
     assert R == {(c, c) for c in G.configs()} and len(R) == count
     assert all(config_related(r, c, d) for c, d in R)

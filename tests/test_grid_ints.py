@@ -53,7 +53,7 @@ from hybridsem.relation import Clause, TimedStateRelation, relation_from_json
 from hybridsem.simulation import ConfigGraph, config_graph
 from hybridsem.time_core import INF, TimeInterval
 
-from conftest import random_explicit, ref_state_related
+from conftest import id_graph, random_explicit, ref_state_related
 
 DENOMINATORS = (1, 2, 3, 4, 7, 16, 97)
 INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -153,7 +153,7 @@ def _graph(rng, delta, hcap):
         for c in level:
             succ[c] = tuple(d for d in nxt if d.b == c.e and rng.random() < 0.7) or tuple(nxt[:1])
     truncated = [c for c in levels[-1] if not c.interval.closed_hi]
-    return ConfigGraph(tuple(levels[0]), tuple(succ.items()), frozenset(truncated))
+    return id_graph(levels[0], tuple(succ.items()), truncated)
 
 
 def _systems(rng, delta, hcap):

@@ -148,7 +148,7 @@ def test_non_final_explicit_leaf_on_the_horizon_is_cut():
     (s,) = semantics_generate(h, 1).trajectories
     assert s.truncated and s.configs == (a,)
     G = config_graph(h, 1)
-    assert G.configs() == (a,) and a in G.truncated
+    assert G.configs() == (a,) and G.cut == {0}
 
 
 def test_non_consecutive_explicit_edge_raises():
@@ -198,7 +198,7 @@ def test_branching_cap():
         semantics_generate(h, 20)
     # the graph has 28 configurations and lists no trajectory
     G = config_graph(h, 20)
-    assert len(G.configs()) == 28 and not G.truncated
+    assert len(G.configs()) == 28 and not G.cut
 
 
 def _reference_semantics(h, horizon, depth):

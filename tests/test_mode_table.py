@@ -30,7 +30,6 @@ from hybridsem.flow_config import config_concat, make_config, pieces
 from hybridsem.relation import (
     Clause,
     TimedStateRelation,
-    _compile,
     _over,
     _plain,
     _window_points,
@@ -39,6 +38,8 @@ from hybridsem.relation import (
     forall_window_related,
 )
 from hybridsem.time_core import INF, TimeInterval, interval_intersect, is_finite
+
+from conftest import compile_clauses
 
 
 # --- the reference path -------------------------------------------------------
@@ -311,9 +312,9 @@ def test_lifts_match_the_guard_per_window_path():
                 seen["endpoints read" if ends else "endpoints unread"] += 1
                 seen["dynamic"] += any(cl.dynamic is not None for cl in clauses)
                 endpoints = ref_endpoint_env(cp, dp)
-                assert _compile(r, cp, dp, endpoints) == ref_compile(r, cp, dp, endpoints)
+                assert compile_clauses(r, cp, dp, endpoints) == ref_compile(r, cp, dp, endpoints)
                 if not ends:
-                    assert _compile(r, cp, dp, {}) == ref_compile(r, cp, dp, endpoints)
+                    assert compile_clauses(r, cp, dp, {}) == ref_compile(r, cp, dp, endpoints)
         seen["mode change"] += any(
             len({p.flow.mode for p in pieces(x)}) > 1 for x in (c, d))
         want = ref_config_related(r, c, d)

@@ -15,7 +15,6 @@ from hybridsem.relation import (
     ConfigRelation,
     TimedStateRelation,
     _clause_spans,
-    _compile,
     _endpoint_env,
     _interval_span,
     _span_meet,
@@ -36,7 +35,7 @@ from hybridsem.relation import (
 from hybridsem.time_core import INF, TimeInterval
 from hybridsem.trajectory import trajectory_validate
 
-from conftest import random_trajectory, ref_state_related, rnd_q
+from conftest import compile_clauses, random_trajectory, ref_state_related, rnd_q
 
 EQ = TimedStateRelation((Clause((parse_constraint("c_u = a_u"),)),))
 
@@ -546,7 +545,7 @@ def test_window_points_match_contains_filter():
                 hi = {"open": lo + Q(rng.randint(1, 4), 2), "closed": lo + Q(rng.randint(1, 4), 2),
                       "point": lo, "unbounded": INF}[shape]
                 window = TimeInterval(lo, hi, shape in ("closed", "point"))
-                clauses = _compile(r, cp, dp, _endpoint_env(c, d))
+                clauses = compile_clauses(r, cp, dp, _endpoint_env(c, d))
                 D, got = _window_points(r, clauses, window)
                 got = [Q(P, 2 * D) for P in got]
                 assert got == _points_by_contains(r, clauses, window), (r, cp, dp, window)

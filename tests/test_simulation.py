@@ -34,9 +34,7 @@ from hybridsem.relation import (
 from hybridsem.affine import LinExpr, parse_constraint
 from hybridsem.hts import Edge, ExitCondition, HybridTransitionSystem, ModeSchema
 from hybridsem.simulation import (
-    ConfigGraph,
     SimReport,
-    _universe_guard,
     bisim_check,
     canonical_key,
     compose_check,
@@ -54,6 +52,9 @@ from hybridsem.simulation import (
 )
 from hybridsem.time_core import INF, TimeInterval, interval_intersect, is_finite, tmin
 from hybridsem.trajectory import trajectory_validate
+
+from conftest import id_graph
+from simulation_parent import _universe_guard, by_value
 
 EQ = TimedStateRelation((Clause((parse_constraint("c_u = a_u"),)),))
 
@@ -118,7 +119,7 @@ def _line_graph(*cfgs):
     succ = tuple(
         (c, (cfgs[i + 1],) if i + 1 < len(cfgs) else ()) for i, c in enumerate(cfgs)
     )
-    return ConfigGraph((cfgs[0],), succ)
+    return id_graph((cfgs[0],), succ)
 
 
 def test_sim_check_identity_passes_both_modes():
@@ -169,10 +170,7 @@ def test_greatest_simulation_on_matching_chain():
     c1 = make_config("m", 0, 1, {"u": 0}, {"u": 1})
     c2 = make_config("m", 1, 2, {"u": 1}, {"u": 1}, closed_hi=True)
     a1 = make_config("m", 0, 2, {"u": 0}, {"u": 1}, closed_hi=True)
-    succ_c = {c1: (c2,), c2: ()}
-    succ_a = {a1: ()}
-    R = greatest_simulation([c1, c2], [a1], lambda c: succ_c.get(c, ()),
-                            lambda a: succ_a.get(a, ()), related=rel)
+    R = greatest_simulation(_line_graph(c1, c2), _line_graph(a1), related=rel)
     # the original initial pair survives the fixpoint
     assert any(
         canonical_key(p) == canonical_key(c1) and canonical_key(q) == canonical_key(a1)
@@ -185,7 +183,7 @@ def test_greatest_simulation_on_matching_chain():
 def test_greatest_simulation_empty_when_values_disagree():
     c = make_config("m", 0, 1, {"u": 0}, {"u": 0}, closed_hi=True)
     a = make_config("m", 0, 1, {"u": 7}, {"u": 0}, closed_hi=True)
-    R = greatest_simulation([c], [a], lambda _: (), lambda _: (), related=rel)
+    R = greatest_simulation(_line_graph(c), _line_graph(a), related=rel)
     assert R == set()
 
 
@@ -196,8 +194,7 @@ def test_greatest_simulation_tank_pinned():
     p = TankParams.make(x0_samples=(0, 1, 2))
     r = tank_relations(p)["r39"]
     G = config_graph(build_tank_automaton(p), 12)
-    R = greatest_simulation(G.configs(), G.configs(), G.succ, G.succ,
-                            related=lambda c, d: config_related(r, c, d))
+    R = greatest_simulation(G, G, related=lambda c, d: config_related(r, c, d))
     assert len(R) == 24
 
 
@@ -224,7 +221,7 @@ def test_greatest_simulation_branching_pair_past_the_trajectory_cap():
     Listing the trajectories would exceed the trajectory cap."""
     k, m, h = 6, 2, 30
     G, Gb = config_graph(_branching(k), h), config_graph(_branching(k, dropped=m), h)
-    R = greatest_simulation(G.configs(), Gb.configs(), G.succ, Gb.succ, related=rel)
+    R = greatest_simulation(G, Gb, related=rel)
     assert len(R) == sum(min((m - i) % k + 1, h) for i in range(k))
 
 
@@ -269,7 +266,7 @@ def test_greatest_simulation_splice_across_flows():
         (lambda c, a: len(pieces(c)) == len(pieces(a)) == 1, 2),  # no splice across flows
         (lambda c, a: c.e <= 2 or a.b == 0, 0),
     ):
-        R = greatest_simulation(*args, related=related)
+        R = greatest_simulation(_line_graph(c, c2), _line_graph(a, a2), related=related)
         assert R == _brute_force_gsim(*args, related)
         assert len(R) == count
 
@@ -282,7 +279,7 @@ def test_greatest_simulation_caps_its_demand_closure(monkeypatch):
     p = TankParams.make(x0_samples=(0, 1, 2))
     r = tank_relations(p)["r39"]
     G = config_graph(build_tank_automaton(p), 12)
-    args = (G.configs(), G.configs(), G.succ, G.succ, lambda c, d: config_related(r, c, d))
+    args = (G, G, lambda c, d: config_related(r, c, d))
     monkeypatch.setattr(simulation, "MAX_UNIVERSE", 30)
     assert len(greatest_simulation(*args)) == 24
     monkeypatch.setattr(simulation, "MAX_UNIVERSE", 29)
@@ -298,7 +295,7 @@ def test_theorem4_match_prefers_finite_end_past_1e9():
     a1 = make_config("m", 0, 1, {"u": 0}, {"u": 0})
     far = make_config("m", 1, 10 ** 9 + 1, {"u": 0}, {"u": 0}, closed_hi=True)
     unbounded = make_config("m", 1, INF, {"u": 0}, {"u": 0})
-    Gb = ConfigGraph((a1,), ((a1, (far, unbounded)), (far, ()), (unbounded, ())))
+    Gb = id_graph((a1,), ((a1, (far, unbounded)), (far, ()), (unbounded, ())))
     sb, _ = theorem4_match(EQ, trajectory_validate([c1, c2]), Gb)
     assert list(sb.configs) == [a1, far]
 
@@ -308,7 +305,7 @@ def test_theorem4_match_builds_related_trajectory():
     c2 = make_config("m", 1, 2, {"u": 1}, {"u": 1}, closed_hi=True)
     sigma = trajectory_validate([c1, c2])
     a1 = make_config("m", 0, 2, {"u": 0}, {"u": 1}, closed_hi=True)
-    Gb = ConfigGraph((a1,), ((a1, ()),))
+    Gb = id_graph((a1,), ((a1, ()),))
     sb, cert = theorem4_match(EQ, sigma, Gb)
     assert traj_related_timewise(EQ, sigma, sb)
     assert cert == {"timewise": True, "rankwise": True}
@@ -321,8 +318,8 @@ def _unit_chain(*ends, shift=0):
             for b, e in zip(ends, ends[1:])]
 
 
-def _chain_graph(configs) -> ConfigGraph:
-    return ConfigGraph((configs[0],), tuple(
+def _chain_graph(configs):
+    return id_graph((configs[0],), tuple(
         (c, tuple(configs[k + 1:k + 2])) for k, c in enumerate(configs)))
 
 
@@ -546,7 +543,8 @@ def test_splice_and_slice_closure_propagate_programming_errors(monkeypatch):
 # The earlier preservation_check, which built its three splice windows
 # inline, and the earlier sim_transfer, which tried the stay first; both
 # kept verbatim apart from their names.  _ref_related_pairs is the earlier
-# _related_pairs, which returned configuration pairs, on G and Gb.
+# _related_pairs, which returned configuration pairs, on G and Gb.  They
+# read graphs by value, as simulation_parent.by_value gives them.
 
 
 def _ref_related_pairs(r, G, Gb) -> list:
@@ -646,7 +644,7 @@ def _random_config_graph(rng, horizon=Q(3)):
         return c
 
     initial = tuple(dict.fromkeys(grow(Q(0)) for _ in range(rng.randint(1, 2))))
-    return ConfigGraph(initial, tuple(succ.items()), frozenset(truncated))
+    return id_graph(initial, tuple(succ.items()), frozenset(truncated))
 
 
 def test_preservation_and_transfer_match_the_reference():
@@ -667,18 +665,19 @@ def test_preservation_and_transfer_match_the_reference():
             Clause((parse_constraint(f"t >= {rng.randint(1, 3)}"),),
                    abstract_mode=rng.choice((None, "n"))),
         ))
+        V, Vb = by_value(G), by_value(Gb)
         got = preservation_check(r, G, Gb)
-        assert got == _ref_preservation_check(r, G, Gb)
+        assert got == _ref_preservation_check(r, V, Vb)
         seen["passed" if got.verdict else "failed"] += 1
         for _, _, c_prime, reason in got.violations:
             seen["concrete stays" if c_prime is EPSILON
                  else "stay" if reason.startswith("abstract stay") else "step"] += 1
         related = lambda c, d: config_related(r, c, d)
-        for c, cb in _ref_related_pairs(r, G, Gb):
-            for c_prime in (*G.succ(c), EPSILON):
+        for c, cb in _ref_related_pairs(r, V, Vb):
+            for c_prime in (*V.succ(c), EPSILON):
                 for rel_ in (related, lambda *_: True):
-                    cands = sim_transfer(rel_, Gb.succ, c, cb, c_prime)
-                    want = _ref_sim_transfer(rel_, Gb.succ, c, cb, c_prime)
+                    cands = sim_transfer(rel_, Vb.succ, c, cb, c_prime)
+                    want = _ref_sim_transfer(rel_, Vb.succ, c, cb, c_prime)
                     assert sorted(cands, key=repr) == sorted(want, key=repr)
                     seen["candidates"] += bool(cands)
     assert all(seen.values()), seen

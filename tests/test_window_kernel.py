@@ -18,13 +18,14 @@ from hybridsem.flow_config import make_config
 from hybridsem.relation import (
     Clause,
     TimedStateRelation,
-    _compile,
     _decisions,
     _endpoint_env,
     _window_points,
     config_related,
 )
 from hybridsem.time_core import INF, TimeInterval, is_finite
+
+from conftest import compile_clauses
 
 
 # --- the reference Fraction kernel ------------------------------------------
@@ -206,7 +207,7 @@ def test_integer_kernel_matches_fraction_kernel():
         shape = rng.choice(("open", "closed", "point", "unbounded"))
         window = _query_window(rng, cp, dp, shape)
         ref_clauses = _ref_compile(r, cp, dp, endpoints)
-        clauses = _compile(r, cp, dp, endpoints)
+        clauses = compile_clauses(r, cp, dp, endpoints)
         assert len(clauses) == len(ref_clauses)
         for (w, cons), (ref_w, ref_cons) in zip(clauses, ref_clauses):
             assert w == ref_w
@@ -288,13 +289,12 @@ def _fixed_pair():
 
 def test_kernel_builds_no_fraction():
     """config_related on a fixed non-`dynamic` pair builds no Fraction in
-    _resolve, _in_pair, _start, _normalized, _compile, _window_points or
-    _decisions; the Fraction kernel on the same pair shows that the count
+    _resolve, _in_pair, _start, _normalized, _window_points or _decisions; the Fraction kernel on the same pair shows that the count
     sees constructions there."""
     r, c, d = _fixed_pair()
     kernel = {f.__code__ for f in (relation._resolve, relation._in_pair, relation._start,
-                                   relation._normalized, relation._compile,
-                                   relation._window_points, relation._decisions)}
+                                   relation._normalized, relation._window_points,
+                                   relation._decisions)}
     assert _fractions_built_under(kernel, lambda: config_related(r, c, d)) == 0
     r, c, d = _fixed_pair()
     reference = {f.__code__ for f in (_ref_compile, _ref_window_points, _ref_decisions)}
