@@ -215,13 +215,21 @@ class _Grid:
         return entry
 
 
+def _cap(horizon):
+    """The horizon as a Fraction, None for none.  A graph is not reached,
+    so its horizon is checked here: at a horizon <= 0 a graph would
+    discretize to its rank-0 states alone, and every hypothesis would
+    hold on rank 0."""
+    hcap = None if horizon is None else Q(horizon)
+    if hcap is not None and hcap <= 0:
+        raise ParamConstraintViolated(f"need horizon > 0, got {hcap}")
+    return hcap
+
+
 def _pair_grid(G, Gb, delta, hcap) -> _Grid:
     """The grid of G's and Gb's configurations whose known states are
     Gb's, the abstract candidates of (69) and of the discretized
-    relation.  A graph is not reached, so its horizon is checked here:
-    at hcap <= 0 every hypothesis would hold on rank 0 alone."""
-    if hcap is not None and hcap <= 0:
-        raise ParamConstraintViolated(f"need horizon > 0, got {hcap}")
+    relation, up to hcap (from _cap)."""
     return _Grid(Gb.configs(), delta, hcap, more=() if G is Gb else G.configs())
 
 
@@ -341,12 +349,13 @@ def hts_discretize(
     keyed by its nodes; otherwise by TimefulStates."""
     delta = grid_step(delta)
     G = config_graph(h_or_graph, horizon)
+    hcap = _cap(horizon)
     ok, witness = grid_alignment_check(G, delta)
     if not ok:
         raise Misaligned(repr(witness))
     keyed = grid is not None
     if not keyed:
-        grid = _Grid(G.configs(), delta, Q(horizon) if horizon is not None else None)
+        grid = _Grid(G.configs(), delta, hcap)
     at, p, q = grid.at, grid.p, grid.q
     edges, closing, from_tau = set(), set(), set()
     states = set()
@@ -510,7 +519,7 @@ def discretization_hypotheses(
     NonConsecutiveEdge.  A relation with B/E symbols is refused with
     EndpointSymbolsUnbound, since a bare state pair binds none."""
     delta = grid_step(delta)
-    hcap = Q(horizon) if horizon is not None else None
+    hcap = _cap(horizon)
     G, Gb = config_graph(h, horizon), config_graph(hb, horizon)
     report = {"(68)": [], "(69)": [], "(70)": [], "(71)": []}
 
@@ -618,7 +627,7 @@ def theorem7_check(r: TimedStateRelation, h, hb, delta, horizon=None, extra_abst
     delta = grid_step(delta)
     G = config_graph(h, horizon)
     Gb = G if hb is h else config_graph(hb, horizon)
-    grid = _pair_grid(G, Gb, delta, Q(horizon) if horizon is not None else None)
+    grid = _pair_grid(G, Gb, delta, _cap(horizon))
     hyp = discretization_hypotheses(r, G, Gb, delta, horizon, grid)
     d1 = hts_discretize(G, delta, horizon, grid)
     d2 = d1 if Gb is G else hts_discretize(Gb, delta, horizon, grid)

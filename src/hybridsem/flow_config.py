@@ -267,7 +267,7 @@ def overlap_ids(xs, ys) -> list:
                 found.append((i, j, TimeInterval(ivs[j].lo if lo[i] < lo[j] else ivs[i].lo,
                                                  ivs[i if hi[i] == h else j].hi, h % 2 == 0)))
         active[side].append(g)
-    found.sort(key=lambda f: f[:2])
+    found.sort()  # by (i, j): no id pair repeats, so no window is compared
     return [(i, j - n, w) for i, j, w in found]
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "is_finite",
     "earlier",
     "tmin",
-    "tmax",
     "time_str",
     "rank_range",
     "rank_of",
@@ -130,14 +129,6 @@ def tmin(*ts):
     out = ts[0]
     for t in ts[1:]:
         if earlier(t, out):
-            out = t
-    return out
-
-
-def tmax(*ts):
-    out = ts[0]
-    for t in ts[1:]:
-        if t > out:
             out = t
     return out
 

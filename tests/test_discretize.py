@@ -37,6 +37,7 @@ from hybridsem.errors import (
     DomainGapAtGridPoint,
     EndpointSymbolsUnbound,
     Misaligned,
+    ParamConstraintViolated,
     TruncatedInput,
 )
 from hybridsem.flow_config import (
@@ -122,6 +123,15 @@ def test_unbounded_configuration_without_horizon_is_refused():
         discretization_hypotheses(TimedStateRelation((Clause(()),)), h, h, 1)
     with pytest.raises(TruncatedInput):
         hts_discretize(h, 1)
+
+
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_graph_discretized_at_horizon_at_most_zero_is_refused(horizon):
+    """A graph is not reached, so nothing else checks its horizon: at a
+    horizon <= 0 hts_discretize refuses it rather than return its rank-0
+    states with no edge."""
+    with pytest.raises(ParamConstraintViolated, match=f"need horizon > 0, got {horizon}$"):
+        hts_discretize(gallery_fixture("fig8-3")["abstract"], 1, horizon)
 
 
 def _sample_by_eval(s, delta, horizon=None):

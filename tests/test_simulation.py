@@ -681,3 +681,19 @@ def test_preservation_and_transfer_match_the_reference():
                     assert sorted(cands, key=repr) == sorted(want, key=repr)
                     seen["candidates"] += bool(cands)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("horizon", [Q(7, 2), 6, 12, 24])
+def test_preservation_matches_the_reference_on_tank_self_pairs(horizon):
+    """The tank automaton against itself under r39, 6 initial clocks a
+    quarter apart: random graph pairs rarely give a step a successor of
+    the same interval, whose response splices to a pair of the two
+    graphs, and these do on every horizon."""
+    p = TankParams.make(x0_samples=tuple(Q(k, 4) for k in range(6)))
+    r = tank_relations(p)["r39"]
+    G = config_graph(build_tank_automaton(p), horizon)
+    got = preservation_check(r, G, G)
+    assert got == _ref_preservation_check(r, by_value(G), by_value(G))
+    assert any(G.nodes[k].interval == G.nodes[m].interval
+               for (i, j), held in got.pairs.items() if held
+               for k in G.succ[i] for m in G.succ[j])

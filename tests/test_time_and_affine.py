@@ -14,9 +14,19 @@ from hybridsem.time_core import (
     interval_intersect,
     interval_make,
     is_finite,
-    tmax,
     tmin,
 )
+
+
+def tmax(*ts):
+    """The greatest of times, NEG_INF and INF included, by their own
+    operators: no library code needs it."""
+    out = ts[0]
+    for t in ts[1:]:
+        if t > out:
+            out = t
+    return out
+
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 

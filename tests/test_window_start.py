@@ -187,12 +187,14 @@ def test_start_decision_equals_the_states_at_the_start():
 
 def test_sim_workload_windows_reach_the_root_finder_only_past_their_start(tmp_path,
                                                                           monkeypatch):
-    """On the seed-1 `sim` inputs, 2,068 of the 2,584 windows decided fail
-    at their start, so only 516 find constraint roots (2,536 did when
-    every point was found first, and 528 while init(56) decided its 12
-    initial pairs again instead of reading the check's pair table), and
-    only those 516 are reduced to lowest terms (all 2,584 were when each
-    window was compiled before its start was decided)."""
+    """On the seed-1 `sim` inputs, 2,068 of the 2,398 windows decided fail
+    at their start, so only 330 find constraint roots (2,536 did when
+    every point was found first, 528 while init(56) decided its 12
+    initial pairs again instead of reading the check's pair table, and
+    516 while the 186 responses that are graph pairs were spliced and
+    decided again instead of read from that table), and only those 330
+    are reduced to lowest terms (all 2,584 were when each window was
+    compiled before its start was decided)."""
     (call,) = workloads.build("sim", 1, tmp_path)
     args = dict(zip(call.args[1::2], call.args[2::2]))
     h = hts_from_json(json.loads(Path(args["--system"]).read_text()))
@@ -213,4 +215,4 @@ def test_sim_workload_windows_reach_the_root_finder_only_past_their_start(tmp_pa
     monkeypatch.setattr(relation, "_normalized", counted("normalized", relation._normalized))
     report = sim_check(r, G, G)
     assert not report.verdict
-    assert calls == {"windows": 2584, "roots": 516, "normalized": 516}
+    assert calls == {"windows": 2398, "roots": 330, "normalized": 330}
